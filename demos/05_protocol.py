@@ -1,34 +1,44 @@
 #!/usr/bin/env python3
-"""The constant-round commitment protocol end to end: an honest run over
-the framed channel, the hiding ledger, and the binding-to-decider story.
+"""The constant-round commitment protocol end to end: an honest session,
+the hiding ledger, and the binding-to-decider story.
 """
 
 from dcrlab.szkcommit import (
     EquivocatingSenderAttack,
+    Instance,
+    ProtocolSession,
     TablePromiseProblem,
     decider_advantage,
     hiding_experiment,
     honest_receiver,
     hybrid_sweep,
-    run_honest_over_channel,
 )
-from dcrlab.wire import TranscriptLog
 
 problem = TablePromiseProblem(k=4, salt=7)
 print(f"promise problem: k={problem.k}, yes rate {problem.yes_rate},"
       f" balance tolerance {problem.balance_tol}")
 
-# One honest run, every message framed as phase,index,payload_hex.
-log = TranscriptLog()
-m_out, frames = run_honest_over_channel(2, problem, m=1, rho_seed=0b1101,
-                                        sigma_seed=0b0110, share_seed=5,
-                                        idc_seed=0xBEEF, log=log)
-print(f"\nhonest session verified plaintext: {m_out}; {len(frames)} frames, first three:")
-for frame in frames[:3]:
-    print("  ", frame.encode())
-log.dump("/tmp/dcrlab_session.log")
-print("replayable log at /tmp/dcrlab_session.log,",
-      len(TranscriptLog.replay('/tmp/dcrlab_session.log').entries), "entries")
+# One honest session, phase by phase; every message lands on the transcript.
+n = 2
+session = ProtocolSession(n, problem)
+
+
+def unpack(seed: int, width: int) -> dict:
+    """One width-bit field of the seed per slot, lowest slot first."""
+    return {slot: (seed >> (width * j)) & (2**width - 1)
+            for j, slot in enumerate(session.slots)}
+
+
+session.coin_toss_phase(rho=unpack(0b1101, n), sigma=unpack(0b0110, n))
+session.instance_gen_phase()
+session.commit_phase(m=1, share_seed=5, idc_coins=unpack(0xBEEF, problem.k))
+opening = session.open_phase()
+print(f"\nhonest session verified plaintext: {session.verify_opening(opening)};"
+      f" {len(session.transcript)} messages:")
+for phase, index, payload in session.transcript:
+    if isinstance(payload, Instance):
+        payload = f"{problem.classify(payload)} table, {payload.out_bits}-bit outputs"
+    print(f"  {phase:>12s} {index:2d}  {payload}")
 
 # Hiding: enumerate every sender coin share, condition on the preamble.
 out = hiding_experiment(honest_receiver(2, rho_seed=0b10010110), 2, problem)

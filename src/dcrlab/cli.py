@@ -22,14 +22,19 @@ from pathlib import Path
 
 import numpy as np
 
+from dcrlab.hashfam import EnumerationCap
+
 OUTPUT_ENV_VAR = "DCRLAB_OUT"
 
 
 def parse_range(text: str) -> range:
-    """'3..8' -> range(3, 9); '5' -> range(5, 6)."""
+    """'3..8' -> range(3, 9); '5' -> range(5, 6); '8..3' is an error."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
+        out = range(int(lo), int(hi) + 1)
+        if not out:
+            raise ValueError(f"empty range {text!r}")
+        return out
     value = int(text)
     return range(value, value + 1)
 
@@ -260,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-all", help="full verification battery")
     common(p)
     p.add_argument("--fast", action="store_true", help="reduced grid for smoke runs")
-    p.add_argument("--exact", action="store_true",
-                   help="accepted for symmetry; the battery is always exact")
     p.add_argument("--inject-fault", dest="inject_fault", action="store_true",
                    help="negative control: force a broken generator through")
     return parser
@@ -292,7 +295,7 @@ def main(argv=None) -> int:
             return 2
     try:
         return HANDLERS[args.command](args, config)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, EnumerationCap) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -320,7 +320,6 @@ class GapReport:
     kl2: float
     distance: float
     bound: float
-    q_inv: float | None = None
     real: float = 0.0
     accessible: float = 0.0
     depends_only_on_y: bool | None = None
@@ -352,7 +351,7 @@ GAP_CSV_HEADER = "family,generator,n,gap,kl1,kl2,distance,bound"
 
 
 def gap_bound_report(gt: OnlineGenerator, family: HashFamily,
-                     tol: float = TOL, q_inv: float | None = None) -> GapReport:
+                     tol: float = TOL) -> GapReport:
     """Measure every quantity in the chain and assert the four invariants."""
     adv = RewindingAdversary(gt, family)
     accessible = accessible_entropy(gt)
@@ -371,7 +370,6 @@ def gap_bound_report(gt: OnlineGenerator, family: HashFamily,
         kl2=kl2,
         distance=game.distance,
         bound=math.sqrt(kl1) + math.sqrt(kl2),
-        q_inv=q_inv,
         real=real_entropy(build_two_block_generator(family)),
         accessible=accessible,
         depends_only_on_y=c2.depends_only_on_y,

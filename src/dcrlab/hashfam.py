@@ -56,18 +56,6 @@ class HashFunction:
     def __call__(self, x: int) -> int:
         return self.table[x]
 
-    def to_csv(self) -> str:
-        """Hex rows 'input_index,output_index', one per input."""
-        return "\n".join(f"{x:x},{y:x}" for x, y in enumerate(self.table)) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str, n: int, m: int, key=None) -> "HashFunction":
-        rows = [line.split(",") for line in text.strip().splitlines()]
-        table = [0] * 2**n
-        for xs, ys in rows:
-            table[int(xs, 16)] = int(ys, 16)
-        return cls(n=n, m=m, table=tuple(table), key=key)
-
 
 class HashFamily:
     """A finite, explicitly enumerated key space of hash functions.
@@ -340,9 +328,10 @@ def adversary_distribution(
     """
     if mode == "exact":
         space = a.tape_space(h)
-        exact = a.exact_distribution(h)
-        if exact is not None and space > enum_threshold:
-            return exact
+        if space > enum_threshold:
+            exact = a.exact_distribution(h)
+            if exact is not None:
+                return exact
         if space <= 2**TAPE_CAP_BITS:
             counts: dict[tuple[int, int], int] = {}
             for t in range(space):
@@ -443,7 +432,8 @@ def dcrh_distance(
         gap = abs(float(joint_delta) - float(distance))
         report = GameReport(family.name, a.name, float(distance), per_h, "exact",
                             p_inv=p_inv, joint_equality_gap=gap)
-        assert gap <= 1e-12, "joint and per-key game values disagree"
+        if gap > 1e-12:
+            raise AssertionError(f"joint and per-key game values disagree by {gap}")
         return report
     domain_size = max(len(adv.support()) + len(col_distribution(family.functions[i]).support())
                       for i, adv, _ in dists)

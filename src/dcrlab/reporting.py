@@ -24,30 +24,3 @@ def csv_field(value) -> str:
 def csv_line(fields) -> str:
     return ",".join(csv_field(f) for f in fields)
 
-
-def parse_csv_line(line: str) -> list[str]:
-    fields = []
-    cur = []
-    quoted = False
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if quoted:
-            if ch == '"':
-                if i + 1 < len(line) and line[i + 1] == '"':
-                    cur.append('"')
-                    i += 1
-                else:
-                    quoted = False
-            else:
-                cur.append(ch)
-        elif ch == '"':
-            quoted = True
-        elif ch == ",":
-            fields.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-        i += 1
-    fields.append("".join(cur))
-    return fields

@@ -837,73 +837,3 @@ def decider_from_breaker(s_star: SenderAttack, x: Instance, n: int,
         return YES
     return YES if int(rng.integers(2)) == 0 else NO
 
-
-# ---------------------------------------------------------- channel transport
-
-def encode_instance(inst: Instance) -> bytes:
-    return bytes([inst.k, inst.out_bits]) + bytes(inst.table)
-
-
-def decode_instance(payload: bytes) -> Instance:
-    k, out_bits = payload[0], payload[1]
-    return Instance(k=k, out_bits=out_bits, table=tuple(payload[2:]))
-
-
-def run_honest_over_channel(n: int, problem: TablePromiseProblem, m: int,
-                            rho_seed: int = 0, sigma_seed: int = 0,
-                            share_seed: int = 0, idc_seed: int = 0,
-                            log=None) -> tuple[int | None, list]:
-    """Drives one honest execution through the framed duplex channel.
-
-    Every protocol message crosses the wire as a ``phase,index,hex`` frame;
-    the receiver verifies the final opening.  Returns the verified
-    plaintext and the frames in transit order.  A TranscriptLog captures a
-    replayable record when supplied.
-    """
-    from dcrlab.wire import Message, duplex_pair
-
-    sender, receiver = duplex_pair(log=log)
-    slots = [(i, b) for i in range(n) for b in (0, 1)]
-    frames = []
-
-    def push(endpoint, msg):
-        frames.append(msg)
-        endpoint.send(msg)
-
-    session = ProtocolSession(n, problem)
-    rho = {slot: (rho_seed >> (n * j)) & (2**n - 1) for j, slot in enumerate(slots)}
-    sigma = {slot: (sigma_seed >> (n * j)) & (2**n - 1) for j, slot in enumerate(slots)}
-
-    # Coin toss: receiver's share commitments, then the sender's shares.
-    for idx, slot in enumerate(slots):
-        push(receiver, Message("coin-toss", idx, b""))
-        sender.recv()
-    for idx, slot in enumerate(slots):
-        push(sender, Message("coin-toss", len(slots) + idx, bytes([sigma[slot]])))
-        receiver.recv()
-    session.coin_toss_phase(rho, sigma)
-
-    # Instance generation plus the verdict-only consistency proof.
-    for idx, slot in enumerate(slots):
-        inst = problem.sample(session.r[slot], n)
-        push(receiver, Message("instance-gen", idx, encode_instance(inst)))
-        assert decode_instance(sender.recv().payload) == inst
-    session.instance_gen_phase()
-    push(sender, Message("instance-gen", len(slots), bytes([int(session.wi_verdict)])))
-    receiver.recv()
-    if not session.wi_verdict:
-        return None, frames
-
-    # Commit and open.
-    idc_coins = {slot: (idc_seed >> (problem.k * j)) & (2**problem.k - 1)
-                 for j, slot in enumerate(slots)}
-    session.commit_phase(m=m, share_seed=share_seed, idc_coins=idc_coins)
-    for idx, slot in enumerate(slots):
-        push(sender, Message("commit", idx, bytes([session.commits[slot]])))
-        receiver.recv()
-    opening = session.open_phase()
-    for idx, slot in enumerate(slots):
-        bit, coins = opening[slot]
-        push(sender, Message("open", idx, bytes([bit, coins])))
-        receiver.recv()
-    return session.verify_opening(opening), frames

@@ -23,6 +23,8 @@ def test_parse_range():
     assert list(parse_range("7")) == [7]
     with pytest.raises(ValueError):
         parse_range("abc")
+    with pytest.raises(ValueError):
+        parse_range("8..3")
 
 
 def test_no_command_prints_usage_and_exits_2():
@@ -38,6 +40,20 @@ def test_gap_sweep_writes_csv(tmp_path):
     assert lines[0] == "family,generator,n,gap,kl1,kl2,distance,bound"
     assert len(lines) > 1
     assert lines[1:] == sorted(lines[1:])
+
+
+def test_empty_range_exits_2_and_writes_nothing(tmp_path, capsys):
+    code = main(["gap-sweep", "--n", "8..3", "--out", str(tmp_path)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "gap_sweep.csv").exists()
+
+
+def test_enumeration_cap_exits_2(tmp_path, capsys):
+    code = main(["dcrh-game", "--n", "15", "--out", str(tmp_path)])
+    assert code == 2
+    assert "error: n=15 exceeds enumeration cap" in capsys.readouterr().err
+    assert not (tmp_path / "dcrh_game.csv").exists()
 
 
 def test_dcrh_game_exact(tmp_path):

@@ -139,6 +139,22 @@ def test_col_adversary_matches_col_distribution():
             assert stat_distance(adv, col_distribution(h)) == 0
 
 
+def test_analytic_law_built_only_beyond_enum_threshold():
+    class CountingCol(ColAdversary):
+        calls = 0
+
+        def exact_distribution(self, h):
+            self.calls += 1
+            return super().exact_distribution(h)
+
+    h = identity_family(2).functions[0]  # tape space 4
+    below, above = CountingCol(), CountingCol()
+    assert adversary_distribution(below, h, enum_threshold=4) == col_distribution(h)
+    assert below.calls == 0
+    assert adversary_distribution(above, h, enum_threshold=3) == col_distribution(h)
+    assert above.calls == 1
+
+
 def test_fixed_pair_adversary_point_mass():
     h = identity_family(3).functions[0]
     d = adversary_distribution(FixedPairAdversary((0, 0)), h)
@@ -231,12 +247,3 @@ def test_non_compressing_families_allowed():
     rep = dcrh_distance(fam, ColAdversary())
     assert rep.distance == 0
 
-
-# ---------------------------------------------------------------- serialization
-
-def test_truth_table_csv_roundtrip():
-    h = uniform_random_family(4, 3, num_keys=1, seed=3).functions[0]
-    text = h.to_csv()
-    back = HashFunction.from_csv(text, n=4, m=3, key=h.key)
-    assert back.table == h.table
-    assert all(len(line.split(",")) == 2 for line in text.strip().splitlines())

@@ -32,7 +32,6 @@ from dcrlab.szkcommit import (
     idc_equivocation,
     idc_verify,
     run_binding_session,
-    run_honest_over_channel,
     xor_all,
 )
 
@@ -428,21 +427,3 @@ def test_planted_no_instance_never_equivocates_at_plant():
             plant_slot=(0, 0), planted_instance=no_x, wi_witness=1)
         assert (0, 0) not in run.equivocal_slots
 
-
-# ------------------------------------------------------------------- channel
-
-def test_channel_run_matches_direct_session(tmp_path):
-    from dcrlab.wire import TranscriptLog
-
-    log = TranscriptLog()
-    m_out, frames = run_honest_over_channel(
-        2, PROBLEM, m=1, rho_seed=0b1101, sigma_seed=0b0110,
-        share_seed=5, idc_seed=0xBEEF, log=log)
-    assert m_out == 1
-    assert {f.phase for f in frames} == {"coin-toss", "instance-gen", "commit", "open"}
-
-    path = tmp_path / "session.log"
-    log.dump(path)
-    replayed = TranscriptLog.replay(path)
-    assert [m.encode() for m in replayed.messages()] == [
-        m.encode() for m in log.messages()]
