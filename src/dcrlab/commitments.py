@@ -48,9 +48,17 @@ class TwoMessageCommitment:
         self.coin_bits = coin_bits
         self.message_bits = message_bits
         self.receiver_seeds = tuple(receiver_seeds)
+        self._hiding: dict[int, HidingResult] = {}
 
     def first_message(self, seed: int):
         raise NotImplementedError
+
+    def hiding(self, seed: int) -> "HidingResult":
+        """``hiding_distance(self, seed)``, computed once per receiver seed."""
+        result = self._hiding.get(seed)
+        if result is None:
+            result = self._hiding[seed] = hiding_distance(self, seed)
+        return result
 
     def commit_value(self, first_msg, plaintext: int, coins: int) -> int:
         raise NotImplementedError
@@ -210,8 +218,7 @@ def view_distribution(scheme: TwoMessageCommitment, seed: int, plaintext: int) -
     for coins in range(k):
         msg = scheme.commit_value(first, plaintext, coins)
         counts[msg] = counts.get(msg, 0) + 1
-    return Dist({m: Fraction(c, k) for m, c in counts.items()},
-                domain=input_domain(scheme.message_bits))
+    return Dist(counts, domain=input_domain(scheme.message_bits), denominator=k)
 
 
 def hiding_distance(scheme: TwoMessageCommitment, seed: int) -> HidingResult:
@@ -356,17 +363,19 @@ def col_equivocation_rate(scheme: TwoMessageCommitment, h: HashFunction,
     asserted (for bit plaintexts).
     """
     first = scheme.first_message(h.key)
-    eps = hiding_distance(scheme, h.key).epsilon
-    rate = Fraction(0)
+    eps = scheme.hiding(h.key).epsilon
+    col = col_distribution(h)
+    split_count = 0
     valid = True
-    for (x1, x2), p in col_distribution(h).items():
+    for (x1, x2), c in col.counts.items():
         b1, r1 = _split(scheme, x1)
         b2, r2 = _split(scheme, x2)
         com = (first, scheme.commit_value(first, b1, r1))
         if scheme.verify(com, (b1, r1)) is None or scheme.verify(com, (b2, r2)) is None:
             valid = False
         if b1 != b2:
-            rate += p
+            split_count += c
+    rate = Fraction(split_count, col.denominator)
     lower = 0.5 - 2 * math.sqrt(eps)
     report = EquivocationReport(rate=float(rate), epsilon=eps,
                                 lower_bound=lower, openings_valid=valid)
@@ -394,7 +403,7 @@ def markov_step_check(scheme: TwoMessageCommitment, h: HashFunction) -> MarkovSt
     B_c the posterior of b given c.  When eps is exactly zero the posterior
     must equal the prior for every commitment.
     """
-    eps = hiding_distance(scheme, h.key).epsilon
+    eps = scheme.hiding(h.key).epsilon
     sqrt_eps = math.sqrt(eps)
     n_plain = 2**scheme.ell
     uniform_b = Dist.uniform(range(n_plain))

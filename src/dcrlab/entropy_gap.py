@@ -18,6 +18,7 @@ fiber of x1), and gap = n - accessible entropy.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from dcrlab.generators import (
     BlockGenerator,
@@ -31,12 +32,13 @@ from dcrlab.hashfam import (
     HashFamily,
     HashFunction,
     dcrh_distance,
+    fiber_lcm,
     input_domain,
     pair_domain,
     preimage_set,
     preimage_sets,
 )
-from dcrlab.probkit import Dist, JointDist, kl_divergence, mixture, shannon_entropy
+from dcrlab.probkit import Dist, JointDist, kl_divergence, shannon_entropy
 from dcrlab.reporting import csv_line
 
 TOL = 1e-9
@@ -58,6 +60,19 @@ def build_two_block_generator(family: HashFamily) -> BlockGenerator:
     )
 
 
+@lru_cache(maxsize=64)
+def _two_block_generator(family: HashFamily) -> BlockGenerator:
+    """One two-block generator per family, so every consistency check and
+    the real entropy share its cached output laws."""
+    return build_two_block_generator(family)
+
+
+@lru_cache(maxsize=64)
+def _two_block_real_entropy(family: HashFamily) -> float:
+    """H(Y | Z) of the family's two-block generator, once per family."""
+    return real_entropy(_two_block_generator(family))
+
+
 # ---------------------------------------------------------- online generator zoo
 
 def honest_online(family: HashFamily) -> OnlineGenerator:
@@ -77,8 +92,7 @@ def ideal_online(family: HashFamily) -> OnlineGenerator:
     conditional laws are also supplied analytically, which keeps the
     accounting exact when the lcm is too large to enumerate.
     """
-    sizes = {len(f) for h in family for f in preimage_sets(h).values()}
-    v2 = math.lcm(*sizes)
+    v2 = math.lcm(*(fiber_lcm(h) for h in family))
 
     def block(h, coins):
         if len(coins) == 1:
@@ -88,8 +102,7 @@ def ideal_online(family: HashFamily) -> OnlineGenerator:
 
     def law(h, prefix):
         if not prefix:
-            n = h.n
-            return Dist({y: Fraction(len(f), 2**n) for y, f in preimage_sets(h).items()})
+            return Dist({y: len(f) for y, f in preimage_sets(h).items()}, denominator=2**h.n)
         return Dist.uniform(preimage_set(h, h(prefix[0])))
 
     return OnlineGenerator("ideal", family.functions, (2**family.n, v2),
@@ -159,12 +172,13 @@ class RewindingAdversary(Adversary):
     """
 
     def __init__(self, gt: OnlineGenerator, family: HashFamily, *, _checked=False):
-        g = build_two_block_generator(family)
+        g = _two_block_generator(family)
         if not _checked and not check_consistent(gt, g):
             raise ConsistencyError(f"{gt.name} is not consistent with {g.name}")
         self.gt = gt
         self.family = family
         self.name = f"rewind[{gt.name}]"
+        self._laws: dict[HashFunction, JointDist] = {}
 
     def tape_space(self, h: HashFunction) -> int:
         v1, v2 = self.gt.coin_spaces
@@ -179,27 +193,39 @@ class RewindingAdversary(Adversary):
         return x1, x2
 
     def exact_distribution(self, h: HashFunction) -> JointDist:
+        """The output law on h, computed once per key and shared by every
+        consumer: the first- and second-block divergences and the game's
+        analytic route."""
+        law = self._laws.get(h)
+        if law is None:
+            law = self._laws[h] = self._rewound_law(h)
+        return law
+
+    def _rewound_law(self, h: HashFunction) -> JointDist:
         """Group first-block coins by the induced second-block law; the
-        output law is the mixture of law (x) law over the groups."""
+        output law is the mixture of law (x) law over the groups, with
+        weight count / v1 each: counts over v1 * lcm(law denominators^2)."""
         v1 = self.gt.coin_spaces[0]
         groups: dict[Dist, int] = {}
         for r in range(v1):
             law = self.gt.block_law(h, (r,))
             groups[law] = groups.get(law, 0) + 1
-        mass: dict[tuple, Fraction] = {}
+        lcm = math.lcm(*(law.denominator**2 for law in groups))
+        mass: dict[tuple, int] = {}
         for law, count in groups.items():
-            w = Fraction(count, v1)
-            for x1, p1 in law.items():
-                for x2, p2 in law.items():
+            scale = count * (lcm // law.denominator**2)
+            counts = law.counts.items()
+            for x1, c1 in counts:
+                w1 = scale * c1
+                for x2, c2 in counts:
                     key = (x1, x2)
-                    mass[key] = mass.get(key, 0) + w * p1 * p2
-        return JointDist(mass, domain=pair_domain(h.n))
+                    mass[key] = mass.get(key, 0) + w1 * c2
+        return JointDist(mass, domain=pair_domain(h.n), denominator=v1 * lcm)
 
     def first_block_marginal(self, h: HashFunction) -> Dist:
-        v1 = self.gt.coin_spaces[0]
-        laws = [(Fraction(1, v1), self.gt.block_law(h, (r,))) for r in range(v1)]
-        mixed = mixture(laws)
-        return Dist(dict(mixed.items()), domain=input_domain(h.n))
+        marginal = self.exact_distribution(h).marginal(0)
+        return Dist(marginal.counts, domain=input_domain(h.n),
+                    denominator=marginal.denominator)
 
 
 def rewinding_adversary(gt: OnlineGenerator, family: HashFamily) -> RewindingAdversary:
@@ -211,7 +237,8 @@ def collision_rate(adv: RewindingAdversary) -> Fraction:
     total = Fraction(0)
     for h in adv.family:
         d = adv.exact_distribution(h)
-        total += sum(p for (x1, x2), p in d.items() if h(x1) == h(x2))
+        total += Fraction(sum(c for (x1, x2), c in d.counts.items() if h(x1) == h(x2)),
+                          d.denominator)
     return total / len(adv.family)
 
 
@@ -275,19 +302,18 @@ def _second_block_kl(adv: RewindingAdversary, gap: float) -> DivergenceCheck:
     y_only = True
     for idx, h in enumerate(family):
         joint = adv.exact_distribution(h)
-        rows: dict[int, dict[int, Fraction]] = {}
-        for (x1, x2), p in joint.items():
-            rows.setdefault(x1, {})[x2] = p
+        rows: dict[int, dict[int, int]] = {}
+        for (x1, x2), c in joint.counts.items():
+            rows.setdefault(x1, {})[x2] = c
         contribution = 0.0
-        by_y: dict[int, dict] = {}
+        by_y: dict[int, Dist] = {}
         for x1, row in rows.items():
-            px1 = sum(row.values())
+            row_mass = sum(row.values())
             fiber = preimage_set(h, h(x1))
-            cond_mass = {x2: p / px1 for x2, p in row.items()}
-            cond = Dist(cond_mass, domain=fiber)
-            contribution += float(px1) * kl_divergence(cond, Dist.uniform(fiber))
-            seen = by_y.setdefault(h(x1), cond_mass)
-            if seen != cond_mass:
+            cond = Dist(row, domain=fiber, denominator=row_mass)
+            contribution += row_mass / joint.denominator * kl_divergence(cond, Dist.uniform(fiber))
+            seen = by_y.setdefault(h(x1), cond)
+            if seen != cond:
                 y_only = False
         per_h[idx] = contribution
         total += contribution / len(family)
@@ -370,7 +396,7 @@ def gap_bound_report(gt: OnlineGenerator, family: HashFamily,
         kl2=kl2,
         distance=game.distance,
         bound=math.sqrt(kl1) + math.sqrt(kl2),
-        real=real_entropy(build_two_block_generator(family)),
+        real=_two_block_real_entropy(family),
         accessible=accessible,
         depends_only_on_y=c2.depends_only_on_y,
         tol=tol,

@@ -18,6 +18,7 @@ to 1e-9, which checks the textbook identities the accounting rests on.
 """
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,7 +79,7 @@ class BlockGenerator:
         for x in range(2**self.seed_bits):
             y = self.run(z, x)
             counts[y] = counts.get(y, 0) + 1
-        law = Dist({y: Fraction(c, 2**self.seed_bits) for y, c in counts.items()})
+        law = Dist(counts, denominator=2**self.seed_bits)
         self._law_cache[z] = law
         return law
 
@@ -93,14 +94,15 @@ def real_sample_entropy(g: BlockGenerator, z, y_prefix: Sequence) -> float:
     earlier blocks, under the exact law of g(z, uniform seed).
     """
     law = g.output_dist(z)
+    counts = law.counts
     prefix = tuple(y_prefix)
     total = 0.0
-    prev = Fraction(1)
+    prev = law.denominator
     for j in range(1, len(prefix) + 1):
-        cur = sum(p for y, p in law.items() if y[:j] == prefix[:j])
+        cur = sum(c for y, c in counts.items() if y[:j] == prefix[:j])
         if cur == 0:
             raise SupportError(f"prefix {prefix[:j]} not in support for z={z!r}")
-        total += -log2_number(cur / prev)
+        total += -log2_number(Fraction(cur, prev))
         prev = cur
     return total
 
@@ -113,17 +115,19 @@ def real_entropy(g: BlockGenerator) -> float:
     (z, y); the two routes must agree to 1e-9.
     """
     k = len(g.param_space)
+    laws = [g.output_dist(z) for z in g.param_space]
+    den = math.lcm(*(law.denominator for law in laws))
     joint = JointDist({
-        (y, zi): Fraction(1, k) * p
-        for zi, z in enumerate(g.param_space)
-        for y, p in g.output_dist(z).items()
-    })
+        (y, zi): c * (den // law.denominator)
+        for zi, law in enumerate(laws)
+        for y, c in law.counts.items()
+    }, denominator=k * den)
     via_cond = cond_entropy(joint)
 
     via_samples = 0.0
-    for z in g.param_space:
-        for y, p in g.output_dist(z).items():
-            via_samples += float(p) / k * real_sample_entropy(g, z, y)
+    for z, law in zip(g.param_space, laws):
+        for y, c in law.counts.items():
+            via_samples += c / law.denominator / k * real_sample_entropy(g, z, y)
     if abs(via_cond - via_samples) > ROUTE_TOL:
         raise AssertionError(
             f"real-entropy routes disagree: {via_cond} vs {via_samples}")
@@ -199,7 +203,7 @@ class OnlineGenerator:
         for r in range(space):
             y = self.block(z, prefix + (r,))
             counts[y] = counts.get(y, 0) + 1
-        return Dist({y: Fraction(c, space) for y, c in counts.items()})
+        return Dist(counts, denominator=space)
 
     def coin_prefixes(self, upto: int):
         """All coin tuples for blocks 1..upto (exclusive of block upto+1)."""
@@ -264,19 +268,22 @@ def accessible_entropy(gt: OnlineGenerator) -> float:
     via_cond = 0.0
     via_expect = 0.0
     for i in range(gt.m_blocks):
-        mass: dict[tuple, Fraction] = {}
-        expect_i = 0.0
         prefix_list = list(gt.coin_prefixes(i))
-        prefix_count = len(prefix_list)
-        for zi, z in enumerate(gt.param_space):
-            for prefix in prefix_list:
-                law = gt.block_law(z, prefix)
-                w = Fraction(1, k * prefix_count)
-                for y, p in law.items():
-                    key = (y, (zi, prefix))
-                    mass[key] = mass.get(key, 0) + w * p
-                    expect_i += float(w * p) * -log2_number(p)
-        via_cond += cond_entropy(JointDist(mass))
+        laws = [((zi, prefix), gt.block_law(z, prefix))
+                for zi, z in enumerate(gt.param_space) for prefix in prefix_list]
+        # Every context has weight 1 / (k * prefixes): counts over one
+        # denominator k * prefixes * lcm(law denominators).
+        lcm = math.lcm(*(law.denominator for _, law in laws))
+        den = k * len(prefix_list) * lcm
+        mass: dict[tuple, int] = {}
+        expect_i = 0.0
+        for context, law in laws:
+            d = law.denominator
+            for y, c in law.counts.items():
+                count = c * (lcm // d)
+                mass[(y, context)] = count
+                expect_i += count / den * -log2_number(Fraction(c, d))
+        via_cond += cond_entropy(JointDist(mass, denominator=den))
         via_expect += expect_i
     if abs(via_cond - via_expect) > ROUTE_TOL:
         raise AssertionError(

@@ -201,6 +201,13 @@ def preimage_sets(h: HashFunction) -> dict[int, tuple[int, ...]]:
     return {y: tuple(xs) for y, xs in fibers.items()}
 
 
+@lru_cache(maxsize=4096)
+def fiber_lcm(h: HashFunction) -> int:
+    """lcm of h's fiber sizes: the slot count that makes every fiber of h
+    an exact uniform index range."""
+    return math.lcm(*(len(f) for f in preimage_sets(h).values()))
+
+
 def preimage_set(h: HashFunction, y: int) -> tuple[int, ...]:
     """{x : h(x) = y}, sorted; empty tuple when y misses the image."""
     return preimage_sets(h).get(y, ())
@@ -208,15 +215,15 @@ def preimage_set(h: HashFunction, y: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=512)
 def col_distribution(h: HashFunction) -> JointDist:
-    """Exact law of Col(h): P(x1, x2) = 2^-n / |h^-1(h(x1))| on collisions."""
-    total = Fraction(1, 2**h.n)
-    mass: dict[tuple[int, int], Fraction] = {}
-    for fiber in preimage_sets(h).values():
-        p = total / len(fiber)
-        for x1 in fiber:
-            for x2 in fiber:
-                mass[(x1, x2)] = p
-    return JointDist(mass, domain=pair_domain(h.n))
+    """Exact law of Col(h): P(x1, x2) = 2^-n / |h^-1(h(x1))| on collisions,
+    as counts L / |fiber| over 2^n * L with L = ``fiber_lcm(h)``."""
+    lcm = fiber_lcm(h)
+    mass = {(x1, x2): count
+            for fiber in preimage_sets(h).values()
+            for count in (lcm // len(fiber),)
+            for x1 in fiber
+            for x2 in fiber}
+    return JointDist(mass, domain=pair_domain(h.n), denominator=2**h.n * lcm)
 
 
 def col_sample(h: HashFunction, rng: np.random.Generator) -> tuple[int, int]:
@@ -257,12 +264,10 @@ class ColAdversary(Adversary):
     name = "ideal-col"
 
     def tape_space(self, h: HashFunction) -> int:
-        sizes = {len(f) for f in preimage_sets(h).values()}
-        return 2**h.n * math.lcm(*sizes)
+        return 2**h.n * fiber_lcm(h)
 
     def run(self, h, tape):
-        lcm = self.tape_space(h) // 2**h.n
-        x1, slot = divmod(tape, lcm)
+        x1, slot = divmod(tape, fiber_lcm(h))
         fiber = preimage_set(h, h(x1))
         return x1, fiber[slot % len(fiber)]
 
@@ -337,8 +342,7 @@ def adversary_distribution(
             for t in range(space):
                 out = a.run(h, t)
                 counts[out] = counts.get(out, 0) + 1
-            return JointDist({pair: Fraction(c, space) for pair, c in counts.items()},
-                             domain=pair_domain(h.n))
+            return JointDist(counts, domain=pair_domain(h.n), denominator=space)
         raise EnumerationCap(f"tape space {space} exceeds 2^{TAPE_CAP_BITS} and no analytic law given")
     if mode == "monte-carlo":
         if rng is None or samples <= 0:
@@ -427,8 +431,11 @@ def dcrh_distance(
         w = Fraction(1, k)
         joint_adv = mixture([(w, _tag(adv, idx)) for idx, adv, _ in dists])
         joint_col = mixture([(w, _tag(col_distribution(h), idx)) for idx, h in enumerate(family)])
-        union = set(joint_adv.support()) | set(joint_col.support())
-        joint_delta = sum(abs(joint_adv.prob(x) - joint_col.prob(x)) for x in union) / 2
+        adv_counts, col_counts = joint_adv.counts, joint_col.counts
+        d_adv, d_col = joint_adv.denominator, joint_col.denominator
+        l1 = sum(abs(adv_counts.get(x, 0) * d_col - col_counts.get(x, 0) * d_adv)
+                 for x in adv_counts.keys() | col_counts.keys())
+        joint_delta = Fraction(l1, 2 * d_adv * d_col)
         gap = abs(float(joint_delta) - float(distance))
         report = GameReport(family.name, a.name, float(distance), per_h, "exact",
                             p_inv=p_inv, joint_equality_gap=gap)
@@ -443,4 +450,4 @@ def dcrh_distance(
 
 
 def _tag(d: Dist, idx: int) -> Dist:
-    return Dist({(idx, x): p for x, p in d.items()})
+    return Dist({(idx, x): c for x, c in d.counts.items()}, denominator=d.denominator)

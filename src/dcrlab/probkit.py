@@ -1,9 +1,14 @@
 """Exact arithmetic over finite probability distributions.
 
-Distributions carry exact rational masses (``fractions.Fraction``) by
-default, so statistical distance and divergence comparisons can be made
-with true equality; 64-bit float masses are accepted for large sweeps and
-are validated to a 1e-9 tolerance instead.
+An exact law stores one positive integer count per outcome over a single
+integer denominator, reduced to lowest terms: outcome x has mass
+``counts[x] / denominator``.  Every law in the lab is a count over a
+finite uniform tape, so producers hand their counts and the tape size to
+the constructor, validation is one integer sum, and distances and
+mixtures of exact laws are integer sums over a common denominator.
+``prob`` and ``items`` still give ``fractions.Fraction`` values, so exact
+comparisons keep true equality.  64-bit float masses are accepted for
+large sweeps and are validated to a 1e-9 tolerance instead.
 
 All logarithms are base 2; entropies are in bits.  The conventions
 ``0*log(0) = 0`` and ``D(p||q) = +inf`` whenever ``supp(p)`` is not
@@ -11,8 +16,10 @@ contained in ``supp(q)`` are applied throughout.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Hashable, Iterable, Mapping
 
 Outcome = Hashable
@@ -33,50 +40,71 @@ class SupportError(ValueError):
 def log2_number(x: Number) -> float:
     """log2 of a positive rational or float, exact for powers of two."""
     if isinstance(x, Fraction):
-        n, d = x.numerator, x.denominator
-        if n == 1 and d & (d - 1) == 0:
-            return -float(d.bit_length() - 1)
-        if d == 1 and n & (n - 1) == 0:
-            return float(n.bit_length() - 1)
-        return math.log2(n) - math.log2(d)
+        return _log2_reduced(x.numerator, x.denominator)
     if x <= 0:
         raise ValueError("log2 of non-positive value")
     return math.log2(x)
+
+
+def _log2_reduced(n: int, d: int) -> float:
+    if n == 1 and d & (d - 1) == 0:
+        return -float(d.bit_length() - 1)
+    if d == 1 and n & (n - 1) == 0:
+        return float(n.bit_length() - 1)
+    return math.log2(n) - math.log2(d)
+
+
+def _log2_ratio(n: int, d: int) -> float:
+    """log2(n / d) for positive ints, taken on the reduced fraction so it
+    equals ``log2_number(Fraction(n, d))`` bit for bit."""
+    g = math.gcd(n, d)
+    return _log2_reduced(n // g, d // g)
 
 
 def _is_exact(values: Iterable[Number]) -> bool:
     return all(isinstance(v, (Fraction, int)) for v in values)
 
 
+def _common_denominator(mass: Mapping[Outcome, Number]) -> tuple[dict, int]:
+    """Rational masses as integer counts over the lcm of their denominators."""
+    den = math.lcm(*(p.denominator for p in mass.values()))
+    return {x: p.numerator * (den // p.denominator) for x, p in mass.items()}, den
+
+
 class Dist:
     """An immutable probability distribution over an enumerable domain.
 
     ``mass`` maps outcomes to probabilities; outcomes missing from the
-    mapping have probability zero.  ``domain`` may widen the outcome set
-    beyond the support (it defaults to the support).
+    mapping have probability zero.  With ``denominator`` given, ``mass``
+    holds non-negative integer counts and outcome x has probability
+    ``mass[x] / denominator``; this is how every exact law in the lab is
+    built.  ``domain`` may widen the outcome set beyond the support (it
+    defaults to the support).
     """
 
-    __slots__ = ("_mass", "_domain", "_exact", "_domain_set")
+    __slots__ = ("_mass", "_den", "_domain", "_domain_set")
 
-    def __init__(self, mass: Mapping[Outcome, Number], domain: Iterable[Outcome] | None = None):
-        exact = _is_exact(mass.values())
-        clean: dict[Outcome, Number] = {}
-        for x, p in mass.items():
-            p = Fraction(p) if exact else float(p)
-            if p < 0:
-                if exact or p < -FLOAT_TOL:
-                    raise ValueError(f"negative mass {p} at {x!r}")
-                p = 0.0
-            if p > 0:
-                clean[x] = p
-        total = sum(clean.values())
-        if exact:
-            if total != 1:
-                raise ValueError(f"masses sum to {total}, not 1")
-        elif abs(total - 1.0) > FLOAT_TOL:
-            raise ValueError(f"masses sum to {total}, not 1 within {FLOAT_TOL}")
+    def __init__(self, mass: Mapping[Outcome, Number], domain: Iterable[Outcome] | None = None,
+                 denominator: int | None = None):
+        if denominator is None and not _is_exact(mass.values()):
+            clean: dict[Outcome, Number] = {}
+            for x, p in mass.items():
+                p = float(p)
+                if p < 0:
+                    if p < -FLOAT_TOL:
+                        raise ValueError(f"negative mass {p} at {x!r}")
+                    p = 0.0
+                if p > 0:
+                    clean[x] = p
+            total = sum(clean.values())
+            if abs(total - 1.0) > FLOAT_TOL:
+                raise ValueError(f"masses sum to {total}, not 1 within {FLOAT_TOL}")
+        else:
+            if denominator is None:
+                mass, denominator = _common_denominator(mass)
+            clean, denominator = _reduced_counts(mass, denominator)
         self._mass = clean
-        self._exact = exact
+        self._den = denominator
         self._domain_set = None
         if domain is None:
             self._domain = tuple(clean)
@@ -97,17 +125,15 @@ class Dist:
     @classmethod
     def uniform(cls, outcomes: Iterable[Outcome]) -> "Dist":
         items = tuple(outcomes)
-        p = Fraction(1, len(items))
-        return cls({x: p for x in items})
+        return cls({x: 1 for x in items}, denominator=len(items))
 
     @classmethod
     def point(cls, x: Outcome, domain: Iterable[Outcome] | None = None) -> "Dist":
-        return cls({x: Fraction(1)}, domain=domain)
+        return cls({x: 1}, domain=domain, denominator=1)
 
     @classmethod
     def from_counts(cls, counts: Mapping[Outcome, int], domain=None) -> "Dist":
-        total = sum(counts.values())
-        return cls({x: Fraction(c, total) for x, c in counts.items() if c}, domain=domain)
+        return cls(counts, domain=domain, denominator=sum(counts.values()))
 
     @property
     def domain(self) -> tuple:
@@ -115,16 +141,35 @@ class Dist:
 
     @property
     def exact(self) -> bool:
-        return self._exact
+        return self._den is not None
+
+    @property
+    def denominator(self) -> int | None:
+        """The common denominator of an exact law's counts (None for floats)."""
+        return self._den
+
+    @property
+    def counts(self) -> Mapping[Outcome, int]:
+        """Read-only view of an exact law's integer counts, in insertion order."""
+        if self._den is None:
+            raise TypeError("a float law has no integer counts")
+        return MappingProxyType(self._mass)
 
     def prob(self, x: Outcome) -> Number:
-        return self._mass.get(x, Fraction(0) if self._exact else 0.0)
+        if self._den is None:
+            return self._mass.get(x, 0.0)
+        return Fraction(self._mass.get(x, 0), self._den)
 
     def support(self) -> tuple:
         return tuple(self._mass)
 
     def items(self):
-        return self._mass.items()
+        """(outcome, mass) pairs in insertion order; masses of an exact law
+        are ``Fraction``s made on the fly."""
+        if self._den is None:
+            return self._mass.items()
+        den = self._den
+        return ((x, Fraction(c, den)) for x, c in self._mass.items())
 
     def __len__(self) -> int:
         return len(self._domain)
@@ -132,13 +177,26 @@ class Dist:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dist):
             return NotImplemented
-        return self._mass == other._mass
+        if self._den is not None and other._den is not None:
+            return self._den == other._den and self._mass == other._mass
+        return dict(self.items()) == dict(other.items())
 
     def __hash__(self):
-        return hash(frozenset(self._mass.items()))
+        if self._den is None:
+            return hash(frozenset(self._mass.items()))
+        # Fraction(c, d) hashes to c * d^-1 modulo the numeric-hash prime, so
+        # one inverse of the denominator yields every outcome's Fraction hash:
+        # an exact law hashes as its Fraction-valued mapping (and as an equal
+        # float law) would.
+        modulus = sys.hash_info.modulus
+        try:
+            inverse = pow(self._den, -1, modulus)
+        except ValueError:
+            return hash(frozenset(self.items()))
+        return hash(frozenset((x, c * inverse % modulus) for x, c in self._mass.items()))
 
     def __repr__(self):
-        kind = "exact" if self._exact else "float"
+        kind = "float" if self._den is None else "exact"
         return f"Dist({len(self._mass)} outcomes of {len(self._domain)}, {kind})"
 
     def map(self, f: Callable[[Outcome], Outcome]) -> "Dist":
@@ -147,24 +205,51 @@ class Dist:
         for x, p in self._mass.items():
             y = f(x)
             out[y] = out.get(y, 0) + p
-        return Dist(out)
+        return Dist(out, denominator=self._den)
 
     def condition(self, pred: Callable[[Outcome], bool]) -> "Dist":
         kept = {x: p for x, p in self._mass.items() if pred(x)}
         total = sum(kept.values())
         if total == 0:
             raise SupportError("conditioning event has probability zero")
-        return Dist({x: p / total for x, p in kept.items()})
+        return self._rescaled(kept, total)
+
+    def _rescaled(self, part: dict, total: Number) -> "Dist":
+        """The law of part of this law's mass, of total ``total``, scaled to
+        mass one."""
+        if self._den is None:
+            return Dist({x: p / total for x, p in part.items()})
+        return Dist(part, denominator=total)
+
+
+def _reduced_counts(counts: Mapping[Outcome, int], den: int) -> tuple[dict, int]:
+    """Validate integer counts over ``den`` and reduce them to lowest terms."""
+    clean = dict(counts)
+    values = clean.values()
+    if clean and min(values) <= 0:
+        if min(values) < 0:
+            bad = next(x for x, c in clean.items() if c < 0)
+            raise ValueError(f"negative mass {Fraction(clean[bad], den)} at {bad!r}")
+        clean = {x: c for x, c in clean.items() if c}
+        values = clean.values()
+    total = sum(values)
+    if den <= 0 or total != den:
+        raise ValueError(f"masses sum to {total}/{den}, not 1")
+    g = math.gcd(den, *values)
+    if g > 1:
+        clean = {x: c // g for x, c in clean.items()}
+        den //= g
+    return clean, den
 
 
 class JointDist(Dist):
     """A Dist over ordered pairs, with marginal and conditional accessors."""
 
-    def __init__(self, mass: Mapping[tuple, Number], domain=None):
+    def __init__(self, mass: Mapping[tuple, Number], domain=None, denominator: int | None = None):
         for xy in mass:
             if not (isinstance(xy, tuple) and len(xy) == 2):
                 raise ValueError("JointDist outcomes must be pairs")
-        super().__init__(mass, domain=domain)
+        super().__init__(mass, domain=domain, denominator=denominator)
 
     @classmethod
     def product(cls, p: Dist, q: Dist) -> "JointDist":
@@ -181,21 +266,21 @@ class JointDist(Dist):
 
     def marginal(self, coord: int) -> Dist:
         out: dict[Outcome, Number] = {}
-        for xy, p in self.items():
+        for xy, p in self._mass.items():
             out[xy[coord]] = out.get(xy[coord], 0) + p
-        return Dist(out)
+        return Dist(out, denominator=self._den)
 
     def conditional(self, coord: int, value: Outcome) -> Dist:
         """Law of the other coordinate given coordinate ``coord`` == value."""
         other = 1 - coord
-        kept = {xy[other]: p for xy, p in self.items() if xy[coord] == value}
+        kept = {xy[other]: p for xy, p in self._mass.items() if xy[coord] == value}
         total = sum(kept.values())
         if total == 0:
             raise SupportError(f"conditioning value {value!r} has zero mass")
-        return Dist({x: p / total for x, p in kept.items()})
+        return self._rescaled(kept, total)
 
     def swap(self) -> "JointDist":
-        return JointDist({(y, x): p for (x, y), p in self.items()})
+        return JointDist({(y, x): p for (x, y), p in self._mass.items()}, denominator=self._den)
 
 
 def _check_same_domain(p: Dist, q: Dist) -> None:
@@ -210,12 +295,35 @@ def _check_same_domain(p: Dist, q: Dist) -> None:
 def stat_distance(p: Dist, q: Dist) -> Number:
     """Total variation distance (1/2) * sum_x |p(x) - q(x)|."""
     _check_same_domain(p, q)
-    total = sum(abs(p.prob(x) - q.prob(x)) for x in set(p.support()) | set(q.support()))
+    if p.exact and q.exact:
+        # (1/2) sum |a/dp - b/dq| = sum |a*dq - b*dp| / (2*dp*dq); outcomes
+        # of q outside supp(p) contribute dp * (dq - mass of q on supp(p)).
+        pm, qm, dp, dq = p._mass, q._mass, p._den, q._den
+        l1 = 0
+        shared = 0
+        for x, a in pm.items():
+            b = qm.get(x, 0)
+            shared += b
+            l1 += abs(a * dq - b * dp)
+        return Fraction(l1 + (dq - shared) * dp, 2 * dp * dq)
+    p_at, q_at = _float_lookup(p), _float_lookup(q)
+    total = sum(abs(p_at(x) - q_at(x)) for x in set(p.support()) | set(q.support()))
     return total / 2
+
+
+def _float_lookup(d: Dist) -> Callable[[Outcome], float]:
+    """x -> float(d.prob(x)), without building a Fraction for exact laws."""
+    mass, den = d._mass, d._den
+    if den is None:
+        return lambda x: mass.get(x, 0.0)
+    return lambda x: mass.get(x, 0) / den
 
 
 def shannon_entropy(p: Dist) -> float:
     """H(p) = -sum p(x) log2 p(x) in bits, with 0*log(0) = 0."""
+    if p.exact:
+        den = p._den
+        return sum(c / den * -_log2_ratio(c, den) for c in p._mass.values())
     return sum(float(px) * -log2_number(px) for _, px in p.items())
 
 
@@ -236,11 +344,19 @@ def kl_divergence(p: Dist, q: Dist) -> float:
     """D(p || q) in bits; +inf when supp(p) is not inside supp(q)."""
     _check_same_domain(p, q)
     total = 0.0
+    if p.exact and q.exact:
+        qm, dp, dq = q._mass, p._den, q._den
+        for x, a in p._mass.items():
+            b = qm.get(x)
+            if not b:
+                return math.inf
+            total += a / dp * _log2_ratio(a * dq, b * dp)
+        return total
     for x, px in p.items():
         qx = q.prob(x)
         if qx <= 0:
             return math.inf
-        total += float(px) * log2_number(px / qx if p.exact and q.exact else float(px) / float(qx))
+        total += float(px) * log2_number(float(px) / float(qx))
     return total
 
 
@@ -321,7 +437,17 @@ def entropy_report(p: Dist, q: Dist, joint: JointDist) -> EntropyReport:
 
 def mixture(components: Iterable[tuple[Number, Dist]]) -> Dist:
     """Convex combination of distributions; weights must sum to 1."""
+    components = list(components)
     mass: dict[Outcome, Number] = {}
+    if all(isinstance(w, (int, Fraction)) and d.exact for w, d in components):
+        # Rational weights over exact laws: integer counts over the lcm of
+        # the products weight denominator * law denominator.
+        den = math.lcm(*(w.denominator * d._den for w, d in components))
+        for w, d in components:
+            scale = w.numerator * (den // (w.denominator * d._den))
+            for x, c in d._mass.items():
+                mass[x] = mass.get(x, 0) + scale * c
+        return Dist(mass, denominator=den)
     for w, d in components:
         for x, p in d.items():
             mass[x] = mass.get(x, 0) + w * p

@@ -113,3 +113,43 @@ def test_szk_protocol_command(tmp_path):
     assert code == 0
     assert (tmp_path / "szk_binding.csv").exists()
     assert (tmp_path / "szk_hiding.csv").exists()
+
+
+def _raise_bound_violation(*args, **kwargs):
+    raise AssertionError("injected violation")
+
+
+def test_dcrh_game_bound_violation_exits_1(tmp_path, capsys, monkeypatch):
+    import dcrlab.hashfam
+
+    monkeypatch.setattr(dcrlab.hashfam, "dcrh_distance", _raise_bound_violation)
+    code = main(["dcrh-game", "--n", "2..2", "--num-keys", "1", "--out", str(tmp_path)])
+    assert code == 1
+    assert "bound violation: injected violation" in capsys.readouterr().err
+
+
+def test_commit_reduce_bound_violation_exits_1(tmp_path, capsys, monkeypatch):
+    import dcrlab.commitments
+
+    monkeypatch.setattr(dcrlab.commitments, "col_equivocation_rate", _raise_bound_violation)
+    code = main(["commit-reduce", "--k", "4", "--m", "2", "--num-seeds", "2",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert "bound violation: injected violation" in capsys.readouterr().err
+    assert not (tmp_path / "commit_reduce.csv").exists()
+
+
+def _cli_csv(argv, out, hash_seed):
+    result = run_cli([*argv, "--out", str(out)], env_extra={"PYTHONHASHSEED": hash_seed})
+    assert result.returncode == 0, result.stderr
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("argv", [
+    ["gap-sweep", "--n", "2..4", "--seed", "3"],
+    ["dcrh-game", "--n", "2..3"],
+])
+def test_reports_identical_across_hash_seeds(tmp_path, argv):
+    first = _cli_csv(argv, tmp_path / "hash0", "0")
+    second = _cli_csv(argv, tmp_path / "hash1", "1")
+    assert first and first == second

@@ -205,6 +205,24 @@ def test_markov_step_exact():
         assert rep.ok and rep.heavy_fraction == 0.0
 
 
+def test_hiding_distance_computed_once_per_key(monkeypatch):
+    import dcrlab.commitments
+
+    seeds = []
+    real = dcrlab.commitments.hiding_distance
+
+    def counting(scheme, seed):
+        seeds.append(seed)
+        return real(scheme, seed)
+
+    monkeypatch.setattr(dcrlab.commitments, "hiding_distance", counting)
+    scheme = RandomFunctionCommitment(4, 2, num_seeds=3, seed=16)
+    for h in scheme_to_hash_family(scheme):
+        col_equivocation_rate(scheme, h)
+        markov_step_check(scheme, h)
+    assert seeds == [0, 1, 2]
+
+
 def test_string_variant_exact_eighth():
     scheme = OpaqueCommitment(4, num_seeds=2, seed=15, ell=3)
     for h in scheme_to_hash_family(scheme):
