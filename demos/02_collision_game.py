@@ -16,15 +16,14 @@ from dcrlab.hashfam import (
     col_distribution,
     col_sample,
     dcrh_distance,
-    preimage_set,
     uniform_random_family,
 )
 
 fam = uniform_random_family(4, 3, num_keys=3, seed=1)
 h = fam.functions[0]
 print(f"family {fam.name} with {len(fam)} keys; first key's fibers:")
-for y in sorted(set(h.table)):
-    print(f"  y={y}: {preimage_set(h, y)}")
+for y, fiber in sorted(h.fibers.items()):
+    print(f"  y={y}: {fiber}")
 
 print("\nCol law of that key has", len(col_distribution(h).support()), "colliding pairs")
 rng = np.random.default_rng(7)

@@ -233,7 +233,7 @@ def criterion_protocol_completeness(seed: int = 0) -> CriterionResult:
     enumerated at n=1), plus the tamper sweep on NO instances."""
     problem = szk.TablePromiseProblem(k=4, salt=seed + 41)
     n = 2
-    slots = [(i, b) for i in range(n) for b in (0, 1)]
+    slots = szk.slot_list(n)
     failures = []
 
     # Per-slot commitment validity, every instance x bit x coin value.

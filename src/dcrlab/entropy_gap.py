@@ -32,11 +32,9 @@ from dcrlab.hashfam import (
     HashFamily,
     HashFunction,
     dcrh_distance,
-    fiber_lcm,
     input_domain,
     pair_domain,
     preimage_set,
-    preimage_sets,
 )
 from dcrlab.probkit import Dist, JointDist, kl_divergence, shannon_entropy
 from dcrlab.reporting import csv_line
@@ -92,7 +90,7 @@ def ideal_online(family: HashFamily) -> OnlineGenerator:
     conditional laws are also supplied analytically, which keeps the
     accounting exact when the lcm is too large to enumerate.
     """
-    v2 = math.lcm(*(fiber_lcm(h) for h in family))
+    v2 = math.lcm(*(h.fiber_lcm for h in family))
 
     def block(h, coins):
         if len(coins) == 1:
@@ -102,7 +100,7 @@ def ideal_online(family: HashFamily) -> OnlineGenerator:
 
     def law(h, prefix):
         if not prefix:
-            return Dist({y: len(f) for y, f in preimage_sets(h).items()}, denominator=2**h.n)
+            return Dist({y: len(f) for y, f in h.fibers.items()}, denominator=2**h.n)
         return Dist.uniform(preimage_set(h, h(prefix[0])))
 
     return OnlineGenerator("ideal", family.functions, (2**family.n, v2),

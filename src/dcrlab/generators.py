@@ -93,18 +93,30 @@ def real_sample_entropy(g: BlockGenerator, z, y_prefix: Sequence) -> float:
     Each term is -log2 of the conditional probability of block j given the
     earlier blocks, under the exact law of g(z, uniform seed).
     """
+    return _sample_entropy_of(g, z)(tuple(y_prefix))
+
+
+def _sample_entropy_of(g: BlockGenerator, z) -> Callable[[tuple], float]:
+    """``real_sample_entropy`` for one z, reading the count of every output
+    prefix from one pass over the law."""
     law = g.output_dist(z)
-    counts = law.counts
-    prefix = tuple(y_prefix)
-    total = 0.0
-    prev = law.denominator
-    for j in range(1, len(prefix) + 1):
-        cur = sum(c for y, c in counts.items() if y[:j] == prefix[:j])
-        if cur == 0:
-            raise SupportError(f"prefix {prefix[:j]} not in support for z={z!r}")
-        total += -log2_number(Fraction(cur, prev))
-        prev = cur
-    return total
+    prefix_counts: dict[tuple, int] = {}
+    for y, c in law.counts.items():
+        for j in range(1, len(y) + 1):
+            prefix_counts[y[:j]] = prefix_counts.get(y[:j], 0) + c
+
+    def sample_entropy(prefix: tuple) -> float:
+        total = 0.0
+        prev = law.denominator
+        for j in range(1, len(prefix) + 1):
+            cur = prefix_counts.get(prefix[:j], 0)
+            if cur == 0:
+                raise SupportError(f"prefix {prefix[:j]} not in support for z={z!r}")
+            total += -log2_number(Fraction(cur, prev))
+            prev = cur
+        return total
+
+    return sample_entropy
 
 
 def real_entropy(g: BlockGenerator) -> float:
@@ -126,8 +138,9 @@ def real_entropy(g: BlockGenerator) -> float:
 
     via_samples = 0.0
     for z, law in zip(g.param_space, laws):
+        sample_entropy = _sample_entropy_of(g, z)
         for y, c in law.counts.items():
-            via_samples += c / law.denominator / k * real_sample_entropy(g, z, y)
+            via_samples += c / law.denominator / k * sample_entropy(y)
     if abs(via_cond - via_samples) > ROUTE_TOL:
         raise AssertionError(
             f"real-entropy routes disagree: {via_cond} vs {via_samples}")
@@ -144,10 +157,9 @@ def real_min_entropy_check(g: BlockGenerator, block: int, k_bits: float,
     kparams = len(g.param_space)
     bad = 0.0
     for z in g.param_space:
-        law = g.output_dist(z)
-        for y, p in law.items():
-            h_terms = real_sample_entropy(g, z, y[: block + 1]) - (
-                real_sample_entropy(g, z, y[:block]) if block else 0.0)
+        sample_entropy = _sample_entropy_of(g, z)
+        for y, p in g.output_dist(z).items():
+            h_terms = sample_entropy(y[: block + 1]) - (sample_entropy(y[:block]) if block else 0.0)
             if h_terms < k_bits:
                 bad += float(p) / kparams
     return bad, bad <= fail_prob

@@ -14,7 +14,7 @@ enumerated key space.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,6 +55,20 @@ class HashFunction:
 
     def __call__(self, x: int) -> int:
         return self.table[x]
+
+    @cached_property
+    def fibers(self) -> dict[int, tuple[int, ...]]:
+        """All fibers of h: output -> sorted tuple of inputs mapping to it."""
+        fibers: dict[int, list[int]] = {}
+        for x, y in enumerate(self.table):
+            fibers.setdefault(y, []).append(x)
+        return {y: tuple(xs) for y, xs in fibers.items()}
+
+    @cached_property
+    def fiber_lcm(self) -> int:
+        """lcm of the fiber sizes: the slot count that makes every fiber an
+        exact uniform index range."""
+        return math.lcm(*(len(f) for f in self.fibers.values()))
 
 
 class HashFamily:
@@ -191,35 +205,18 @@ def pair_domain(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((x1, x2) for x1 in side for x2 in side)
 
 
-@lru_cache(maxsize=4096)
-def preimage_sets(h: HashFunction) -> dict[int, tuple[int, ...]]:
-    """All fibers of h: output -> sorted tuple of inputs mapping to it."""
-    _check_cap(h.n, ENUM_CAP_HARD)
-    fibers: dict[int, list[int]] = {}
-    for x, y in enumerate(h.table):
-        fibers.setdefault(y, []).append(x)
-    return {y: tuple(xs) for y, xs in fibers.items()}
-
-
-@lru_cache(maxsize=4096)
-def fiber_lcm(h: HashFunction) -> int:
-    """lcm of h's fiber sizes: the slot count that makes every fiber of h
-    an exact uniform index range."""
-    return math.lcm(*(len(f) for f in preimage_sets(h).values()))
-
-
 def preimage_set(h: HashFunction, y: int) -> tuple[int, ...]:
     """{x : h(x) = y}, sorted; empty tuple when y misses the image."""
-    return preimage_sets(h).get(y, ())
+    return h.fibers.get(y, ())
 
 
 @lru_cache(maxsize=512)
 def col_distribution(h: HashFunction) -> JointDist:
     """Exact law of Col(h): P(x1, x2) = 2^-n / |h^-1(h(x1))| on collisions,
-    as counts L / |fiber| over 2^n * L with L = ``fiber_lcm(h)``."""
-    lcm = fiber_lcm(h)
+    as counts L / |fiber| over 2^n * L with L = ``h.fiber_lcm``."""
+    lcm = h.fiber_lcm
     mass = {(x1, x2): count
-            for fiber in preimage_sets(h).values()
+            for fiber in h.fibers.values()
             for count in (lcm // len(fiber),)
             for x1 in fiber
             for x2 in fiber}
@@ -264,10 +261,10 @@ class ColAdversary(Adversary):
     name = "ideal-col"
 
     def tape_space(self, h: HashFunction) -> int:
-        return 2**h.n * fiber_lcm(h)
+        return 2**h.n * h.fiber_lcm
 
     def run(self, h, tape):
-        x1, slot = divmod(tape, fiber_lcm(h))
+        x1, slot = divmod(tape, h.fiber_lcm)
         fiber = preimage_set(h, h(x1))
         return x1, fiber[slot % len(fiber)]
 

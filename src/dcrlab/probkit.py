@@ -39,10 +39,10 @@ class SupportError(ValueError):
 
 def log2_number(x: Number) -> float:
     """log2 of a positive rational or float, exact for powers of two."""
-    if isinstance(x, Fraction):
-        return _log2_reduced(x.numerator, x.denominator)
     if x <= 0:
         raise ValueError("log2 of non-positive value")
+    if isinstance(x, Fraction):
+        return _log2_reduced(x.numerator, x.denominator)
     return math.log2(x)
 
 

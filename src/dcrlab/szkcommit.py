@@ -225,12 +225,10 @@ class IdealSBC:
 
     coin_bits = 0
     name = "ideal-sbc"
+    hiding_slack = 0.0
 
     def commit(self, slot, value: int, coins: int):
         return ("sbc", slot)
-
-    def hiding_slack(self, value_bits: int) -> float:
-        return 0.0
 
 
 class InjectiveSBC:
@@ -238,6 +236,7 @@ class InjectiveSBC:
     the handle fully leaks the pair, so the hiding slack is 1."""
 
     name = "injective-sbc"
+    hiding_slack = 1.0
 
     def __init__(self, value_bits: int, coin_bits: int = 1, seed: int = 0):
         self.value_bits = value_bits
@@ -249,43 +248,33 @@ class InjectiveSBC:
     def commit(self, slot, value: int, coins: int):
         return self._table[(value << self.coin_bits) | coins]
 
-    def hiding_slack(self, value_bits: int) -> float:
-        return 1.0
-
 
 # ------------------------------------------------------------ ideal WI verdict
 
-@dataclass(frozen=True)
-class WIProof:
-    """Record of one verdict-only consistency proof.
-
-    The ideal functionality evaluates the statement (some column of sent
-    instances is explained by the committed-and-revealed coins) and reveals
-    the verdict alone; the witness column is recorded for audit but leaves
-    no trace in the transcript.
-    """
-
-    statement_true: bool
-    witness_column: int
-    verdict: bool
-
-
 def wi_statement_true(ledger: dict, sigma: dict, sent: dict, problem: TablePromiseProblem,
                       n: int) -> bool:
-    """There is a column b whose every sent instance matches the sampler on
-    the committed-and-revealed coins."""
-    return any(wi_column_consistent(ledger, sigma, sent, problem, n, b) for b in (0, 1))
-
-
-def wi_column_consistent(ledger: dict, sigma: dict, sent: dict,
-                         problem: TablePromiseProblem, n: int, column: int) -> bool:
-    return all(
-        sent[(i, column)] == problem.sample(ledger[(i, column)] ^ sigma[(i, column)], n)
-        for i in range(n)
+    """The statement the ideal proof evaluates and whose verdict alone it
+    reveals: there is a column b whose every sent instance matches the
+    sampler on the committed-and-revealed coins."""
+    return any(
+        all(sent[(i, b)] == problem.sample(ledger[(i, b)] ^ sigma[(i, b)], n) for i in range(n))
+        for b in (0, 1)
     )
 
 
 # ------------------------------------------------------------ protocol session
+
+def slot_list(n: int) -> list[tuple[int, int]]:
+    """The 2n slots (i, b) in message order."""
+    return [(i, b) for i in range(n) for b in (0, 1)]
+
+
+def coin_space(n: int):
+    """Every map from the 2n slots to n-bit coin values, in product order."""
+    slots = slot_list(n)
+    for values in itertools.product(range(2**n), repeat=len(slots)):
+        yield dict(zip(slots, values))
+
 
 class ProtocolSession:
     """One execution of the commitment protocol, phase by phase.
@@ -299,21 +288,17 @@ class ProtocolSession:
         self.n = n
         self.problem = problem
         self.sbc = sbc if sbc is not None else IdealSBC()
-        self.slots = [(i, b) for i in range(n) for b in (0, 1)]
+        self.slots = slot_list(n)
         self.phase = "coin-toss"
-        self.rho: dict = {}
         self.ledger: dict = {}
-        self.handles: dict = {}
         self.sigma: dict = {}
         self.r: dict = {}
         self.instances: dict = {}
-        self.wi_proof: WIProof | None = None
         self.wi_verdict: bool | None = None
         self.wi_witness: int | None = None
         self.shares: dict | None = None
         self.idc_coins: dict | None = None
         self.commits: dict = {}
-        self.plaintext: int | None = None
         self.transcript: list[tuple[str, int, object]] = []
 
     def _record(self, phase: str, index: int, payload) -> None:
@@ -333,17 +318,15 @@ class ProtocolSession:
         sees is computed from the bound value.
         """
         self._need_phase("coin-toss")
-        self.rho = dict(rho)
         self.sigma = dict(sigma)
         sbc_coins = sbc_coins or {slot: 0 for slot in self.slots}
         for idx, slot in enumerate(self.slots):
             bound = rho[slot] if ledger_override is None else ledger_override.get(slot, rho[slot])
             self.ledger[slot] = bound
-            self.handles[slot] = self.sbc.commit(slot, bound, sbc_coins[slot])
-            self._record("coin-toss", idx, self.handles[slot])
+            self._record("coin-toss", idx, self.sbc.commit(slot, bound, sbc_coins[slot]))
         for idx, slot in enumerate(self.slots):
             self._record("coin-toss", len(self.slots) + idx, sigma[slot])
-            self.r[slot] = self.rho[slot] ^ sigma[slot]
+            self.r[slot] = rho[slot] ^ sigma[slot]
         self.phase = "instance-gen"
         return self
 
@@ -359,11 +342,8 @@ class ProtocolSession:
             self.instances[slot] = substitutions.get(slot, honest)
             self._record("instance-gen", idx, self.instances[slot])
         self.wi_witness = wi_witness
-        truth = wi_statement_true(
+        self.wi_verdict = wi_statement_true(
             self.ledger, self.sigma, self.instances, self.problem, self.n)
-        self.wi_proof = WIProof(statement_true=truth, witness_column=wi_witness,
-                                verdict=truth)
-        self.wi_verdict = self.wi_proof.verdict
         self._record("instance-gen", len(self.slots), self.wi_verdict)
         self.phase = "commit" if self.wi_verdict else "done"
         return self
@@ -380,8 +360,7 @@ class ProtocolSession:
                 raise ProtocolError("either m or explicit shares are required")
             shares = derive_shares(m, share_seed, self.slots)
         self.shares = dict(shares)
-        self.plaintext = xor_all(self.shares.values())
-        if m is not None and self.plaintext != m:
+        if m is not None and xor_all(self.shares.values()) != m:
             raise ProtocolError("shares do not reconstruct the plaintext")
         self.idc_coins = idc_coins or {slot: 0 for slot in self.slots}
         for idx, slot in enumerate(self.slots):
@@ -465,9 +444,8 @@ class ReceiverSpec:
 
 def honest_receiver(n: int, rho_seed: int = 0) -> ReceiverSpec:
     """Coin shares read off a seed integer, n bits per slot."""
-    slots = [(i, b) for i in range(n) for b in (0, 1)]
     rho = {}
-    for j, slot in enumerate(slots):
+    for j, slot in enumerate(slot_list(n)):
         rho[slot] = (rho_seed >> (n * j)) & (2**n - 1)
     return ReceiverSpec(rho=rho)
 
@@ -507,10 +485,6 @@ class HidingOutcome:
     union_bound: float
     preambles: list[PreambleRecord] = field(default_factory=list)
 
-    @property
-    def total_distance_bound(self) -> float:
-        return self.epsilon_given_admissible + float(self.inadmissible_prob)
-
 
 def hiding_experiment(r_spec: ReceiverSpec, n: int, problem: TablePromiseProblem,
                       tol: float = TOL, keep_records: bool = True) -> HidingOutcome:
@@ -523,35 +497,29 @@ def hiding_experiment(r_spec: ReceiverSpec, n: int, problem: TablePromiseProblem
     admissible preamble the view distance is at most the largest epsilon
     among the YES instances it sent (zero when the proof was rejected).
     """
-    slots = [(i, b) for i in range(n) for b in (0, 1)]
     records = []
     inadmissible = Fraction(0)
     worst = Fraction(0)
-    total = Fraction(1, (2**n) ** len(slots))
-    for sigma_values in itertools.product(range(2**n), repeat=len(slots)):
-        sigma = dict(zip(slots, sigma_values))
+    total = Fraction(1, (2**n) ** (2 * n))
+    for sigma in coin_space(n):
         session = ProtocolSession(n, problem)
         session.coin_toss_phase(r_spec.rho, sigma)
         session.instance_gen_phase(substitutions=r_spec.substitutions(session))
+        sent = list(session.instances.values())
+        labels = tuple(problem.classify(x) for x in sent)
+        dist = conditional_view_distance(sent) if session.wi_verdict else Fraction(0)
         admissible = admissible_preamble(session)
-        labels = tuple(problem.classify(session.instances[slot]) for slot in slots)
-        if not session.wi_verdict:
-            dist = Fraction(0)
-        else:
-            dist = conditional_view_distance([session.instances[slot] for slot in slots])
         if admissible:
             worst = max(worst, dist)
             if session.wi_verdict:
-                yes_eps = [idc_epsilon(session.instances[slot])
-                           for slot in slots
-                           if problem.classify(session.instances[slot]) == YES]
-                if float(dist) > float(max(yes_eps)) + tol:
+                yes_eps = max(idc_epsilon(x) for x, label in zip(sent, labels) if label == YES)
+                if float(dist) > float(yes_eps) + tol:
                     raise AssertionError("conditional view distance beats the YES epsilon bound")
         else:
             inadmissible += total
         if keep_records:
-            records.append(PreambleRecord(sigma_values, admissible, bool(session.wi_verdict),
-                                          labels, dist))
+            records.append(PreambleRecord(tuple(sigma.values()), admissible,
+                                          session.wi_verdict, labels, dist))
     union = 2 * float((1 - problem.yes_rate)) ** n
     if float(inadmissible) > union + tol:
         raise AssertionError(
@@ -666,17 +634,11 @@ def run_binding_session(s_star: SenderAttack, tape: int, n: int,
     return BindingRun(session, opening_a, opening_b, full_break, equivocal)
 
 
-def _rho_space(n: int):
-    slots = [(i, b) for i in range(n) for b in (0, 1)]
-    for values in itertools.product(range(2**n), repeat=len(slots)):
-        yield dict(zip(slots, values))
-
-
 def break_probability(s_star: SenderAttack, n: int, problem: TablePromiseProblem) -> Fraction:
     """epsilon*: probability of a full equivocation in a standard run."""
     wins = 0
     runs = 0
-    for rho in _rho_space(n):
+    for rho in coin_space(n):
         for tape in range(s_star.tape_space):
             runs += 1
             wins += run_binding_session(s_star, tape, n, problem, rho).full_break
@@ -720,21 +682,18 @@ def hybrid_experiment(s_star: SenderAttack, n: int, problem: TablePromiseProblem
     if stage not in range(5):
         raise ValueError("stage must be 0..4")
     sbc = sbc if sbc is not None else IdealSBC()
-    slots = [(i, b) for i in range(n) for b in (0, 1)]
+    slots = slot_list(n)
     sbc_space = 2**sbc.coin_bits
+    sbc_coin_maps = [{slot: (sbc_seed // sbc_space**j) % sbc_space
+                      for j, slot in enumerate(slots)}
+                     for sbc_seed in range(sbc_space ** len(slots))]
     hits = Fraction(0)
     runs = 0
     for star in slots:
-        for rho in _rho_space(n):
+        for rho in coin_space(n):
             for extra in range(2**n):
                 for tape in range(s_star.tape_space):
-                    for sbc_seed in range(sbc_space ** len(slots) if sbc_space > 1 else 1):
-                        sbc_coins = None
-                        if sbc_space > 1:
-                            sbc_coins = {
-                                slot: (sbc_seed // sbc_space**j) % sbc_space
-                                for j, slot in enumerate(slots)
-                            }
+                    for sbc_coins in sbc_coin_maps:
                         runs += 1
                         kwargs = {}
                         if stage == 0:
@@ -765,7 +724,7 @@ def hybrid_sweep(s_star: SenderAttack, n: int, problem: TablePromiseProblem,
     report = HybridReport(
         pr_e=pr_e,
         eps_star=break_probability(s_star, n, problem),
-        sbc_slack=sbc.hiding_slack(n),
+        sbc_slack=sbc.hiding_slack,
         wi_slack=0.0,
         n=n,
     )
@@ -794,7 +753,6 @@ def decider_advantage(s_star: SenderAttack, n: int, problem: TablePromiseProblem
     """Pr[x in Pi_{D(x)}] for the decider that plants its input instance at
     a random slot, runs the binding adversary, declares YES on slot
     equivocation and guesses otherwise.  All coins enumerated."""
-    slots = [(i, b) for i in range(n) for b in (0, 1)]
     correct = Fraction(0)
     pr_e = Fraction(0)
     pr_e_and_no = Fraction(0)
@@ -802,8 +760,8 @@ def decider_advantage(s_star: SenderAttack, n: int, problem: TablePromiseProblem
     for coins in range(2**n):
         x = problem.sample(coins, n)
         label = problem.classify(x)
-        for star in slots:
-            for rho in _rho_space(n):
+        for star in slot_list(n):
+            for rho in coin_space(n):
                 for tape in range(s_star.tape_space):
                     runs += 1
                     run = run_binding_session(
@@ -821,19 +779,3 @@ def decider_advantage(s_star: SenderAttack, n: int, problem: TablePromiseProblem
                            pr_e_and_no=pr_e_and_no / runs)
     report.check()
     return report
-
-
-def decider_from_breaker(s_star: SenderAttack, x: Instance, n: int,
-                         problem: TablePromiseProblem, rng: np.random.Generator) -> str:
-    """One sampled decider run on a given instance: plant, run, declare."""
-    slots = [(i, b) for i in range(n) for b in (0, 1)]
-    star = slots[int(rng.integers(len(slots)))]
-    rho = {slot: int(rng.integers(2**n)) for slot in slots}
-    tape = int(rng.integers(s_star.tape_space))
-    run = run_binding_session(s_star, tape, n, problem, rho,
-                              plant_slot=star, planted_instance=x,
-                              wi_witness=1 - star[1])
-    if star in run.equivocal_slots:
-        return YES
-    return YES if int(rng.integers(2)) == 0 else NO
-

@@ -62,9 +62,9 @@ def test_criterion_8_hiding_analysis():
 
 
 def test_criterion_9_cli_determinism_and_fault_flag(tmp_path):
-    def run(extra, outdir):
+    def run(extra, outdir, python_flags=()):
         return subprocess.run(
-            [sys.executable, "-m", "dcrlab", "verify-all", "--seed", str(SEED),
+            [sys.executable, *python_flags, "-m", "dcrlab", "verify-all", "--seed", str(SEED),
              "--fast", "--out", str(outdir), *extra],
             capture_output=True, text=True)
 
@@ -78,9 +78,10 @@ def test_criterion_9_cli_determinism_and_fault_flag(tmp_path):
     for name in files_a:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    faulted = run(["--inject-fault"], tmp_path / "c")
-    assert faulted.returncode != 0
+    # Under -O, so the control shows the checks cannot be switched off.
+    faulted = run(["--inject-fault"], tmp_path / "c", python_flags=["-O"])
+    assert faulted.returncode == 1
     assert "injected-fault control" in faulted.stdout
     print()
     print("criterion 9 [PASS] determinism: byte-identical same-seed reports;"
-          " --inject-fault flips the exit code")
+          " --inject-fault flips the exit code, under -O too")

@@ -18,7 +18,6 @@ from dcrlab.hashfam import (
     col_sample,
     constant_family,
     dcrh_distance,
-    fiber_lcm,
     identity_family,
     mc_ci_half_width,
     preimage_set,
@@ -156,17 +155,20 @@ def test_analytic_law_built_only_beyond_enum_threshold():
     assert above.calls == 1
 
 
-def test_col_adversary_reads_fiber_lcm_once_per_key():
+def test_col_adversary_reads_fiber_lcm_once_per_key(monkeypatch):
     table = tuple(int(v) for v in np.random.default_rng(21).integers(0, 8, size=16))
     h = HashFunction(n=4, m=3, table=table, key="fiber-lcm-once")
     adv = ColAdversary()
     rng = np.random.default_rng(22)
-    before = fiber_lcm.cache_info().misses
+    computed = []
+    prop = HashFunction.__dict__["fiber_lcm"]
+    compute = prop.func
+    monkeypatch.setattr(prop, "func", lambda g: computed.append(g.key) or compute(g))
     space = adv.tape_space(h)
     for _ in range(1000):
         x1, x2 = adv.run(h, int(rng.integers(space)))
         assert h(x1) == h(x2)
-    assert fiber_lcm.cache_info().misses - before == 1
+    assert computed == ["fiber-lcm-once"]
 
 
 def test_fixed_pair_adversary_point_mass():

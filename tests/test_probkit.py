@@ -16,6 +16,7 @@ from dcrlab.probkit import (
     jensen_log2_check,
     kl_chain_rule_check,
     kl_divergence,
+    log2_number,
     mixture,
     pinsker_check,
     sample_entropy,
@@ -117,6 +118,14 @@ def test_sample_entropy():
     assert sample_entropy(skew, 1) == pytest.approx(2, abs=1e-12)
     with pytest.raises(SupportError):
         sample_entropy(Dist.point(0, domain=[0, 1]), 1)
+
+
+def test_log2_number_rejects_non_positive():
+    assert log2_number(Fraction(1, 8)) == -3.0
+    assert log2_number(Fraction(4)) == 2.0
+    for x in (Fraction(0), Fraction(-1, 2), 0.0, -2.0):
+        with pytest.raises(ValueError):
+            log2_number(x)
 
 
 def test_cond_entropy_independent_equals_marginal():

@@ -4,7 +4,6 @@ security arguments, all by enumeration."""
 import itertools
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from dcrlab.szkcommit import (
@@ -13,6 +12,7 @@ from dcrlab.szkcommit import (
     YES,
     EquivocatingSenderAttack,
     HonestSenderAttack,
+    IdealSBC,
     InjectiveSBC,
     Instance,
     ProtocolError,
@@ -23,7 +23,6 @@ from dcrlab.szkcommit import (
     break_probability,
     conditional_view_distance,
     decider_advantage,
-    decider_from_breaker,
     derive_shares,
     hiding_experiment,
     honest_receiver,
@@ -32,15 +31,12 @@ from dcrlab.szkcommit import (
     idc_equivocation,
     idc_verify,
     run_binding_session,
+    slot_list,
     xor_all,
 )
 
 PROBLEM = TablePromiseProblem(k=4, salt=7)
 SMALL = TablePromiseProblem(k=2, out_bits_choices=(2, 3), salt=3)
-
-
-def slots_for(n):
-    return [(i, b) for i in range(n) for b in (0, 1)]
 
 
 # -------------------------------------------------------------- promise problem
@@ -125,18 +121,18 @@ def test_idc_perfect_binding_on_no_exhaustive():
 def test_coin_toss_bookkeeping():
     n = 2
     sess = ProtocolSession(n, PROBLEM)
-    rho = {slot: 1 for slot in slots_for(n)}
-    sigma = {slot: 2 for slot in slots_for(n)}
+    rho = {slot: 1 for slot in slot_list(n)}
+    sigma = {slot: 2 for slot in slot_list(n)}
     sess.coin_toss_phase(rho, sigma)
-    assert all(sess.r[slot] == 3 for slot in slots_for(n))
+    assert all(sess.r[slot] == 3 for slot in slot_list(n))
     assert len([e for e in sess.transcript if e[0] == "coin-toss"]) == 8
 
 
 def test_zero_sigma_keeps_rho():
     n = 2
     sess = ProtocolSession(n, PROBLEM)
-    rho = {slot: j for j, slot in enumerate(slots_for(n))}
-    sess.coin_toss_phase(rho, {slot: 0 for slot in slots_for(n)})
+    rho = {slot: j for j, slot in enumerate(slot_list(n))}
+    sess.coin_toss_phase(rho, {slot: 0 for slot in slot_list(n)})
     assert sess.r == rho
 
 
@@ -154,8 +150,8 @@ def test_fixed_rho_enumerated_sigma_gives_uniform_r():
 
 def test_wi_verdict_honest_and_substituted():
     n = 2
-    rho = {slot: 0 for slot in slots_for(n)}
-    sigma = {slot: 1 for slot in slots_for(n)}
+    rho = {slot: 0 for slot in slot_list(n)}
+    sigma = {slot: 1 for slot in slot_list(n)}
     wrong = PROBLEM.sample(2, n)
 
     honest = ProtocolSession(n, PROBLEM).coin_toss_phase(rho, sigma)
@@ -178,6 +174,28 @@ def test_wi_verdict_honest_and_substituted():
     assert both.wi_verdict is False
 
 
+def test_honest_session_transcript_pinned():
+    sess = ProtocolSession(1, SMALL)
+    sess.coin_toss_phase({(0, 0): 1, (0, 1): 0}, {(0, 0): 1, (0, 1): 1})
+    sess.instance_gen_phase()
+    sess.commit_phase(m=1, share_seed=1, idc_coins={(0, 0): 2, (0, 1): 3})
+    opening = sess.open_phase()
+    assert sess.verify_opening(opening) == 1
+    assert sess.transcript == [
+        ("coin-toss", 0, ("sbc", (0, 0))),
+        ("coin-toss", 1, ("sbc", (0, 1))),
+        ("coin-toss", 2, 1),
+        ("coin-toss", 3, 1),
+        ("instance-gen", 0, Instance(k=2, out_bits=3, table=(3, 6, 3, 3, 3, 6, 3, 3))),
+        ("instance-gen", 1, Instance(k=2, out_bits=3, table=(6, 3, 7, 2, 1, 5, 4, 0))),
+        ("instance-gen", 2, True),
+        ("commit", 0, 3),
+        ("commit", 1, 2),
+        ("open", 0, (1, 2)),
+        ("open", 1, (0, 3)),
+    ]
+
+
 def test_phase_order_enforced():
     sess = ProtocolSession(1, PROBLEM)
     with pytest.raises(ProtocolError):
@@ -196,7 +214,7 @@ def test_completeness_full_joint_n1():
                 for idc_seed in range(2 ** (2 * k)):
                     for m in (0, 1):
                         sess = ProtocolSession(n, problem)
-                        slots = slots_for(n)
+                        slots = slot_list(n)
                         rho = {s: (rho_seed >> j) & 1 for j, s in enumerate(slots)}
                         sigma = {s: (sigma_seed >> j) & 1 for j, s in enumerate(slots)}
                         coins = {s: (idc_seed >> (k * j)) & (2**k - 1)
@@ -226,7 +244,7 @@ def test_completeness_factored_n2_k4():
     # Factor 3: share derivation over every seed reconstructs the message.
     for m in (0, 1):
         for seed in range(2 ** (2 * n - 1)):
-            shares = derive_shares(m, seed, slots_for(n))
+            shares = derive_shares(m, seed, slot_list(n))
             assert xor_all(shares.values()) == m
 
 
@@ -234,18 +252,18 @@ def test_tamper_single_share_flip_rejects_on_no_instances():
     problem = PROBLEM
     n = 2
     no_coins = [c for c in range(2**n) if problem.classify(problem.sample(c, n)) == NO]
-    rho = {slot: no_coins[0] for slot in slots_for(n)}
-    sigma = {slot: 0 for slot in slots_for(n)}
+    rho = {slot: no_coins[0] for slot in slot_list(n)}
+    sigma = {slot: 0 for slot in slot_list(n)}
     for m in (0, 1):
         for idc_seed in range(0, 2**8, 37):
             sess = ProtocolSession(n, problem)
             sess.coin_toss_phase(rho, sigma)
             sess.instance_gen_phase()
-            coins = {s: (idc_seed >> (4 * j)) & 15 for j, s in enumerate(slots_for(n))}
+            coins = {s: (idc_seed >> (4 * j)) & 15 for j, s in enumerate(slot_list(n))}
             sess.commit_phase(m=m, share_seed=idc_seed & 7, idc_coins=coins)
             opening = sess.open_phase()
             assert sess.verify_opening(opening) == m
-            for slot in slots_for(n):
+            for slot in slot_list(n):
                 tampered = dict(opening)
                 bit, c = tampered[slot]
                 tampered[slot] = (1 - bit, c)
@@ -269,8 +287,8 @@ def test_all_no_preamble_not_admissible():
     no_coins = next(c for c in range(2)
                     if PROBLEM.classify(PROBLEM.sample(c, n)) == NO)
     sess = ProtocolSession(n, PROBLEM)
-    rho = {slot: no_coins for slot in slots_for(n)}
-    sess.coin_toss_phase(rho, {slot: 0 for slot in slots_for(n)})
+    rho = {slot: no_coins for slot in slot_list(n)}
+    sess.coin_toss_phase(rho, {slot: 0 for slot in slot_list(n)})
     sess.instance_gen_phase()
     assert sess.wi_verdict
     assert not admissible_preamble(sess)
@@ -280,9 +298,9 @@ def test_wi_rejection_is_admissible():
     n = 1
     wrong = PROBLEM.sample(0, n)
     sess = ProtocolSession(n, PROBLEM)
-    sess.coin_toss_phase({s: 0 for s in slots_for(n)}, {s: 1 for s in slots_for(n)})
+    sess.coin_toss_phase({s: 0 for s in slot_list(n)}, {s: 1 for s in slot_list(n)})
     subs = {}
-    for slot in slots_for(n):
+    for slot in slot_list(n):
         honest = PROBLEM.sample(sess.r[slot], n)
         if honest != wrong:
             subs[slot] = wrong
@@ -345,7 +363,7 @@ def test_hiding_rejected_wi_gives_zero_distance():
     def substitute(slot, honest):
         return wrong_yes if honest != wrong_yes else PROBLEM.sample(2 % 2, n)
 
-    spec = ReceiverSpec(rho={s: 0 for s in slots_for(n)}, substitute=substitute)
+    spec = ReceiverSpec(rho={s: 0 for s in slot_list(n)}, substitute=substitute)
     out = hiding_experiment(spec, n, PROBLEM)
     for rec in out.preambles:
         if not rec.wi_accepted:
@@ -394,6 +412,13 @@ def test_hybrid_sweep_injective_sbc_slack():
     assert report.pr_e[3] == report.pr_e[4]
 
 
+def test_hybrid_sweep_ideal_and_injective_sbc_values():
+    for sbc in (IdealSBC(), InjectiveSBC(value_bits=1, coin_bits=1, seed=5)):
+        report = hybrid_sweep(EquivocatingSenderAttack(), 1, SMALL, sbc=sbc)
+        assert report.pr_e == {stage: Fraction(3, 8) for stage in range(5)}
+        assert report.eps_star == Fraction(3, 4)
+
+
 def test_decider_advantage_exact():
     n = 2
     rep = decider_advantage(EquivocatingSenderAttack(), n, PROBLEM)
@@ -408,14 +433,6 @@ def test_decider_honest_sender_is_coin_flip():
     assert rep.pr_correct == Fraction(1, 2)
 
 
-def test_decider_single_run_interface():
-    rng = np.random.default_rng(3)
-    yes_x = PROBLEM.sample(0, 2)
-    verdicts = {decider_from_breaker(EquivocatingSenderAttack(), yes_x, 2, PROBLEM, rng)
-                for _ in range(20)}
-    assert verdicts <= {YES, NO}
-
-
 def test_planted_no_instance_never_equivocates_at_plant():
     n = 1
     no_x = next(PROBLEM.sample(c, n) for c in range(2)
@@ -423,7 +440,7 @@ def test_planted_no_instance_never_equivocates_at_plant():
     for rho_val in range(2):
         run = run_binding_session(
             EquivocatingSenderAttack(), 0, n, PROBLEM,
-            {s: rho_val for s in slots_for(n)},
+            {s: rho_val for s in slot_list(n)},
             plant_slot=(0, 0), planted_instance=no_x, wi_witness=1)
         assert (0, 0) not in run.equivocal_slots
 
