@@ -19,13 +19,24 @@ Protocol for one message bit m: the receiver commits to 2n coin shares
 rho_{i,b}, the sender returns sigma_{i,b}, instances are sampled from
 r = rho xor sigma, the receiver proves one column consistent, and the
 sender XOR-shares m across 2n instance-dependent commitments.
+
+The hiding analysis factors over slots.  A deterministic receiver's
+message in slot s depends on the sender's coins only through sigma_s
+(r_s = rho_s xor sigma_s feeds the sampler, and a substitution sees only
+the slot and the honest instance), so every per-slot fact a preamble
+needs -- the sent instance, its label, its epsilon, whether it matches
+the sampler -- takes one of 2^n values.  ``hiding_experiment`` computes
+those 2n rows of 2^n facts once and enumerates the preambles over them;
+the verdict, admissibility and view distance of each preamble are the
+same functions of its per-slot facts that a full session applies.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Sequence
+from functools import cached_property, lru_cache
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -49,6 +60,14 @@ class Instance:
     k: int
     out_bits: int
     table: tuple[int, ...]
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The table is hashed once per object, not on every cache lookup."""
+        return hash((self.k, self.out_bits, self.table))
 
     def commit(self, bit: int, coins: int) -> int:
         return self.table[(bit << self.k) | coins]
@@ -251,15 +270,19 @@ class InjectiveSBC:
 
 # ------------------------------------------------------------ ideal WI verdict
 
-def wi_statement_true(ledger: dict, sigma: dict, sent: dict, problem: TablePromiseProblem,
-                      n: int) -> bool:
+def sampler_matches(ledger: dict, sigma: dict, sent: dict, problem: TablePromiseProblem,
+                    n: int) -> list[bool]:
+    """Per slot, in ``slot_list`` order: does the sent instance match the
+    sampler on the committed-and-revealed coins?"""
+    return [sent[slot] == problem.sample(ledger[slot] ^ sigma[slot], n) for slot in slot_list(n)]
+
+
+def wi_statement_true(matches: Sequence[bool]) -> bool:
     """The statement the ideal proof evaluates and whose verdict alone it
     reveals: there is a column b whose every sent instance matches the
-    sampler on the committed-and-revealed coins."""
-    return any(
-        all(sent[(i, b)] == problem.sample(ledger[(i, b)] ^ sigma[(i, b)], n) for i in range(n))
-        for b in (0, 1)
-    )
+    sampler.  ``matches`` is in ``slot_list`` order, so slot (i, b) sits
+    at index 2i + b and column b is ``matches[b::2]``."""
+    return all(matches[0::2]) or all(matches[1::2])
 
 
 # ------------------------------------------------------------ protocol session
@@ -342,8 +365,8 @@ class ProtocolSession:
             self.instances[slot] = substitutions.get(slot, honest)
             self._record("instance-gen", idx, self.instances[slot])
         self.wi_witness = wi_witness
-        self.wi_verdict = wi_statement_true(
-            self.ledger, self.sigma, self.instances, self.problem, self.n)
+        self.wi_verdict = wi_statement_true(sampler_matches(
+            self.ledger, self.sigma, self.instances, self.problem, self.n))
         self._record("instance-gen", len(self.slots), self.wi_verdict)
         self.phase = "commit" if self.wi_verdict else "done"
         return self
@@ -411,13 +434,17 @@ def derive_shares(m: int, share_seed: int, slots: Sequence) -> dict:
 
 # ------------------------------------------------------------------ admissible
 
-def admissible_preamble(session: ProtocolSession) -> bool:
+def is_admissible(wi_verdict: bool, labels: Iterable[str]) -> bool:
     """Some sent instance is YES, or the consistency proof was rejected."""
+    return not wi_verdict or YES in labels
+
+
+def admissible_preamble(session: ProtocolSession) -> bool:
+    """``is_admissible`` on a completed session's preamble."""
     if session.wi_verdict is None:
         raise ProtocolError("preamble not complete")
-    if not session.wi_verdict:
-        return True
-    return any(session.problem.classify(x) == YES for x in session.instances.values())
+    return is_admissible(session.wi_verdict,
+                         (session.problem.classify(x) for x in session.instances.values()))
 
 
 # ------------------------------------------------------------ hiding analysis
@@ -450,21 +477,25 @@ def honest_receiver(n: int, rho_seed: int = 0) -> ReceiverSpec:
     return ReceiverSpec(rho=rho)
 
 
-def conditional_view_distance(instances: Sequence[Instance]) -> Fraction:
-    """Exact TV between the commit-phase views under m = 0 and m = 1,
-    conditioned on a fixed preamble that sent these instances.
+def view_distance_product(terms: Iterable[int]) -> int:
+    """The product form of the conditional view distance, on integers.
 
     With XOR shares, writing S_j and D_j for the sum and difference of the
     two per-slot commit laws, the constrained share mixture collapses to
     (tensor S +/- tensor D) / 2^(2n), so the distance is the product of the
-    per-slot hiding distances:  TV = prod_j eps_j.
+    per-slot hiding distances:  TV = prod_j eps_j.  Applied to the
+    numerators and to the denominators of the eps_j, it gives the two
+    halves of that product.
     """
-    out = Fraction(1)
-    for inst in instances:
-        out *= idc_epsilon(inst)
-        if out == 0:
-            return Fraction(0)
-    return out
+    return math.prod(terms)
+
+
+def conditional_view_distance(instances: Sequence[Instance]) -> Fraction:
+    """Exact TV between the commit-phase views under m = 0 and m = 1,
+    conditioned on a fixed preamble that sent these instances."""
+    eps = [idc_epsilon(inst) for inst in instances]
+    return Fraction(view_distance_product(e.numerator for e in eps),
+                    view_distance_product(e.denominator for e in eps))
 
 
 @dataclass
@@ -496,37 +527,57 @@ def hiding_experiment(r_spec: ReceiverSpec, n: int, problem: TablePromiseProblem
     probability is at most 2 (1 - yes_rate)^n, and conditioned on any
     admissible preamble the view distance is at most the largest epsilon
     among the YES instances it sent (zero when the proof was rejected).
+
+    The enumeration is exact without a session per preamble: the receiver
+    is deterministic and what it sends in slot s depends only on sigma_s.
+    One session per constant share vector sigma = (v, ..., v) therefore
+    yields, for every slot, its facts at share value v, and the 2n rows of
+    2^n facts cover every preamble.  The preambles are visited in
+    ``coin_space`` order as one entry per row.  Each view distance is held
+    as an integer numerator over L^(2n), L the lcm of the row epsilons'
+    denominators, and the inadmissible preambles are counted; every record
+    and float equals the session-per-preamble result.
     """
-    records = []
-    inadmissible = Fraction(0)
-    worst = Fraction(0)
-    total = Fraction(1, (2**n) ** (2 * n))
-    for sigma in coin_space(n):
+    facts: list[list[tuple]] = [[] for _ in slot_list(n)]  # (share, label, eps, match)
+    for v in range(2**n):
         session = ProtocolSession(n, problem)
-        session.coin_toss_phase(r_spec.rho, sigma)
+        session.coin_toss_phase(r_spec.rho, {slot: v for slot in session.slots})
         session.instance_gen_phase(substitutions=r_spec.substitutions(session))
-        sent = list(session.instances.values())
-        labels = tuple(problem.classify(x) for x in sent)
-        dist = conditional_view_distance(sent) if session.wi_verdict else Fraction(0)
-        admissible = admissible_preamble(session)
+        matches = sampler_matches(session.ledger, session.sigma, session.instances, problem, n)
+        for row, slot, match in zip(facts, session.slots, matches):
+            inst = session.instances[slot]
+            row.append((v, problem.classify(inst), idc_epsilon(inst), match))
+    lcm = math.lcm(*(eps.denominator for row in facts for _, _, eps, _ in row))
+    # Entry: (share, label, eps numerator over lcm, match, YES eps numerator or -1).
+    rows = [[(v, label, eps.numerator * (lcm // eps.denominator), match,
+              eps.numerator * (lcm // eps.denominator) if label == YES else -1)
+             for v, label, eps, match in row] for row in facts]
+    scale = lcm ** len(rows)
+    records = []
+    inadmissible = 0
+    worst = 0
+    for entries in itertools.product(*rows):
+        sigma, labels, eps, matches, yes_eps = zip(*entries)
+        wi_verdict = wi_statement_true(matches)
+        dist = view_distance_product(eps) if wi_verdict else 0
+        admissible = is_admissible(wi_verdict, labels)
         if admissible:
             worst = max(worst, dist)
-            if session.wi_verdict:
-                yes_eps = max(idc_epsilon(x) for x, label in zip(sent, labels) if label == YES)
-                if float(dist) > float(yes_eps) + tol:
-                    raise AssertionError("conditional view distance beats the YES epsilon bound")
+            if wi_verdict and dist / scale > max(yes_eps) / lcm + tol:
+                raise AssertionError("conditional view distance beats the YES epsilon bound")
         else:
-            inadmissible += total
+            inadmissible += 1
         if keep_records:
-            records.append(PreambleRecord(tuple(sigma.values()), admissible,
-                                          session.wi_verdict, labels, dist))
+            records.append(PreambleRecord(sigma, admissible, wi_verdict, labels,
+                                          Fraction(dist, scale)))
+    inadmissible_prob = Fraction(inadmissible, (2**n) ** len(rows))
     union = 2 * float((1 - problem.yes_rate)) ** n
-    if float(inadmissible) > union + tol:
+    if float(inadmissible_prob) > union + tol:
         raise AssertionError(
-            f"inadmissible probability {float(inadmissible)} above union bound {union}")
+            f"inadmissible probability {float(inadmissible_prob)} above union bound {union}")
     return HidingOutcome(
-        inadmissible_prob=inadmissible,
-        epsilon_given_admissible=float(worst),
+        inadmissible_prob=inadmissible_prob,
+        epsilon_given_admissible=worst / scale,
         union_bound=union,
         preambles=records,
     )

@@ -61,6 +61,17 @@ def test_criterion_8_hiding_analysis():
     assert result.elapsed < 300
 
 
+def test_criterion_8_rows_pinned():
+    # szk_hiding.csv rows (n, inadmissible_prob, union_bound,
+    # epsilon_given_admissible) as the session-per-preamble loop wrote them.
+    expected = {
+        0: ["1,1/4,1,0", "2,1/16,0.5,0", "3,1/64,0.25,0"],
+        7: ["1,1/4,1,0", "2,1/16,0.5,0", "3,1/64,0.25,0.25"],
+    }
+    for seed, rows in expected.items():
+        assert acceptance.criterion_hiding_analysis(seed).rows == rows
+
+
 def test_criterion_9_cli_determinism_and_fault_flag(tmp_path):
     def run(extra, outdir, python_flags=()):
         return subprocess.run(

@@ -6,21 +6,26 @@ from fractions import Fraction
 
 import pytest
 
+from dcrlab import szkcommit
 from dcrlab.szkcommit import (
     NO,
     OUTSIDE,
+    TOL,
     YES,
     EquivocatingSenderAttack,
+    HidingOutcome,
     HonestSenderAttack,
     IdealSBC,
     InjectiveSBC,
     Instance,
+    PreambleRecord,
     ProtocolError,
     ProtocolSession,
     ReceiverSpec,
     TablePromiseProblem,
     admissible_preamble,
     break_probability,
+    coin_space,
     conditional_view_distance,
     decider_advantage,
     derive_shares,
@@ -375,6 +380,113 @@ def test_yes_rate_one_sampler_never_inadmissible():
                                      yes_bits=1, salt=9)
     out = hiding_experiment(honest_receiver(1, rho_seed=1), 1, always_yes)
     assert out.inadmissible_prob == 0
+
+
+def _session_path_hiding(r_spec, n, problem, tol=TOL):
+    """The session-per-preamble hiding loop, kept as the reference for the
+    per-slot enumeration: one ProtocolSession per sender share vector."""
+    records = []
+    inadmissible = Fraction(0)
+    worst = Fraction(0)
+    total = Fraction(1, (2**n) ** (2 * n))
+    for sigma in coin_space(n):
+        session = ProtocolSession(n, problem)
+        session.coin_toss_phase(r_spec.rho, sigma)
+        session.instance_gen_phase(substitutions=r_spec.substitutions(session))
+        sent = list(session.instances.values())
+        labels = tuple(problem.classify(x) for x in sent)
+        dist = conditional_view_distance(sent) if session.wi_verdict else Fraction(0)
+        admissible = admissible_preamble(session)
+        if admissible:
+            worst = max(worst, dist)
+            if session.wi_verdict:
+                yes_eps = max(idc_epsilon(x) for x, label in zip(sent, labels) if label == YES)
+                if float(dist) > float(yes_eps) + tol:
+                    raise AssertionError("conditional view distance beats the YES epsilon bound")
+        else:
+            inadmissible += total
+        records.append(PreambleRecord(tuple(sigma.values()), admissible,
+                                      session.wi_verdict, labels, dist))
+    union = 2 * float((1 - problem.yes_rate)) ** n
+    if float(inadmissible) > union + tol:
+        raise AssertionError(
+            f"inadmissible probability {float(inadmissible)} above union bound {union}")
+    return HidingOutcome(inadmissible, float(worst), union, records)
+
+
+# YES instances with epsilon 1/16 at n = 1 and 1/8 at n = 2, so admissible
+# preambles carry nonzero view distances.
+LEAKY = TablePromiseProblem(k=4, salt=2)
+
+
+def _rejecting_receiver(n, problem):
+    """The substituting receiver of test_hiding_rejected_wi_gives_zero_distance."""
+    wrong_yes = problem.sample(0, n)
+
+    def substitute(slot, honest):
+        return wrong_yes if honest != wrong_yes else problem.sample(0, n)
+
+    return ReceiverSpec(rho={s: 0 for s in slot_list(n)}, substitute=substitute)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_hiding_experiment_matches_session_path(n):
+    cases = [(honest_receiver(n, rho_seed=seed), problem)
+             for problem in (LEAKY, SMALL) for seed in (0, 5, 0b10010110)]
+    cases += [(_rejecting_receiver(n, PROBLEM), PROBLEM), (_rejecting_receiver(n, LEAKY), LEAKY)]
+    verdicts = set()
+    for spec, problem in cases:
+        out = hiding_experiment(spec, n, problem)
+        assert out == _session_path_hiding(spec, n, problem)
+        verdicts |= {rec.wi_accepted for rec in out.preambles}
+    assert verdicts == {True, False}
+    assert hiding_experiment(honest_receiver(n, 5), n, LEAKY).epsilon_given_admissible > 0
+
+
+def test_hiding_builds_one_session_per_share_value(monkeypatch):
+    n = 2
+    problem = TablePromiseProblem(k=2, out_bits_choices=(2, 3), salt=11)
+    counts = {"sessions": 0, "classify": 0}
+    init, classify = ProtocolSession.__init__, TablePromiseProblem.classify
+
+    def counting_init(self, *args, **kwargs):
+        counts["sessions"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_classify(self, inst):
+        counts["classify"] += 1
+        return classify(self, inst)
+
+    monkeypatch.setattr(ProtocolSession, "__init__", counting_init)
+    monkeypatch.setattr(TablePromiseProblem, "classify", counting_classify)
+    hiding_experiment(honest_receiver(n, 3), n, problem)
+    assert counts["sessions"] == 2**n
+    # One label per row entry, plus one per sampler cache miss.
+    assert counts["classify"] <= 2 * n * 2**n + 2**n
+
+
+def test_hiding_yes_epsilon_bound_fires(monkeypatch):
+    # A NO epsilon of 16 makes a preamble of one YES slot (epsilon 1/16)
+    # and one NO slot reach distance 1 > 1/16.
+    problem = TablePromiseProblem(k=4, salt=2)
+    real = idc_epsilon
+
+    def inflated(inst):
+        return Fraction(16) if len(set(inst.table)) == len(inst.table) else real(inst)
+
+    monkeypatch.setattr(szkcommit, "idc_epsilon", inflated)
+    with pytest.raises(AssertionError, match="YES epsilon bound"):
+        hiding_experiment(honest_receiver(1, rho_seed=0), 1, problem)
+
+
+def test_hiding_union_bound_fires():
+    class ClaimsAllYes(TablePromiseProblem):
+        yes_rate = Fraction(1)
+
+    problem = ClaimsAllYes(k=2, out_bits_choices=(2, 3), salt=3)
+    assert problem.measured_yes_rate(1) == Fraction(1, 2)
+    with pytest.raises(AssertionError, match="above union bound"):
+        hiding_experiment(honest_receiver(1, rho_seed=0), 1, problem)
 
 
 # -------------------------------------------------------------------- binding
