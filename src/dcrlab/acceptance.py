@@ -38,9 +38,9 @@ class CriterionResult:
 
 def _timed(fn):
     def wrapper(*args, **kwargs):
-        start = time.time()
+        start = time.perf_counter()
         result = fn(*args, **kwargs)
-        result.elapsed = time.time() - start
+        result.elapsed = time.perf_counter() - start
         return result
     return wrapper
 
@@ -276,7 +276,7 @@ def criterion_protocol_completeness(seed: int = 0) -> CriterionResult:
 
     # Tamper sweep: single-share flips on all-NO sessions always reject.
     no_coins = [c for c in range(2**n)
-                if problem.classify(problem.sample(c, n)) == NO_LABEL]
+                if problem.classify(problem.sample(c, n)) == szk.NO]
     for rho_val in no_coins:
         for idc_seed in range(2**8):
             sess = szk.ProtocolSession(n, problem)
@@ -297,9 +297,6 @@ def criterion_protocol_completeness(seed: int = 0) -> CriterionResult:
         not failures,
         f"factored n=2 sweep + {ok_runs} full-joint n=1 sessions + NO-instance tamper sweep"
         + (f"; failures: {failures[:3]}" if failures else ""))
-
-
-NO_LABEL = szk.NO
 
 
 # ---------------------------------------------------------------- criterion 7

@@ -94,7 +94,7 @@ def cmd_entropy(args, config) -> int:
 
 
 def cmd_dcrh_game(args, config) -> int:
-    from dcrlab.entropy_gap import consistent_suite, rewinding_adversary
+    from dcrlab.entropy_gap import RewindingAdversary, consistent_suite
     from dcrlab.hashfam import ColAdversary, DiagonalAdversary, builtin_families, dcrh_distance
     from dcrlab.reporting import csv_line
 
@@ -109,7 +109,7 @@ def cmd_dcrh_game(args, config) -> int:
         rng = np.random.default_rng(seed + n)
         for fam in builtin_families(n, num_keys=num_keys, seed=seed + n):
             adversaries = [ColAdversary(), DiagonalAdversary()]
-            adversaries += [rewinding_adversary(gt, fam) for gt in consistent_suite(fam)]
+            adversaries += [RewindingAdversary(gt, fam) for gt in consistent_suite(fam)]
             for adv in adversaries:
                 try:
                     rep = dcrh_distance(fam, adv, mode=mode,

@@ -226,10 +226,6 @@ class RewindingAdversary(Adversary):
                     denominator=marginal.denominator)
 
 
-def rewinding_adversary(gt: OnlineGenerator, family: HashFamily) -> RewindingAdversary:
-    return RewindingAdversary(gt, family)
-
-
 def collision_rate(adv: RewindingAdversary) -> Fraction:
     """Probability (averaged over keys) that the adversary's pair collides."""
     total = Fraction(0)

@@ -56,10 +56,6 @@ class BlockGenerator:
     def m_blocks(self) -> int:
         return len(self.block_bits)
 
-    @property
-    def param_bits(self) -> int:
-        return max(1, (len(self.param_space) - 1).bit_length())
-
     def run(self, z, x: int) -> tuple:
         out = tuple(self.fn(z, x))
         if len(out) != self.m_blocks:

@@ -90,11 +90,6 @@ class HashFamily:
         self.m = m
         self.functions = tuple(functions)
 
-    @property
-    def key_bits(self) -> int:
-        """Description length of a key in bits (index into the key list)."""
-        return max(1, (len(self.functions) - 1).bit_length())
-
     def sample(self, rng: np.random.Generator) -> HashFunction:
         return self.functions[int(rng.integers(len(self.functions)))]
 

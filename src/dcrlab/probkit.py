@@ -255,15 +255,6 @@ class JointDist(Dist):
     def product(cls, p: Dist, q: Dist) -> "JointDist":
         return cls({(x, y): px * qy for x, px in p.items() for y, qy in q.items()})
 
-    @classmethod
-    def from_kernel(cls, p1: Dist, kernel: Callable[[Outcome], Dist]) -> "JointDist":
-        """Joint law of (X, Y) with X ~ p1 and Y | X=x ~ kernel(x)."""
-        mass: dict[tuple, Number] = {}
-        for x, px in p1.items():
-            for y, py in kernel(x).items():
-                mass[(x, y)] = mass.get((x, y), 0) + px * py
-        return cls(mass)
-
     def marginal(self, coord: int) -> Dist:
         out: dict[Outcome, Number] = {}
         for xy, p in self._mass.items():
@@ -278,9 +269,6 @@ class JointDist(Dist):
         if total == 0:
             raise SupportError(f"conditioning value {value!r} has zero mass")
         return self._rescaled(kept, total)
-
-    def swap(self) -> "JointDist":
-        return JointDist({(y, x): p for (x, y), p in self._mass.items()}, denominator=self._den)
 
 
 def _check_same_domain(p: Dist, q: Dist) -> None:

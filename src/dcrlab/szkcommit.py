@@ -11,9 +11,8 @@ Ingredients (all desk-scale):
 * an instance-dependent commitment: commit(b; r) = g_x(b || r), perfectly
   binding on NO instances, hiding to a measured epsilon on YES instances;
 * an ideal statement-verdict proof for the preamble consistency claim, and
-  a statistically binding commitment for the receiver's coin shares
-  (ideal ledger by default, an injective-table variant for slack
-  experiments).
+  an ideal ledger for the receiver's coin shares (the binding hybrids
+  also take the hiding slack of an injective-table variant).
 
 Protocol for one message bit m: the receiver commits to 2n coin shares
 rho_{i,b}, the sender returns sigma_{i,b}, instances are sampled from
@@ -29,10 +28,23 @@ the sampler -- takes one of 2^n values.  ``hiding_experiment`` computes
 those 2n rows of 2^n facts once and enumerates the preambles over them;
 the verdict, admissibility and view distance of each preamble are the
 same functions of its per-slot facts that a full session applies.
+
+The binding analysis factors over slots too.  Given the cheating sender's
+tape, slot j's sent instance depends only on that slot's coins (rho_j,
+and the fresh share where a hybrid or the decider plants an instance),
+and the sender's second opening re-opens at most the one slot it names.
+A slot therefore enters only through the pair (its instance matches the
+sampler, its commitment opens to the other bit), and the event "the
+proof verdict holds and the named slot re-opens validly" is a function
+of those pairs.  ``hybrid_experiment``, ``break_probability`` and
+``decider_advantage`` count each slot's pairs over its coins and weight
+every combination of pairs by the product of their counts, which equals
+running one session per coin tuple.
 """
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -239,33 +251,18 @@ def _random_partition(rng, total: int, groups: int) -> list[list[int]]:
 # ------------------------------------------------- statistically binding shares
 
 class IdealSBC:
-    """Trusted-ledger commitment: handles carry no information at all and
-    the committed value is perfectly bound (the session keeps the ledger)."""
+    """Trusted-ledger commitment: handles carry nothing but the slot and the
+    committed value is perfectly bound (the session keeps the ledger)."""
 
-    coin_bits = 0
-    name = "ideal-sbc"
     hiding_slack = 0.0
-
-    def commit(self, slot, value: int, coins: int):
-        return ("sbc", slot)
 
 
 class InjectiveSBC:
-    """Injective random table over (value, coins): perfectly binding, and
-    the handle fully leaks the pair, so the hiding slack is 1."""
+    """Injective table over (value, coins): perfectly binding, but a handle
+    fully leaks the pair, so the hiding slack is 1.  No sender attack reads
+    a handle, so the binding analysis needs only this slack."""
 
-    name = "injective-sbc"
     hiding_slack = 1.0
-
-    def __init__(self, value_bits: int, coin_bits: int = 1, seed: int = 0):
-        self.value_bits = value_bits
-        self.coin_bits = coin_bits
-        size = 2 ** (value_bits + coin_bits)
-        rng = np.random.default_rng(seed)
-        self._table = tuple(int(v) for v in rng.permutation(2 ** (value_bits + coin_bits + 1))[:size])
-
-    def commit(self, slot, value: int, coins: int):
-        return self._table[(value << self.coin_bits) | coins]
 
 
 # ------------------------------------------------------------ ideal WI verdict
@@ -292,13 +289,6 @@ def slot_list(n: int) -> list[tuple[int, int]]:
     return [(i, b) for i in range(n) for b in (0, 1)]
 
 
-def coin_space(n: int):
-    """Every map from the 2n slots to n-bit coin values, in product order."""
-    slots = slot_list(n)
-    for values in itertools.product(range(2**n), repeat=len(slots)):
-        yield dict(zip(slots, values))
-
-
 class ProtocolSession:
     """One execution of the commitment protocol, phase by phase.
 
@@ -307,10 +297,9 @@ class ProtocolSession:
     are recorded as (phase, index, payload) triples.
     """
 
-    def __init__(self, n: int, problem: TablePromiseProblem, sbc=None):
+    def __init__(self, n: int, problem: TablePromiseProblem):
         self.n = n
         self.problem = problem
-        self.sbc = sbc if sbc is not None else IdealSBC()
         self.slots = slot_list(n)
         self.phase = "coin-toss"
         self.ledger: dict = {}
@@ -318,7 +307,6 @@ class ProtocolSession:
         self.r: dict = {}
         self.instances: dict = {}
         self.wi_verdict: bool | None = None
-        self.wi_witness: int | None = None
         self.shares: dict | None = None
         self.idc_coins: dict | None = None
         self.commits: dict = {}
@@ -331,40 +319,31 @@ class ProtocolSession:
         if self.phase != expected:
             raise ProtocolError(f"expected phase {expected}, session is in {self.phase}")
 
-    def coin_toss_phase(self, rho: dict, sigma: dict, sbc_coins: dict | None = None,
-                        ledger_override: dict | None = None) -> "ProtocolSession":
-        """Receiver commits its coin shares, sender reveals its own; the
-        receiver-side joint coins r = rho xor sigma are fixed here.
-
-        ``ledger_override`` substitutes the value actually bound inside a
-        commitment (used by the hybrid experiments); the handle the sender
-        sees is computed from the bound value.
-        """
+    def coin_toss_phase(self, rho: dict, sigma: dict) -> "ProtocolSession":
+        """Receiver commits its coin shares on the ideal ledger, sender
+        reveals its own; the receiver-side joint coins r = rho xor sigma are
+        fixed here."""
         self._need_phase("coin-toss")
         self.sigma = dict(sigma)
-        sbc_coins = sbc_coins or {slot: 0 for slot in self.slots}
         for idx, slot in enumerate(self.slots):
-            bound = rho[slot] if ledger_override is None else ledger_override.get(slot, rho[slot])
-            self.ledger[slot] = bound
-            self._record("coin-toss", idx, self.sbc.commit(slot, bound, sbc_coins[slot]))
+            self.ledger[slot] = rho[slot]
+            self._record("coin-toss", idx, ("sbc", slot))
         for idx, slot in enumerate(self.slots):
             self._record("coin-toss", len(self.slots) + idx, sigma[slot])
             self.r[slot] = rho[slot] ^ sigma[slot]
         self.phase = "instance-gen"
         return self
 
-    def instance_gen_phase(self, substitutions: dict | None = None,
-                           wi_witness: int = 0) -> "ProtocolSession":
+    def instance_gen_phase(self, substitutions: dict | None = None) -> "ProtocolSession":
         """Receiver sends the sampled instances (with optional adversarial
         or experiment-driven substitutions) and proves one column
-        consistent; the verdict-only proof uses the declared witness."""
+        consistent; the verdict-only proof reveals nothing else."""
         self._need_phase("instance-gen")
         substitutions = substitutions or {}
         for idx, slot in enumerate(self.slots):
             honest = self.problem.sample(self.r[slot], self.n)
             self.instances[slot] = substitutions.get(slot, honest)
             self._record("instance-gen", idx, self.instances[slot])
-        self.wi_witness = wi_witness
         self.wi_verdict = wi_statement_true(sampler_matches(
             self.ledger, self.sigma, self.instances, self.problem, self.n))
         self._record("instance-gen", len(self.slots), self.wi_verdict)
@@ -532,8 +511,8 @@ def hiding_experiment(r_spec: ReceiverSpec, n: int, problem: TablePromiseProblem
     is deterministic and what it sends in slot s depends only on sigma_s.
     One session per constant share vector sigma = (v, ..., v) therefore
     yields, for every slot, its facts at share value v, and the 2n rows of
-    2^n facts cover every preamble.  The preambles are visited in
-    ``coin_space`` order as one entry per row.  Each view distance is held
+    2^n facts cover every preamble.  The preambles are visited in product
+    order over the slots, one entry per row.  Each view distance is held
     as an integer numerator over L^(2n), L the lcm of the row epsilons'
     denominators, and the inadmissible preambles are counted; every record
     and float equals the session-per-preamble result.
@@ -586,7 +565,12 @@ def hiding_experiment(r_spec: ReceiverSpec, n: int, problem: TablePromiseProblem
 # ---------------------------------------------------------- binding reduction
 
 class SenderAttack:
-    """A deterministic cheating sender driven by a finite tape."""
+    """A deterministic cheating sender driven by a finite tape.
+
+    Its second opening is the honest one with at most one slot re-opened
+    to the opposite bit; ``equivocated_slot`` names that slot (an index in
+    ``slot_list`` order) given which slots admit such an opening.
+    """
 
     tape_space = 1
     name = "attack"
@@ -594,16 +578,14 @@ class SenderAttack:
     def choose_sigma(self, tape: int, n: int, slots) -> dict:
         return {slot: 0 for slot in slots}
 
-    def choose_commitments(self, tape: int, session: ProtocolSession) -> tuple[dict, dict]:
+    def choose_commitments(self, tape: int, slots) -> tuple[dict, dict]:
         """Returns (shares, idc coins)."""
-        return ({slot: 0 for slot in session.slots},
-                {slot: 0 for slot in session.slots})
+        return {slot: 0 for slot in slots}, {slot: 0 for slot in slots}
 
-    def openings(self, tape: int, session: ProtocolSession) -> tuple[dict, dict]:
-        """The two openings submitted to the binding game."""
-        honest = {slot: (session.shares[slot], session.idc_coins[slot])
-                  for slot in session.slots}
-        return honest, honest
+    def equivocated_slot(self, tape: int, flippable: Sequence[bool]) -> int | None:
+        """The slot the second opening re-opens, or None to open honestly
+        twice.  ``flippable[j]``: slot j's commitment opens to the other bit."""
+        return None
 
 
 class HonestSenderAttack(SenderAttack):
@@ -614,9 +596,8 @@ class HonestSenderAttack(SenderAttack):
     def __init__(self, m: int = 0):
         self.m = m
 
-    def choose_commitments(self, tape, session):
-        return (derive_shares(self.m, 0, session.slots),
-                {slot: 0 for slot in session.slots})
+    def choose_commitments(self, tape, slots):
+        return derive_shares(self.m, 0, slots), {slot: 0 for slot in slots}
 
 
 class EquivocatingSenderAttack(SenderAttack):
@@ -626,74 +607,56 @@ class EquivocatingSenderAttack(SenderAttack):
 
     name = "equivocator"
 
-    def openings(self, tape, session):
-        honest = {slot: (session.shares[slot], session.idc_coins[slot])
-                  for slot in session.slots}
-        for slot in session.slots:
-            flipped_bit = 1 - session.shares[slot]
-            coins = idc_equivocation(session.instances[slot], session.commits[slot],
-                                     flipped_bit)
-            if coins is not None:
-                other = dict(honest)
-                other[slot] = (flipped_bit, coins)
-                return honest, other
-        return honest, honest
+    def equivocated_slot(self, tape, flippable):
+        return next((j for j, flip in enumerate(flippable) if flip), None)
 
 
-@dataclass
-class BindingRun:
-    """Outcome of one complete execution against the binding game."""
+def _tape_facts(s_star: SenderAttack, tape: int, n: int, problem: TablePromiseProblem):
+    """One tape's per-slot facts.
 
-    session: ProtocolSession
-    opening_a: dict
-    opening_b: dict
-    full_break: bool
-    equivocal_slots: frozenset
-
-
-def run_binding_session(s_star: SenderAttack, tape: int, n: int,
-                        problem: TablePromiseProblem, rho: dict,
-                        plant_slot=None, planted_instance: Instance | None = None,
-                        ledger_override: dict | None = None,
-                        wi_witness: int = 0, sbc=None,
-                        sbc_coins: dict | None = None) -> BindingRun:
-    """One full execution of (S*, R) with the experiment's substitutions."""
-    session = ProtocolSession(n, problem, sbc=sbc)
-    slots = session.slots
+    Returns sigma (in ``slot_list`` order), ``fact(j, inst, bound)`` -- the
+    pair (the sent instance ``inst`` matches the sampler on the bound share,
+    it admits an opposite-bit opening of slot j's commitment) -- and the
+    honest rows: per slot, {fact: number of rho_s values giving it}.
+    """
+    slots = slot_list(n)
     sigma = s_star.choose_sigma(tape, n, slots)
-    session.coin_toss_phase(rho, sigma, sbc_coins=sbc_coins, ledger_override=ledger_override)
-    substitutions = {}
-    if plant_slot is not None:
-        substitutions[plant_slot] = planted_instance
-    session.instance_gen_phase(substitutions=substitutions, wi_witness=wi_witness)
-    if not session.wi_verdict:
-        return BindingRun(session, {}, {}, False, frozenset())
-    shares, coins = s_star.choose_commitments(tape, session)
-    session.commit_phase(shares=shares, idc_coins=coins)
-    opening_a, opening_b = s_star.openings(tape, session)
-    session.open_phase(opening_a)
-    m_a = session.verify_opening(opening_a)
-    m_b = session.verify_opening(opening_b)
-    full_break = m_a is not None and m_b is not None and m_a != m_b
-    equivocal = frozenset(
-        slot for slot in slots
-        if opening_a and opening_b
-        and idc_verify(session.instances[slot], session.commits[slot], *opening_a[slot])
-        and idc_verify(session.instances[slot], session.commits[slot], *opening_b[slot])
-        and opening_a[slot][0] != opening_b[slot][0]
-    )
-    return BindingRun(session, opening_a, opening_b, full_break, equivocal)
+    shares, coins = s_star.choose_commitments(tape, slots)
+    sigma, shares, coins = ([d[slot] for slot in slots] for d in (sigma, shares, coins))
+
+    def fact(j: int, inst: Instance, bound: int) -> tuple[bool, bool]:
+        commit_value = inst.commit(shares[j], coins[j])
+        return (inst == problem.sample(bound ^ sigma[j], n),
+                idc_equivocation(inst, commit_value, 1 - shares[j]) is not None)
+
+    rows = [Counter(fact(j, problem.sample(rho ^ s, n), rho) for rho in range(2**n))
+            for j, s in enumerate(sigma)]
+    return sigma, fact, rows
+
+
+def _equivocations(s_star: SenderAttack, tape: int, rows: Sequence[Counter]) -> Counter:
+    """Weight, by re-opened slot, of the fact vectors in which the proof
+    verdict holds and the attack's second opening is valid: the product of
+    the rows, each vector weighted by the product of its multiplicities."""
+    out = Counter()
+    for entries in itertools.product(*(row.items() for row in rows)):
+        facts, weights = zip(*entries)
+        matches, flippable = zip(*facts)
+        if not wi_statement_true(matches):
+            continue
+        j = s_star.equivocated_slot(tape, flippable)
+        if j is not None and flippable[j]:
+            out[j] += math.prod(weights)
+    return out
 
 
 def break_probability(s_star: SenderAttack, n: int, problem: TablePromiseProblem) -> Fraction:
     """epsilon*: probability of a full equivocation in a standard run."""
     wins = 0
-    runs = 0
-    for rho in coin_space(n):
-        for tape in range(s_star.tape_space):
-            runs += 1
-            wins += run_binding_session(s_star, tape, n, problem, rho).full_break
-    return Fraction(wins, runs)
+    for tape in range(s_star.tape_space):
+        _, _, rows = _tape_facts(s_star, tape, n, problem)
+        wins += _equivocations(s_star, tape, rows).total()
+    return Fraction(wins, (2**n) ** (2 * n) * s_star.tape_space)
 
 
 @dataclass
@@ -720,7 +683,7 @@ class HybridReport:
 
 
 def hybrid_experiment(s_star: SenderAttack, n: int, problem: TablePromiseProblem,
-                      stage: int, sbc=None) -> Fraction:
+                      stage: int) -> Fraction:
     """Pr[E] in one hybrid stage, by exhaustive enumeration.
 
     E is the event that the two openings differ validly at the uniformly
@@ -729,49 +692,46 @@ def hybrid_experiment(s_star: SenderAttack, n: int, problem: TablePromiseProblem
     sender's own share; 2 additionally rebinds the coin-share commitment
     to the fresh share; 3 switches the proof witness back to column 0;
     4 is the standard execution.
+
+    The count factors over slots.  Given the tape, slot j's sent instance
+    depends only on its own coins (rho_j, plus the fresh share at the
+    plant), the verdict is ``wi_statement_true`` over the per-slot sampler
+    matches, and E at star is: the verdict holds, the attack names star,
+    and star's commitment opens to the other bit -- the validity check
+    that ``verify_opening`` applies to the second opening.  So each slot
+    is reduced to {(match, flippable): multiplicity} over its coins, the
+    star slot's row is replaced by the stage's plant, and the product of
+    the rows is counted.  The proof witness is never revealed, so stages
+    2 and 3 coincide, and no attack reads a share-commitment handle, so
+    the commitment's coins cancel from the probability.
     """
     if stage not in range(5):
         raise ValueError("stage must be 0..4")
-    sbc = sbc if sbc is not None else IdealSBC()
-    slots = slot_list(n)
-    sbc_space = 2**sbc.coin_bits
-    sbc_coin_maps = [{slot: (sbc_seed // sbc_space**j) % sbc_space
-                      for j, slot in enumerate(slots)}
-                     for sbc_seed in range(sbc_space ** len(slots))]
-    hits = Fraction(0)
-    runs = 0
-    for star in slots:
-        for rho in coin_space(n):
-            for extra in range(2**n):
-                for tape in range(s_star.tape_space):
-                    for sbc_coins in sbc_coin_maps:
-                        runs += 1
-                        kwargs = {}
-                        if stage == 0:
-                            kwargs = dict(plant_slot=star,
-                                          planted_instance=problem.sample(extra, n),
-                                          wi_witness=1 - star[1])
-                        elif stage in (1, 2, 3):
-                            sigma = s_star.choose_sigma(tape, n, slots)
-                            planted = problem.sample(sigma[star] ^ extra, n)
-                            kwargs = dict(plant_slot=star, planted_instance=planted,
-                                          wi_witness=0 if stage == 3 else 1 - star[1])
-                            if stage in (2, 3):
-                                kwargs["ledger_override"] = {star: extra}
-                        run = run_binding_session(
-                            s_star, tape, n, problem, rho, sbc=sbc,
-                            sbc_coins=sbc_coins, **kwargs)
-                        if star in run.equivocal_slots:
-                            hits += 1
-    return hits / runs
+    space = 2**n
+
+    def plant(s: int, rho: int, extra: int) -> tuple[Instance, int]:
+        """(sent instance, bound share) at the star slot."""
+        if stage == 4:
+            return problem.sample(rho ^ s, n), rho
+        inst = problem.sample(extra if stage == 0 else s ^ extra, n)
+        return inst, extra if stage in (2, 3) else rho
+
+    hits = 0
+    for tape in range(s_star.tape_space):
+        sigma, fact, rows = _tape_facts(s_star, tape, n, problem)
+        for star, s in enumerate(sigma):
+            planted = Counter(fact(star, *plant(s, rho, extra))
+                              for rho in range(space) for extra in range(space))
+            hits += _equivocations(s_star, tape, rows[:star] + [planted] + rows[star + 1:])[star]
+    runs = 2 * n * space ** (2 * n + 1) * s_star.tape_space
+    return Fraction(hits, runs)
 
 
 def hybrid_sweep(s_star: SenderAttack, n: int, problem: TablePromiseProblem,
                  sbc=None) -> HybridReport:
     """Runs all five hybrid stages and checks the bridging guarantees."""
     sbc = sbc if sbc is not None else IdealSBC()
-    pr_e = {stage: hybrid_experiment(s_star, n, problem, stage, sbc=sbc)
-            for stage in range(5)}
+    pr_e = {stage: hybrid_experiment(s_star, n, problem, stage) for stage in range(5)}
     report = HybridReport(
         pr_e=pr_e,
         eps_star=break_probability(s_star, n, problem),
@@ -803,30 +763,26 @@ class DeciderReport:
 def decider_advantage(s_star: SenderAttack, n: int, problem: TablePromiseProblem) -> DeciderReport:
     """Pr[x in Pi_{D(x)}] for the decider that plants its input instance at
     a random slot, runs the binding adversary, declares YES on slot
-    equivocation and guesses otherwise.  All coins enumerated."""
-    correct = Fraction(0)
-    pr_e = Fraction(0)
-    pr_e_and_no = Fraction(0)
-    runs = 0
-    for coins in range(2**n):
-        x = problem.sample(coins, n)
-        label = problem.classify(x)
-        for star in slot_list(n):
-            for rho in coin_space(n):
-                for tape in range(s_star.tape_space):
-                    runs += 1
-                    run = run_binding_session(
-                        s_star, tape, n, problem, rho,
-                        plant_slot=star, planted_instance=x,
-                        wi_witness=1 - star[1])
-                    event = star in run.equivocal_slots
-                    if event:
-                        pr_e += 1
-                        correct += label == YES
-                        pr_e_and_no += label == NO
-                    else:
-                        correct += Fraction(1, 2)
-    report = DeciderReport(pr_correct=correct / runs, pr_e=pr_e / runs,
-                           pr_e_and_no=pr_e_and_no / runs)
+    equivocation and guesses otherwise.  All coins enumerated, counted over
+    per-slot facts as in ``hybrid_experiment``."""
+    space = 2**n
+    per_plant = space ** (2 * n)  # rho vectors behind one (x, star, tape)
+    events = yes_events = no_events = 0
+    for tape in range(s_star.tape_space):
+        sigma, fact, rows = _tape_facts(s_star, tape, n, problem)
+        for coins in range(space):
+            x = problem.sample(coins, n)
+            label = problem.classify(x)
+            for star in range(len(sigma)):
+                planted = Counter(fact(star, x, rho) for rho in range(space))
+                event = _equivocations(s_star, tape, rows[:star] + [planted] + rows[star + 1:])[star]
+                events += event
+                yes_events += event if label == YES else 0
+                no_events += event if label == NO else 0
+    runs = space * 2 * n * per_plant * s_star.tape_space
+    # Correct on a YES event, and half the time without an event.
+    report = DeciderReport(pr_correct=Fraction(2 * yes_events + runs - events, 2 * runs),
+                           pr_e=Fraction(events, runs),
+                           pr_e_and_no=Fraction(no_events, runs))
     report.check()
     return report

@@ -55,6 +55,14 @@ def test_criterion_7_binding_reduction():
     assert result.elapsed < 600
 
 
+def test_criterion_7_rows_pinned():
+    # szk_binding.csv rows as the session-per-tuple loop wrote them.
+    rows = [f"hybrid_{stage}_pr_event,15/64" for stage in range(5)]
+    rows += ["break_probability,15/16", "decider_correct,79/128", "decider_pr_event,15/64"]
+    for seed in (0, 7):
+        assert acceptance.criterion_binding_reduction(seed).rows == rows
+
+
 def test_criterion_8_hiding_analysis():
     result = acceptance.criterion_hiding_analysis(SEED)
     _check(result)

@@ -2,6 +2,7 @@
 security arguments, all by enumeration."""
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,11 @@ from dcrlab.szkcommit import (
     OUTSIDE,
     TOL,
     YES,
+    DeciderReport,
     EquivocatingSenderAttack,
     HidingOutcome,
     HonestSenderAttack,
+    HybridReport,
     IdealSBC,
     InjectiveSBC,
     Instance,
@@ -22,10 +25,10 @@ from dcrlab.szkcommit import (
     ProtocolError,
     ProtocolSession,
     ReceiverSpec,
+    SenderAttack,
     TablePromiseProblem,
     admissible_preamble,
     break_probability,
-    coin_space,
     conditional_view_distance,
     decider_advantage,
     derive_shares,
@@ -35,13 +38,19 @@ from dcrlab.szkcommit import (
     idc_epsilon,
     idc_equivocation,
     idc_verify,
-    run_binding_session,
     slot_list,
     xor_all,
 )
 
 PROBLEM = TablePromiseProblem(k=4, salt=7)
 SMALL = TablePromiseProblem(k=2, out_bits_choices=(2, 3), salt=3)
+
+
+def coin_space(n):
+    """Every map from the 2n slots to n-bit coin values, in product order."""
+    slots = slot_list(n)
+    for values in itertools.product(range(2**n), repeat=len(slots)):
+        yield dict(zip(slots, values))
 
 
 # -------------------------------------------------------------- promise problem
@@ -517,15 +526,14 @@ def test_hybrid_sweep_equivocator_ideal_components():
 
 def test_hybrid_sweep_injective_sbc_slack():
     n = 1
-    sbc = InjectiveSBC(value_bits=n, coin_bits=1, seed=5)
-    report = hybrid_sweep(EquivocatingSenderAttack(), n, SMALL, sbc=sbc)
+    report = hybrid_sweep(EquivocatingSenderAttack(), n, SMALL, sbc=InjectiveSBC())
     assert report.sbc_slack == 1.0
     assert report.pr_e[0] == report.pr_e[1]
     assert report.pr_e[3] == report.pr_e[4]
 
 
 def test_hybrid_sweep_ideal_and_injective_sbc_values():
-    for sbc in (IdealSBC(), InjectiveSBC(value_bits=1, coin_bits=1, seed=5)):
+    for sbc in (IdealSBC(), InjectiveSBC()):
         report = hybrid_sweep(EquivocatingSenderAttack(), 1, SMALL, sbc=sbc)
         assert report.pr_e == {stage: Fraction(3, 8) for stage in range(5)}
         assert report.eps_star == Fraction(3, 4)
@@ -545,14 +553,219 @@ def test_decider_honest_sender_is_coin_flip():
     assert rep.pr_correct == Fraction(1, 2)
 
 
-def test_planted_no_instance_never_equivocates_at_plant():
-    n = 1
-    no_x = next(PROBLEM.sample(c, n) for c in range(2)
-                if PROBLEM.classify(PROBLEM.sample(c, n)) == NO)
-    for rho_val in range(2):
-        run = run_binding_session(
-            EquivocatingSenderAttack(), 0, n, PROBLEM,
-            {s: rho_val for s in slot_list(n)},
-            plant_slot=(0, 0), planted_instance=no_x, wi_witness=1)
-        assert (0, 0) not in run.equivocal_slots
+@dataclass
+class BindingRun:
+    """Outcome of one complete execution against the binding game."""
 
+    session: ProtocolSession
+    opening_a: dict
+    opening_b: dict
+    full_break: bool
+    equivocal_slots: frozenset
+
+
+def run_binding_session(s_star, tape, n, problem, rho, plant_slot=None,
+                        planted_instance=None) -> BindingRun:
+    """One full execution of (S*, R), the plant sent through a substitution.
+
+    The second opening flips the slot the attack names, with coins from
+    ``idc_equivocation`` when there are any and the honest coins otherwise;
+    ``verify_opening`` and ``idc_verify`` judge both openings."""
+    session = ProtocolSession(n, problem)
+    slots = session.slots
+    session.coin_toss_phase(rho, s_star.choose_sigma(tape, n, slots))
+    substitutions = {} if plant_slot is None else {plant_slot: planted_instance}
+    session.instance_gen_phase(substitutions=substitutions)
+    if not session.wi_verdict:
+        return BindingRun(session, {}, {}, False, frozenset())
+    shares, coins = s_star.choose_commitments(tape, slots)
+    session.commit_phase(shares=shares, idc_coins=coins)
+    opening_a = {slot: (session.shares[slot], session.idc_coins[slot]) for slot in slots}
+    flips = [idc_equivocation(session.instances[slot], session.commits[slot],
+                              1 - session.shares[slot]) for slot in slots]
+    j = s_star.equivocated_slot(tape, [c is not None for c in flips])
+    opening_b = dict(opening_a)
+    if j is not None:
+        bit, honest_coins = opening_a[slots[j]]
+        opening_b[slots[j]] = (1 - bit, honest_coins if flips[j] is None else flips[j])
+    session.open_phase(opening_a)
+    m_a = session.verify_opening(opening_a)
+    m_b = session.verify_opening(opening_b)
+    full_break = m_a is not None and m_b is not None and m_a != m_b
+    equivocal = frozenset(
+        slot for slot in slots
+        if idc_verify(session.instances[slot], session.commits[slot], *opening_a[slot])
+        and idc_verify(session.instances[slot], session.commits[slot], *opening_b[slot])
+        and opening_a[slot][0] != opening_b[slot][0]
+    )
+    return BindingRun(session, opening_a, opening_b, full_break, equivocal)
+
+
+def _session_path_break(s_star, n, problem):
+    runs = [run_binding_session(s_star, tape, n, problem, rho)
+            for rho in coin_space(n) for tape in range(s_star.tape_space)]
+    return Fraction(sum(run.full_break for run in runs), len(runs))
+
+
+def _session_path_hybrid(s_star, n, problem, stage):
+    """The session-per-tuple hybrid loop.  Stages 2 and 3 bind the fresh
+    share by committing rho with rho[star] = extra: the plant replaces
+    that slot's instance, so only the ledger sees the change."""
+    hits = runs = 0
+    for star in slot_list(n):
+        for rho in coin_space(n):
+            for extra in range(2**n):
+                for tape in range(s_star.tape_space):
+                    runs += 1
+                    if stage == 4:
+                        run = run_binding_session(s_star, tape, n, problem, rho)
+                    else:
+                        s = s_star.choose_sigma(tape, n, slot_list(n))[star]
+                        planted = problem.sample(extra if stage == 0 else s ^ extra, n)
+                        bound = {**rho, star: extra} if stage in (2, 3) else rho
+                        run = run_binding_session(s_star, tape, n, problem, bound,
+                                                  plant_slot=star, planted_instance=planted)
+                    hits += star in run.equivocal_slots
+    return Fraction(hits, runs)
+
+
+def _session_path_decider(s_star, n, problem):
+    correct = pr_e = pr_e_and_no = Fraction(0)
+    runs = 0
+    for coins in range(2**n):
+        x = problem.sample(coins, n)
+        label = problem.classify(x)
+        for star in slot_list(n):
+            for rho in coin_space(n):
+                for tape in range(s_star.tape_space):
+                    runs += 1
+                    run = run_binding_session(s_star, tape, n, problem, rho,
+                                              plant_slot=star, planted_instance=x)
+                    if star in run.equivocal_slots:
+                        pr_e += 1
+                        correct += label == YES
+                        pr_e_and_no += label == NO
+                    else:
+                        correct += Fraction(1, 2)
+    return DeciderReport(correct / runs, pr_e / runs, pr_e_and_no / runs)
+
+
+class ShiftingAttack(SenderAttack):
+    """Three tapes with tape-dependent shares, coins and sigma.  Tape 1
+    re-opens the last flippable slot; tape 2 always names the last slot,
+    flippable or not, so its second opening can be invalid."""
+
+    tape_space = 3
+    name = "shifting"
+
+    def choose_sigma(self, tape, n, slots):
+        return {slot: (tape * (j + 1)) % 2**n for j, slot in enumerate(slots)}
+
+    def choose_commitments(self, tape, slots):
+        return ({slot: (tape + j) & 1 for j, slot in enumerate(slots)},
+                {slot: (tape * 5 + j) % 4 for j, slot in enumerate(slots)})
+
+    def equivocated_slot(self, tape, flippable):
+        named = [j for j, flip in enumerate(flippable) if flip]
+        if tape == 2:
+            return len(flippable) - 1
+        if not named:
+            return None
+        return named[-1] if tape == 1 else named[0]
+
+
+ALWAYS_YES = TablePromiseProblem(k=2, out_bits_choices=(2, 3), yes_num=2, yes_bits=1, salt=9)
+THREE_QUARTERS = TablePromiseProblem(k=2, out_bits_choices=(2, 3), yes_num=3, yes_bits=2, salt=5)
+
+
+BINDING_CASES = [(n, problem, attack)
+                 for n, problem in [(1, SMALL), (1, ALWAYS_YES), (1, PROBLEM), (2, PROBLEM),
+                                    (2, THREE_QUARTERS)]
+                 for attack in (HonestSenderAttack(1), EquivocatingSenderAttack())]
+BINDING_CASES += [(1, SMALL, ShiftingAttack()), (2, THREE_QUARTERS, ShiftingAttack())]
+
+
+@pytest.mark.parametrize("n,problem,attack", BINDING_CASES)
+def test_binding_counts_match_session_path(n, problem, attack):
+    for stage in range(5):
+        assert (szkcommit.hybrid_experiment(attack, n, problem, stage)
+                == _session_path_hybrid(attack, n, problem, stage))
+    assert break_probability(attack, n, problem) == _session_path_break(attack, n, problem)
+    counted = decider_advantage(attack, n, problem)
+    reference = _session_path_decider(attack, n, problem)
+    assert (counted.pr_correct, counted.pr_e, counted.pr_e_and_no) == (
+        reference.pr_correct, reference.pr_e, reference.pr_e_and_no)
+
+
+def test_planted_no_instance_never_equivocates_at_plant():
+    for n in (1, 2):
+        no_xs = [PROBLEM.sample(c, n) for c in range(2**n)
+                 if PROBLEM.classify(PROBLEM.sample(c, n)) == NO]
+        for x in no_xs:
+            for star in slot_list(n):
+                for rho in coin_space(n):
+                    run = run_binding_session(EquivocatingSenderAttack(), 0, n, PROBLEM, rho,
+                                              plant_slot=star, planted_instance=x)
+                    assert run.session.wi_verdict
+                    assert star not in run.equivocal_slots
+
+
+@pytest.mark.parametrize("n,yes_num,yes_bits", [(1, 1, 1), (2, 1, 2), (2, 1, 1), (2, 3, 2),
+                                                (3, 1, 2), (3, 1, 1), (3, 3, 2)])
+def test_binding_closed_form(n, yes_num, yes_bits):
+    """The equivocator commits zeros and re-opens the first flippable slot,
+    so with y the share of sampler coins whose instance can be re-opened,
+    a break has probability 1 - (1 - y)^(2n) and E at a uniform slot that
+    probability over 2n."""
+    problem = TablePromiseProblem(k=2, out_bits_choices=(2, 3), yes_num=yes_num,
+                                  yes_bits=yes_bits, salt=13 * n + yes_num)
+    insts = [problem.sample(c, n) for c in range(2**n)]
+    y = Fraction(sum(idc_equivocation(x, x.commit(0, 0), 1) is not None for x in insts), 2**n)
+    eps_star = 1 - (1 - y) ** (2 * n)
+    report = hybrid_sweep(EquivocatingSenderAttack(), n, problem)
+    assert report.eps_star == eps_star
+    assert report.pr_e == {stage: eps_star / (2 * n) for stage in range(5)}
+    decider = decider_advantage(EquivocatingSenderAttack(), n, problem)
+    assert decider.pr_e == eps_star / (2 * n)
+    assert decider.pr_correct == (1 + decider.pr_e) / 2
+    assert decider.pr_e_and_no == 0
+    assert y == problem.yes_rate
+
+
+def test_binding_analysis_builds_no_session(monkeypatch):
+    def no_session(self, *args, **kwargs):
+        raise AssertionError("binding analysis constructed a ProtocolSession")
+
+    monkeypatch.setattr(ProtocolSession, "__init__", no_session)
+    hybrid_sweep(EquivocatingSenderAttack(), 2, PROBLEM)
+    decider_advantage(EquivocatingSenderAttack(), 2, PROBLEM)
+
+
+HYBRID_OK = dict(pr_e={stage: Fraction(1, 8) for stage in range(5)},
+                 eps_star=Fraction(1, 2), sbc_slack=0.0, wi_slack=0.0, n=2)
+
+
+@pytest.mark.parametrize("change,message", [
+    ({0: Fraction(1, 4)}, "stage 0 and 1 must agree exactly"),
+    ({4: Fraction(1, 4)}, "stage 3 and 4 must agree exactly"),
+    ({0: Fraction(1, 4), 1: Fraction(1, 4)}, "stage 1 vs 2 exceeds the share-commitment slack"),
+    ({3: Fraction(1, 4), 4: Fraction(1, 4)}, "stage 2 vs 3 exceeds the proof slack"),
+    ({stage: Fraction(1, 16) for stage in range(5)}, r"final stage below eps\*/\(2n\)"),
+])
+def test_hybrid_report_checks_fire(change, message):
+    HybridReport(**HYBRID_OK).check()
+    report = HybridReport(**{**HYBRID_OK, "pr_e": {**HYBRID_OK["pr_e"], **change}})
+    with pytest.raises(AssertionError, match=message):
+        report.check()
+
+
+@pytest.mark.parametrize("report,message", [
+    (DeciderReport(Fraction(5, 8), Fraction(1, 4), Fraction(1, 16)),
+     "equivocation on a planted NO instance"),
+    (DeciderReport(Fraction(9, 16), Fraction(1, 4), Fraction(0)),
+     "decider advantage below"),
+])
+def test_decider_report_checks_fire(report, message):
+    DeciderReport(Fraction(5, 8), Fraction(1, 4), Fraction(0)).check()
+    with pytest.raises(AssertionError, match=message):
+        report.check()
