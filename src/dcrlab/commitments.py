@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from dcrlab.hashfam import HashFamily, HashFunction, col_distribution, input_domain
+from dcrlab.hashfam import HashFamily, HashFunction, input_domain
 from dcrlab.probkit import Dist, stat_distance
 from dcrlab.reporting import csv_line
 
@@ -358,24 +358,36 @@ def col_equivocation_rate(scheme: TwoMessageCommitment, h: HashFunction,
                           tol: float = TOL) -> EquivocationReport:
     """Exact Pr_{(x,x') <- Col(h)}[plaintext(x) != plaintext(x')].
 
-    Both halves of every collision are checked to open validly under the
-    canonical verifier, and the hiding bound rate >= 1/2 - 2 sqrt(eps) is
-    asserted (for bit plaintexts).
+    Col(h) puts count L/|F| on every ordered pair of a fiber F, over
+    2^n * L with L = ``h.fiber_lcm`` (see ``hashfam.col_distribution``).  With
+    n_b(F) the number of inputs in F of plaintext b, |F|^2 - sum_b n_b(F)^2
+    of those pairs split, so the rate is
+    sum_F (L/|F|) (|F|^2 - sum_b n_b(F)^2) / (2^n * L), counted per fiber
+    without building the pair law.
+
+    Both halves of every collision must open validly under the canonical
+    verifier.  Verification replays the commit computation, so that holds
+    for every pair of F iff the commit value is constant on F, i.e. iff
+    every input of F opens the commitment of F's first input: one commit
+    per fiber and one verify per input.  The hiding bound
+    rate >= 1/2 - 2 sqrt(eps) is asserted for bit plaintexts.
     """
     first = scheme.first_message(h.key)
     eps = scheme.hiding(h.key).epsilon
-    col = col_distribution(h)
+    lcm = h.fiber_lcm
     split_count = 0
     valid = True
-    for (x1, x2), c in col.counts.items():
-        b1, r1 = _split(scheme, x1)
-        b2, r2 = _split(scheme, x2)
-        com = (first, scheme.commit_value(first, b1, r1))
-        if scheme.verify(com, (b1, r1)) is None or scheme.verify(com, (b2, r2)) is None:
-            valid = False
-        if b1 != b2:
-            split_count += c
-    rate = Fraction(split_count, col.denominator)
+    for fiber in h.fibers.values():
+        com = (first, scheme.commit_value(first, *_split(scheme, fiber[0])))
+        per_plain: dict[int, int] = {}
+        for x in fiber:
+            b, r = _split(scheme, x)
+            if scheme.verify(com, (b, r)) is None:
+                valid = False
+            per_plain[b] = per_plain.get(b, 0) + 1
+        size = len(fiber)
+        split_count += lcm // size * (size * size - sum(c * c for c in per_plain.values()))
+    rate = Fraction(split_count, 2**h.n * lcm)
     lower = 0.5 - 2 * math.sqrt(eps)
     report = EquivocationReport(rate=float(rate), epsilon=eps,
                                 lower_bound=lower, openings_valid=valid)
@@ -406,7 +418,6 @@ def markov_step_check(scheme: TwoMessageCommitment, h: HashFunction) -> MarkovSt
     eps = scheme.hiding(h.key).epsilon
     sqrt_eps = math.sqrt(eps)
     n_plain = 2**scheme.ell
-    uniform_b = Dist.uniform(range(n_plain))
     first = scheme.first_message(h.key)
     by_msg: dict[int, dict[int, int]] = {}
     total = 0
@@ -419,13 +430,14 @@ def markov_step_check(scheme: TwoMessageCommitment, h: HashFunction) -> MarkovSt
     heavy = Fraction(0)
     all_uniform = True
     for msg, counts in by_msg.items():
-        weight = Fraction(sum(counts.values()), total)
-        posterior = Dist.from_counts(counts, domain=range(n_plain))
-        d = stat_distance(posterior, uniform_b)
+        mass = sum(counts.values())
+        # TV(B_c, B) = 1/2 sum_b |n_b / N - 2^-ell|, on integers.
+        d = Fraction(sum(abs(counts.get(b, 0) * n_plain - mass) for b in range(n_plain)),
+                     2 * mass * n_plain)
         if d != 0:
             all_uniform = False
         if eps > 0 and float(d) >= sqrt_eps:
-            heavy += weight
+            heavy += Fraction(mass, total)
     ok = all_uniform if eps == 0 else float(heavy) <= sqrt_eps + TOL
     return MarkovStepReport(heavy_fraction=float(heavy), sqrt_eps=sqrt_eps, ok=ok)
 

@@ -226,13 +226,6 @@ class TablePromiseProblem:
                 table[half + r] = int(outputs[g])
         return Instance(self.k, out_bits, tuple(table))
 
-    def measured_yes_rate(self, coin_bits: int) -> Fraction:
-        hits = sum(
-            self.classify(self.sample(c, coin_bits)) == YES
-            for c in range(2**coin_bits)
-        )
-        return Fraction(hits, 2**coin_bits)
-
 
 def _random_partition(rng, total: int, groups: int) -> list[list[int]]:
     """Split range(total) into ``groups`` nonempty lists."""
@@ -418,14 +411,6 @@ def is_admissible(wi_verdict: bool, labels: Iterable[str]) -> bool:
     return not wi_verdict or YES in labels
 
 
-def admissible_preamble(session: ProtocolSession) -> bool:
-    """``is_admissible`` on a completed session's preamble."""
-    if session.wi_verdict is None:
-        raise ProtocolError("preamble not complete")
-    return is_admissible(session.wi_verdict,
-                         (session.problem.classify(x) for x in session.instances.values()))
-
-
 # ------------------------------------------------------------ hiding analysis
 
 @dataclass
@@ -467,14 +452,6 @@ def view_distance_product(terms: Iterable[int]) -> int:
     halves of that product.
     """
     return math.prod(terms)
-
-
-def conditional_view_distance(instances: Sequence[Instance]) -> Fraction:
-    """Exact TV between the commit-phase views under m = 0 and m = 1,
-    conditioned on a fixed preamble that sent these instances."""
-    eps = [idc_epsilon(inst) for inst in instances]
-    return Fraction(view_distance_product(e.numerator for e in eps),
-                    view_distance_product(e.denominator for e in eps))
 
 
 @dataclass

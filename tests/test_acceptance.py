@@ -2,6 +2,7 @@
 pass/fail line.  Tolerances are pinned inside dcrlab.acceptance; nothing
 is configurable from here."""
 
+import hashlib
 import subprocess
 import sys
 
@@ -41,6 +42,18 @@ def test_criterion_5_commit_reduction():
     result = acceptance.criterion_commit_reduction(SEED, num_seeds=100)
     _check(result)
     assert result.elapsed < 300
+
+
+def test_criterion_5_rows_pinned():
+    # sha256 of the newline-joined commit_reduce.csv rows as the
+    # pair-by-pair Col loop wrote them.
+    expected = {
+        0: "558a96a27102784167da094df7b1a1d6a7f387a3be0ab1cfe31274f27ee5cd78",
+        7: "660ca9cdd04c91627b0e59219114fab6c4b69b7329f8a0f2bb3d4ef653ef42bb",
+    }
+    for seed, digest in expected.items():
+        rows = acceptance.criterion_commit_reduction(seed).rows
+        assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == digest
 
 
 def test_criterion_6_protocol_completeness():

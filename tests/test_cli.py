@@ -148,6 +148,7 @@ def _cli_csv(argv, out, hash_seed):
 @pytest.mark.parametrize("argv", [
     ["gap-sweep", "--n", "2..4", "--seed", "3"],
     ["dcrh-game", "--n", "2..3"],
+    ["commit-reduce", "--seed", "3", "--num-seeds", "20"],
 ])
 def test_reports_identical_across_hash_seeds(tmp_path, argv):
     first = _cli_csv(argv, tmp_path / "hash0", "0")

@@ -2,15 +2,21 @@
 
 import csv
 import io
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dcrlab.commitments import (
+    TOL,
     BruteForceEquivocator,
     ClearTextCommitment,
+    EquivocationReport,
+    HidingResult,
     HonestSenderStrategy,
     InjectiveCommitment,
+    MarkovStepReport,
     OpaqueCommitment,
     RandomFunctionCommitment,
     RoundStructureError,
@@ -25,7 +31,8 @@ from dcrlab.commitments import (
     view_distribution,
     worst_case_hiding,
 )
-from dcrlab.hashfam import col_distribution
+from dcrlab.hashfam import HashFunction, col_distribution
+from dcrlab.probkit import Dist, stat_distance
 
 ALL_SCHEMES = [
     RandomFunctionCommitment(3, 2, num_seeds=4, seed=1),
@@ -168,6 +175,97 @@ def test_round_structure_enforced():
 
     with pytest.raises(RoundStructureError):
         scheme_to_hash_family(ThreeRound(2))
+
+
+def _pairwise_equivocation_rate(scheme, h):
+    """The pair-by-pair loop over the Col(h) law, kept as the reference for
+    the per-fiber count: one commit and two verifies per Col-supported pair.
+    Returns the report the checks would raise on, without raising."""
+    first = scheme.first_message(h.key)
+    eps = scheme.hiding(h.key).epsilon
+    col = col_distribution(h)
+    split_count = 0
+    valid = True
+    for (x1, x2), c in col.counts.items():
+        b1, r1 = x1 >> scheme.coin_bits, x1 & (2**scheme.coin_bits - 1)
+        b2, r2 = x2 >> scheme.coin_bits, x2 & (2**scheme.coin_bits - 1)
+        com = (first, scheme.commit_value(first, b1, r1))
+        if scheme.verify(com, (b1, r1)) is None or scheme.verify(com, (b2, r2)) is None:
+            valid = False
+        if b1 != b2:
+            split_count += c
+    rate = Fraction(split_count, col.denominator)
+    return EquivocationReport(rate=float(rate), epsilon=eps,
+                              lower_bound=0.5 - 2 * math.sqrt(eps), openings_valid=valid)
+
+
+def _dist_markov_step(scheme, h):
+    """The averaging step with one posterior ``Dist`` per commit message and
+    ``stat_distance`` to the uniform plaintext, kept as the reference for
+    the integer distance."""
+    eps = scheme.hiding(h.key).epsilon
+    sqrt_eps = math.sqrt(eps)
+    n_plain = 2**scheme.ell
+    first = scheme.first_message(h.key)
+    by_msg = {}
+    for b in range(n_plain):
+        for r in range(2**scheme.coin_bits):
+            counts = by_msg.setdefault(scheme.commit_value(first, b, r), {})
+            counts[b] = counts.get(b, 0) + 1
+    total = n_plain * 2**scheme.coin_bits
+    heavy = Fraction(0)
+    all_uniform = True
+    for counts in by_msg.values():
+        d = stat_distance(Dist.from_counts(counts, domain=range(n_plain)),
+                          Dist.uniform(range(n_plain)))
+        all_uniform = all_uniform and d == 0
+        if eps > 0 and float(d) >= sqrt_eps:
+            heavy += Fraction(sum(counts.values()), total)
+    ok = all_uniform if eps == 0 else float(heavy) <= sqrt_eps + TOL
+    return MarkovStepReport(heavy_fraction=float(heavy), sqrt_eps=sqrt_eps, ok=ok)
+
+
+REFERENCE_SCHEMES = [
+    RandomFunctionCommitment(k, m, num_seeds=6, seed=60 + 8 * k + m + ell, ell=ell)
+    for ell in (1, 2, 3)
+    for k, m in ((2, 1), (3, 2), (4, 2), (5, 3), (6, 3), (3, 4))
+] + [
+    OpaqueCommitment(3, num_seeds=3, seed=23),
+    OpaqueCommitment(4, message_bits=2, num_seeds=3, seed=24, ell=2),
+    ClearTextCommitment(3),
+    ClearTextCommitment(2, ell=3),
+    InjectiveCommitment(3, 5, num_seeds=3, seed=25),
+    InjectiveCommitment(2, 4, num_seeds=3, seed=26, ell=2),
+]
+
+
+@pytest.mark.parametrize("scheme", REFERENCE_SCHEMES, ids=lambda s: s.name)
+def test_reduction_reports_match_reference(scheme):
+    for h in scheme_to_hash_family(scheme):
+        expected = _pairwise_equivocation_rate(scheme, h)
+        assert expected.openings_valid
+        assert col_equivocation_rate(scheme, h) == expected
+        assert markov_step_check(scheme, h) == _dist_markov_step(scheme, h)
+
+
+def test_equivocation_merged_fiber_fails_to_reopen():
+    # One fiber holding two different commit values: the table is not the
+    # scheme's commit map, so some Col-supported pair cannot re-open.
+    scheme = ClearTextCommitment(2)
+    h = HashFunction(n=3, m=3, table=(0,) * 8, key=0)
+    assert not _pairwise_equivocation_rate(scheme, h).openings_valid
+    with pytest.raises(AssertionError, match="failed to re-open"):
+        col_equivocation_rate(scheme, h)
+
+
+def test_equivocation_bound_fires_when_hiding_overstated(monkeypatch):
+    # Clear text never equivocates (rate 0); claiming perfect hiding makes
+    # the bound 1/2, which the rate misses.
+    scheme = ClearTextCommitment(3)
+    monkeypatch.setattr(scheme, "hiding", lambda seed: HidingResult(epsilon=0.0, seed=seed))
+    h = scheme_to_hash_family(scheme).functions[0]
+    with pytest.raises(AssertionError, match=r"below 1/2 - 2 sqrt\(eps\)"):
+        col_equivocation_rate(scheme, h)
 
 
 def test_equivocation_rate_opaque_is_half():

@@ -27,9 +27,7 @@ from dcrlab.szkcommit import (
     ReceiverSpec,
     SenderAttack,
     TablePromiseProblem,
-    admissible_preamble,
     break_probability,
-    conditional_view_distance,
     decider_advantage,
     derive_shares,
     hiding_experiment,
@@ -38,7 +36,9 @@ from dcrlab.szkcommit import (
     idc_epsilon,
     idc_equivocation,
     idc_verify,
+    is_admissible,
     slot_list,
+    view_distance_product,
     xor_all,
 )
 
@@ -51,6 +51,30 @@ def coin_space(n):
     slots = slot_list(n)
     for values in itertools.product(range(2**n), repeat=len(slots)):
         yield dict(zip(slots, values))
+
+
+def measured_yes_rate(problem, coin_bits):
+    """Fraction of the sampler's coin values that land on a YES instance."""
+    hits = sum(problem.classify(problem.sample(c, coin_bits)) == YES
+               for c in range(2**coin_bits))
+    return Fraction(hits, 2**coin_bits)
+
+
+def admissible_preamble(session):
+    """``is_admissible`` on a completed session's preamble."""
+    if session.wi_verdict is None:
+        raise ProtocolError("preamble not complete")
+    return is_admissible(session.wi_verdict,
+                         (session.problem.classify(x) for x in session.instances.values()))
+
+
+def conditional_view_distance(instances):
+    """Exact TV between the commit-phase views under m = 0 and m = 1,
+    conditioned on a fixed preamble that sent these instances: the
+    ``view_distance_product`` of the per-slot hiding distances."""
+    eps = [idc_epsilon(inst) for inst in instances]
+    return Fraction(view_distance_product(e.numerator for e in eps),
+                    view_distance_product(e.denominator for e in eps))
 
 
 # -------------------------------------------------------------- promise problem
@@ -72,7 +96,7 @@ def test_sampler_respects_class_selector():
 def test_measured_yes_rate_matches_declared():
     assert PROBLEM.yes_rate == Fraction(1, 2)
     for n in (1, 2, 3):
-        assert PROBLEM.measured_yes_rate(n) == Fraction(1, 2)
+        assert measured_yes_rate(PROBLEM, n) == Fraction(1, 2)
 
 
 def test_yes_instances_are_lossy_balanced():
@@ -493,7 +517,7 @@ def test_hiding_union_bound_fires():
         yes_rate = Fraction(1)
 
     problem = ClaimsAllYes(k=2, out_bits_choices=(2, 3), salt=3)
-    assert problem.measured_yes_rate(1) == Fraction(1, 2)
+    assert measured_yes_rate(problem, 1) == Fraction(1, 2)
     with pytest.raises(AssertionError, match="above union bound"):
         hiding_experiment(honest_receiver(1, rho_seed=0), 1, problem)
 
