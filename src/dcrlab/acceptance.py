@@ -346,7 +346,7 @@ def criterion_hiding_analysis(seed: int = 0) -> CriterionResult:
         problem = szk.TablePromiseProblem(k=2, out_bits_choices=(2, 3), salt=seed + 61)
         spec = szk.honest_receiver(n, rho_seed=seed * 7 + 5)
         try:
-            out = szk.hiding_experiment(spec, n, problem, keep_records=(n <= 2))
+            out = szk.hiding_experiment(spec, n, problem)
         except AssertionError as exc:
             failures.append(f"n={n}: {exc}")
             continue

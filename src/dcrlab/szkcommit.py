@@ -11,8 +11,8 @@ Ingredients (all desk-scale):
 * an instance-dependent commitment: commit(b; r) = g_x(b || r), perfectly
   binding on NO instances, hiding to a measured epsilon on YES instances;
 * an ideal statement-verdict proof for the preamble consistency claim, and
-  an ideal ledger for the receiver's coin shares (the binding hybrids
-  also take the hiding slack of an injective-table variant).
+  an ideal ledger for the receiver's coin shares, so the binding hybrids
+  bridge their stages with zero slack.
 
 Protocol for one message bit m: the receiver commits to 2n coin shares
 rho_{i,b}, the sender returns sigma_{i,b}, instances are sampled from
@@ -25,9 +25,11 @@ message in slot s depends on the sender's coins only through sigma_s
 the slot and the honest instance), so every per-slot fact a preamble
 needs -- the sent instance, its label, its epsilon, whether it matches
 the sampler -- takes one of 2^n values.  ``hiding_experiment`` computes
-those 2n rows of 2^n facts once and enumerates the preambles over them;
-the verdict, admissibility and view distance of each preamble are the
-same functions of its per-slot facts that a full session applies.
+those 2n rows once, keeps each as {(label, epsilon, match): multiplicity}
+over the 2^n share values, and walks the product of the rows; the
+verdict, admissibility and view distance of a preamble are the same
+functions of its per-slot facts that a full session applies, so each
+distinct combination of facts stands for all the preambles it weighs.
 
 The binding analysis factors over slots too.  Given the cheating sender's
 tape, slot j's sent instance depends only on that slot's coins (rho_j,
@@ -39,13 +41,14 @@ proof verdict holds and the named slot re-opens validly" is a function
 of those pairs.  ``hybrid_experiment``, ``break_probability`` and
 ``decider_advantage`` count each slot's pairs over its coins and weight
 every combination of pairs by the product of their counts, which equals
-running one session per coin tuple.
+running one session per coin tuple.  Both analyses walk their rows
+through ``_fact_combinations``.
 """
 
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
@@ -239,23 +242,6 @@ def _random_partition(rng, total: int, groups: int) -> list[list[int]]:
         parts.append(order[prev:cut])
         prev = cut
     return parts
-
-
-# ------------------------------------------------- statistically binding shares
-
-class IdealSBC:
-    """Trusted-ledger commitment: handles carry nothing but the slot and the
-    committed value is perfectly bound (the session keeps the ledger)."""
-
-    hiding_slack = 0.0
-
-
-class InjectiveSBC:
-    """Injective table over (value, coins): perfectly binding, but a handle
-    fully leaks the pair, so the hiding slack is 1.  No sender attack reads
-    a handle, so the binding analysis needs only this slack."""
-
-    hiding_slack = 1.0
 
 
 # ------------------------------------------------------------ ideal WI verdict
@@ -455,26 +441,25 @@ def view_distance_product(terms: Iterable[int]) -> int:
 
 
 @dataclass
-class PreambleRecord:
-    sigma: tuple
-    admissible: bool
-    wi_accepted: bool
-    labels: tuple
-    view_distance: Fraction
-
-
-@dataclass
 class HidingOutcome:
     """Everything measured by one hiding experiment."""
 
     inadmissible_prob: Fraction
     epsilon_given_admissible: float
     union_bound: float
-    preambles: list[PreambleRecord] = field(default_factory=list)
+
+
+def _fact_combinations(rows: Sequence[Counter]) -> Iterable[tuple[tuple, int]]:
+    """Every choice of one fact per row, as (facts, weight): the weight is
+    the product of the chosen facts' multiplicities, the number of coin
+    tuples that give exactly these facts."""
+    for entries in itertools.product(*(row.items() for row in rows)):
+        facts, weights = zip(*entries)
+        yield facts, math.prod(weights)
 
 
 def hiding_experiment(r_spec: ReceiverSpec, n: int, problem: TablePromiseProblem,
-                      tol: float = TOL, keep_records: bool = True) -> HidingOutcome:
+                      keep_records: bool = True) -> HidingOutcome:
     """Enumerates every sender coin-share vector, classifies each preamble,
     and computes the exact conditional view distance for the admissible
     ones.
@@ -487,14 +472,20 @@ def hiding_experiment(r_spec: ReceiverSpec, n: int, problem: TablePromiseProblem
     The enumeration is exact without a session per preamble: the receiver
     is deterministic and what it sends in slot s depends only on sigma_s.
     One session per constant share vector sigma = (v, ..., v) therefore
-    yields, for every slot, its facts at share value v, and the 2n rows of
-    2^n facts cover every preamble.  The preambles are visited in product
-    order over the slots, one entry per row.  Each view distance is held
-    as an integer numerator over L^(2n), L the lcm of the row epsilons'
-    denominators, and the inadmissible preambles are counted; every record
-    and float equals the session-per-preamble result.
+    yields, for every slot, its facts at share value v.  Each slot's row
+    keeps {(label, eps numerator over L, match): multiplicity}, L the lcm
+    of the row epsilons' denominators, and the product of the rows is
+    walked once per distinct combination of facts: the inadmissible
+    preambles are counted by weight, and the worst admissible view
+    distance and the YES-epsilon check are evaluated on the integer
+    numerators over L^(2n), as they would be for each preamble the
+    combination stands for.
+
+    ``keep_records`` is accepted and ignored: there are no per-preamble
+    records, and the parameter stays only because ``bench/workloads.py``
+    still passes it.
     """
-    facts: list[list[tuple]] = [[] for _ in slot_list(n)]  # (share, label, eps, match)
+    facts = [Counter() for _ in slot_list(n)]  # (label, eps, match): multiplicity
     for v in range(2**n):
         session = ProtocolSession(n, problem)
         session.coin_toss_phase(r_spec.rho, {slot: v for slot in session.slots})
@@ -502,40 +493,33 @@ def hiding_experiment(r_spec: ReceiverSpec, n: int, problem: TablePromiseProblem
         matches = sampler_matches(session.ledger, session.sigma, session.instances, problem, n)
         for row, slot, match in zip(facts, session.slots, matches):
             inst = session.instances[slot]
-            row.append((v, problem.classify(inst), idc_epsilon(inst), match))
-    lcm = math.lcm(*(eps.denominator for row in facts for _, _, eps, _ in row))
-    # Entry: (share, label, eps numerator over lcm, match, YES eps numerator or -1).
-    rows = [[(v, label, eps.numerator * (lcm // eps.denominator), match,
-              eps.numerator * (lcm // eps.denominator) if label == YES else -1)
-             for v, label, eps, match in row] for row in facts]
+            row[problem.classify(inst), idc_epsilon(inst), match] += 1
+    lcm = math.lcm(*(eps.denominator for row in facts for _, eps, _ in row))
+    rows = [Counter({(label, eps.numerator * (lcm // eps.denominator), match): count
+                     for (label, eps, match), count in row.items()}) for row in facts]
     scale = lcm ** len(rows)
-    records = []
     inadmissible = 0
     worst = 0
-    for entries in itertools.product(*rows):
-        sigma, labels, eps, matches, yes_eps = zip(*entries)
+    for entries, weight in _fact_combinations(rows):
+        labels, eps, matches = zip(*entries)
         wi_verdict = wi_statement_true(matches)
-        dist = view_distance_product(eps) if wi_verdict else 0
-        admissible = is_admissible(wi_verdict, labels)
-        if admissible:
+        if not is_admissible(wi_verdict, labels):
+            inadmissible += weight
+        elif wi_verdict:
+            dist = view_distance_product(eps)
             worst = max(worst, dist)
-            if wi_verdict and dist / scale > max(yes_eps) / lcm + tol:
+            yes_eps = max(e for label, e in zip(labels, eps) if label == YES)
+            if dist / scale > yes_eps / lcm + TOL:
                 raise AssertionError("conditional view distance beats the YES epsilon bound")
-        else:
-            inadmissible += 1
-        if keep_records:
-            records.append(PreambleRecord(sigma, admissible, wi_verdict, labels,
-                                          Fraction(dist, scale)))
     inadmissible_prob = Fraction(inadmissible, (2**n) ** len(rows))
     union = 2 * float((1 - problem.yes_rate)) ** n
-    if float(inadmissible_prob) > union + tol:
+    if float(inadmissible_prob) > union + TOL:
         raise AssertionError(
             f"inadmissible probability {float(inadmissible_prob)} above union bound {union}")
     return HidingOutcome(
         inadmissible_prob=inadmissible_prob,
         epsilon_given_admissible=worst / scale,
         union_bound=union,
-        preambles=records,
     )
 
 
@@ -613,17 +597,16 @@ def _tape_facts(s_star: SenderAttack, tape: int, n: int, problem: TablePromisePr
 
 def _equivocations(s_star: SenderAttack, tape: int, rows: Sequence[Counter]) -> Counter:
     """Weight, by re-opened slot, of the fact vectors in which the proof
-    verdict holds and the attack's second opening is valid: the product of
-    the rows, each vector weighted by the product of its multiplicities."""
+    verdict holds and the attack's second opening is valid, over
+    ``_fact_combinations`` of the rows."""
     out = Counter()
-    for entries in itertools.product(*(row.items() for row in rows)):
-        facts, weights = zip(*entries)
+    for facts, weight in _fact_combinations(rows):
         matches, flippable = zip(*facts)
         if not wi_statement_true(matches):
             continue
         j = s_star.equivocated_slot(tape, flippable)
         if j is not None and flippable[j]:
-            out[j] += math.prod(weights)
+            out[j] += weight
     return out
 
 
@@ -704,15 +687,14 @@ def hybrid_experiment(s_star: SenderAttack, n: int, problem: TablePromiseProblem
     return Fraction(hits, runs)
 
 
-def hybrid_sweep(s_star: SenderAttack, n: int, problem: TablePromiseProblem,
-                 sbc=None) -> HybridReport:
-    """Runs all five hybrid stages and checks the bridging guarantees."""
-    sbc = sbc if sbc is not None else IdealSBC()
+def hybrid_sweep(s_star: SenderAttack, n: int, problem: TablePromiseProblem) -> HybridReport:
+    """Runs all five hybrid stages and checks the bridging guarantees; the
+    ideal ledger and proof leave no slack between stages."""
     pr_e = {stage: hybrid_experiment(s_star, n, problem, stage) for stage in range(5)}
     report = HybridReport(
         pr_e=pr_e,
         eps_star=break_probability(s_star, n, problem),
-        sbc_slack=sbc.hiding_slack,
+        sbc_slack=0.0,
         wi_slack=0.0,
         n=n,
     )

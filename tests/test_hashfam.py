@@ -240,6 +240,20 @@ def test_monte_carlo_distance_within_ci():
     assert abs(mc.distance - exact.distance) <= mc.ci_half_width
 
 
+def test_monte_carlo_interval_covers_exact_distance():
+    """Coverage of the Monte-Carlo interval against the exact game value:
+    every (family, adversary) pair at n = 4, each over 20 fixed rng seeds."""
+    families = builtin_families(4, num_keys=2, seed=3)
+    for fam in families:
+        for adversary in (ColAdversary(), DiagonalAdversary()):
+            exact = dcrh_distance(fam, adversary).distance
+            for seed in range(20):
+                mc = dcrh_distance(fam, adversary, mode="monte-carlo", samples=2_000,
+                                   rng=np.random.default_rng(seed))
+                assert abs(mc.distance - exact) <= mc.ci_half_width, (fam.name, adversary.name,
+                                                                      seed)
+
+
 def test_ci_half_width_shrinks():
     assert mc_ci_half_width(40_000, 64) < mc_ci_half_width(10_000, 64)
 

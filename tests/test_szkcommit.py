@@ -2,8 +2,10 @@
 security arguments, all by enumeration."""
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -18,10 +20,7 @@ from dcrlab.szkcommit import (
     HidingOutcome,
     HonestSenderAttack,
     HybridReport,
-    IdealSBC,
-    InjectiveSBC,
     Instance,
-    PreambleRecord,
     ProtocolError,
     ProtocolSession,
     ReceiverSpec,
@@ -313,11 +312,7 @@ def test_tamper_single_share_flip_rejects_on_no_instances():
 def test_admissible_probability_honest_closed_form():
     n = 2
     out = hiding_experiment(honest_receiver(n, rho_seed=0b01100011), n, PROBLEM)
-    admissible = sum(1 for rec in out.preambles if rec.admissible)
-    total = len(out.preambles)
-    yr = PROBLEM.yes_rate
-    assert Fraction(admissible, total) == 1 - (1 - yr) ** (2 * n)
-    assert out.inadmissible_prob == (1 - yr) ** (2 * n)
+    assert out.inadmissible_prob == (1 - PROBLEM.yes_rate) ** (2 * n)
 
 
 def test_all_no_preamble_not_admissible():
@@ -402,10 +397,11 @@ def test_hiding_rejected_wi_gives_zero_distance():
         return wrong_yes if honest != wrong_yes else PROBLEM.sample(2 % 2, n)
 
     spec = ReceiverSpec(rho={s: 0 for s in slot_list(n)}, substitute=substitute)
-    out = hiding_experiment(spec, n, PROBLEM)
-    for rec in out.preambles:
-        if not rec.wi_accepted:
-            assert rec.view_distance == 0
+    reference, records = _session_path_hiding(spec, n, PROBLEM)
+    assert hiding_experiment(spec, n, PROBLEM) == reference
+    rejected = [rec for rec in records if not rec.wi_accepted]
+    assert rejected
+    assert all(rec.view_distance == 0 for rec in rejected)
 
 
 def test_yes_rate_one_sampler_never_inadmissible():
@@ -415,9 +411,17 @@ def test_yes_rate_one_sampler_never_inadmissible():
     assert out.inadmissible_prob == 0
 
 
+class Preamble(NamedTuple):
+    """One preamble of the session-per-preamble reference."""
+
+    wi_accepted: bool
+    view_distance: Fraction
+
+
 def _session_path_hiding(r_spec, n, problem, tol=TOL):
     """The session-per-preamble hiding loop, kept as the reference for the
-    per-slot enumeration: one ProtocolSession per sender share vector."""
+    per-slot enumeration: one ProtocolSession per sender share vector.
+    Returns the outcome and the list of per-preamble records."""
     records = []
     inadmissible = Fraction(0)
     worst = Fraction(0)
@@ -438,13 +442,52 @@ def _session_path_hiding(r_spec, n, problem, tol=TOL):
                     raise AssertionError("conditional view distance beats the YES epsilon bound")
         else:
             inadmissible += total
-        records.append(PreambleRecord(tuple(sigma.values()), admissible,
-                                      session.wi_verdict, labels, dist))
+        records.append(Preamble(session.wi_verdict, dist))
     union = 2 * float((1 - problem.yes_rate)) ** n
     if float(inadmissible) > union + tol:
         raise AssertionError(
             f"inadmissible probability {float(inadmissible)} above union bound {union}")
-    return HidingOutcome(inadmissible, float(worst), union, records)
+    return HidingOutcome(inadmissible, float(worst), union), records
+
+
+def _per_preamble_hiding(r_spec, n, problem):
+    """The per-preamble loop over the uncompressed rows: one entry per
+    share value in each of the 2n rows, every preamble of the product
+    visited on its own, view distances as integer numerators over L^(2n)."""
+    facts = [[] for _ in slot_list(n)]  # (label, eps, match), one per share value
+    for v in range(2**n):
+        session = ProtocolSession(n, problem)
+        session.coin_toss_phase(r_spec.rho, {slot: v for slot in session.slots})
+        session.instance_gen_phase(substitutions=r_spec.substitutions(session))
+        matches = szkcommit.sampler_matches(session.ledger, session.sigma, session.instances,
+                                            problem, n)
+        for row, slot, match in zip(facts, session.slots, matches):
+            inst = session.instances[slot]
+            row.append((problem.classify(inst), idc_epsilon(inst), match))
+    lcm = math.lcm(*(eps.denominator for row in facts for _, eps, _ in row))
+    # Entry: (label, eps numerator over lcm, match, YES eps numerator or -1).
+    rows = [[(label, eps.numerator * (lcm // eps.denominator), match,
+              eps.numerator * (lcm // eps.denominator) if label == YES else -1)
+             for label, eps, match in row] for row in facts]
+    scale = lcm ** len(rows)
+    inadmissible = 0
+    worst = 0
+    for entries in itertools.product(*rows):
+        labels, eps, matches, yes_eps = zip(*entries)
+        wi_verdict = szkcommit.wi_statement_true(matches)
+        dist = view_distance_product(eps) if wi_verdict else 0
+        if is_admissible(wi_verdict, labels):
+            worst = max(worst, dist)
+            if wi_verdict and dist / scale > max(yes_eps) / lcm + TOL:
+                raise AssertionError("conditional view distance beats the YES epsilon bound")
+        else:
+            inadmissible += 1
+    inadmissible_prob = Fraction(inadmissible, (2**n) ** len(rows))
+    union = 2 * float((1 - problem.yes_rate)) ** n
+    if float(inadmissible_prob) > union + TOL:
+        raise AssertionError(
+            f"inadmissible probability {float(inadmissible_prob)} above union bound {union}")
+    return HidingOutcome(inadmissible_prob, worst / scale, union)
 
 
 # YES instances with epsilon 1/16 at n = 1 and 1/8 at n = 2, so admissible
@@ -469,11 +512,43 @@ def test_hiding_experiment_matches_session_path(n):
     cases += [(_rejecting_receiver(n, PROBLEM), PROBLEM), (_rejecting_receiver(n, LEAKY), LEAKY)]
     verdicts = set()
     for spec, problem in cases:
-        out = hiding_experiment(spec, n, problem)
-        assert out == _session_path_hiding(spec, n, problem)
-        verdicts |= {rec.wi_accepted for rec in out.preambles}
+        reference, records = _session_path_hiding(spec, n, problem)
+        assert hiding_experiment(spec, n, problem) == reference
+        verdicts |= {rec.wi_accepted for rec in records}
     assert verdicts == {True, False}
     assert hiding_experiment(honest_receiver(n, 5), n, LEAKY).epsilon_given_admissible > 0
+
+
+def _criterion_8_inputs(seed, n):
+    """The receiver and problem criterion 8 of the acceptance battery uses."""
+    problem = TablePromiseProblem(k=2, out_bits_choices=(2, 3), salt=seed + 61)
+    return honest_receiver(n, rho_seed=seed * 7 + 5), problem
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_hiding_experiment_matches_per_preamble_loop_at_n3(seed):
+    n = 3
+    spec, problem = _criterion_8_inputs(seed, n)
+    assert hiding_experiment(spec, n, problem) == _per_preamble_hiding(spec, n, problem)
+
+
+def test_hiding_walks_distinct_fact_combinations(monkeypatch):
+    """At n = 3 the rows of criterion 8's seed-7 inputs hold 3 distinct facts
+    each, so the walk takes at most 3^6 = 729 steps, where the
+    per-preamble loop evaluates the verdict (2^3)^6 = 262,144 times."""
+    n = 3
+    spec, problem = _criterion_8_inputs(7, n)
+    calls = 0
+    verdict = szkcommit.wi_statement_true
+
+    def counting_verdict(matches):
+        nonlocal calls
+        calls += 1
+        return verdict(matches)
+
+    monkeypatch.setattr(szkcommit, "wi_statement_true", counting_verdict)
+    hiding_experiment(spec, n, problem)
+    assert calls < 1000
 
 
 def test_hiding_builds_one_session_per_share_value(monkeypatch):
@@ -548,19 +623,10 @@ def test_hybrid_sweep_equivocator_ideal_components():
     assert report.eps_star > 0
 
 
-def test_hybrid_sweep_injective_sbc_slack():
-    n = 1
-    report = hybrid_sweep(EquivocatingSenderAttack(), n, SMALL, sbc=InjectiveSBC())
-    assert report.sbc_slack == 1.0
-    assert report.pr_e[0] == report.pr_e[1]
-    assert report.pr_e[3] == report.pr_e[4]
-
-
-def test_hybrid_sweep_ideal_and_injective_sbc_values():
-    for sbc in (IdealSBC(), InjectiveSBC()):
-        report = hybrid_sweep(EquivocatingSenderAttack(), 1, SMALL, sbc=sbc)
-        assert report.pr_e == {stage: Fraction(3, 8) for stage in range(5)}
-        assert report.eps_star == Fraction(3, 4)
+def test_hybrid_sweep_equivocator_values():
+    report = hybrid_sweep(EquivocatingSenderAttack(), 1, SMALL)
+    assert report.pr_e == {stage: Fraction(3, 8) for stage in range(5)}
+    assert report.eps_star == Fraction(3, 4)
 
 
 def test_decider_advantage_exact():
