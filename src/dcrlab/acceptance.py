@@ -71,14 +71,15 @@ def criterion_real_entropy(seed: int = 0) -> CriterionResult:
 # ------------------------------------------------------------ criteria 2 and 3
 
 @_timed
-def criterion_gap_sweep(seed: int = 0, max_n: int = 8, num_keys: int = 4) -> CriterionResult:
-    """Every consistent generator x family at n <= max_n satisfies
+def criterion_gap_sweep(seed: int = 0, ns: range = range(2, 9),
+                        num_keys: int = 4) -> CriterionResult:
+    """Every consistent generator x family at each n in ``ns`` satisfies
     distance <= sqrt(kl1) + sqrt(kl2) <= 2 sqrt(gap) with per-term bounds
-    kl1, kl2 <= gap (tolerance 1e-6)."""
+    kl1, kl2 <= gap (tolerance 1e-6).  Its rows are ``gap_sweep.csv``."""
     rows = []
     failures = []
     count = 0
-    for n in range(2, max_n + 1):
+    for n in ns:
         for fam in builtin_families(n, num_keys=num_keys, seed=seed + 100 + n):
             for gt in eg.consistent_suite(fam):
                 count += 1
@@ -121,6 +122,8 @@ def criterion_ideal_tightness(seed: int = 0, max_n: int = 8) -> CriterionResult:
 def criterion_probkit_identities(seed: int = 0, trials: int = 10_000) -> CriterionResult:
     """Chain rule (1e-9), Pinsker, Jensen, KL >= 0, and the TV metric
     axioms on seeded random distribution pairs/triples."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed + 11)
 
     def rand_dist(size):
@@ -390,7 +393,7 @@ def run_all(seed: int = 0, inject_fault: bool = False, fast: bool = False) -> li
     max_n = 5 if fast else 8
     results = [
         criterion_real_entropy(seed),
-        criterion_gap_sweep(seed, max_n=max_n),
+        criterion_gap_sweep(seed, ns=range(2, max_n + 1)),
         criterion_ideal_tightness(seed, max_n=max_n),
         criterion_probkit_identities(seed, trials=2_000 if fast else 10_000),
         criterion_commit_reduction(seed, num_seeds=20 if fast else 100),

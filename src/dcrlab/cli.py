@@ -129,31 +129,17 @@ def cmd_dcrh_game(args, config) -> int:
 
 
 def cmd_gap_sweep(args, config) -> int:
-    from dcrlab.entropy_gap import (
-        GAP_CSV_HEADER,
-        SWEEP_TOL,
-        consistent_suite,
-        gap_bound_report,
-    )
-    from dcrlab.hashfam import builtin_families
+    from dcrlab.acceptance import criterion_gap_sweep
 
     seed = _resolve(args, config, "seed", 0, int)
     ns = parse_range(_resolve(args, config, "n", "2..6"))
     num_keys = _resolve(args, config, "num_keys", 4, int)
-    rows = []
-    failures = 0
-    for n in ns:
-        for fam in builtin_families(n, num_keys=num_keys, seed=seed + 100 + n):
-            for gt in consistent_suite(fam):
-                try:
-                    rows.append(gap_bound_report(gt, fam, tol=SWEEP_TOL).csv_row())
-                except AssertionError as exc:
-                    failures += 1
-                    print(f"bound violation: {exc}", file=sys.stderr)
-    out = _outdir(args, config) / "gap_sweep.csv"
-    write_report(out, GAP_CSV_HEADER, sorted(rows))
-    print(f"wrote {out} ({len(rows)} rows)")
-    return 0 if failures == 0 else 1
+    res = criterion_gap_sweep(seed, ns=ns, num_keys=num_keys)
+    out = _outdir(args, config) / res.artifact
+    write_report(out, res.header, res.rows)
+    print(res.line())
+    print(f"wrote {out} ({len(res.rows)} rows)")
+    return 0 if res.passed else 1
 
 
 def cmd_commit_reduce(args, config) -> int:
@@ -219,8 +205,8 @@ def cmd_verify_all(args, config) -> int:
     # Determinism self-check: render the heaviest report twice and compare.
     from dcrlab.acceptance import criterion_gap_sweep
 
-    again = criterion_gap_sweep(seed, max_n=4, num_keys=2)
-    once_more = criterion_gap_sweep(seed, max_n=4, num_keys=2)
+    again = criterion_gap_sweep(seed, ns=range(2, 5), num_keys=2)
+    once_more = criterion_gap_sweep(seed, ns=range(2, 5), num_keys=2)
     deterministic = again.rows == once_more.rows
     status = "PASS" if deterministic else "FAIL"
     lines.append(f"criterion 9 [{status}] deterministic reports: "

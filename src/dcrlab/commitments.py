@@ -1,4 +1,4 @@
-"""Two-party commitment schemes, their security games, and the reduction
+"""Two-party commitment schemes, their hiding game, and the reduction
 from two-message statistically hiding commitments to a hash family whose
 random-collision pairs equivocate.
 
@@ -137,30 +137,6 @@ class RandomFunctionCommitment(TwoMessageCommitment):
         return first_msg[(plaintext << self.coin_bits) | coins]
 
 
-class InjectiveCommitment(TwoMessageCommitment):
-    """An injective random table: perfectly binding, not hiding at all.
-    Negative control for the equivocation claims."""
-
-    def __init__(self, coin_bits: int, message_bits: int, num_seeds: int = 8,
-                 seed: int = 0, ell: int = 1):
-        size = 2 ** (ell + coin_bits)
-        if 2**message_bits < size:
-            raise ValueError("injective table needs message_bits >= ell + coin_bits")
-        super().__init__(ell, coin_bits, message_bits, range(num_seeds))
-        self.name = f"injective[k={coin_bits},m={message_bits}]"
-        rng = np.random.default_rng(seed)
-        self._tables = {
-            s: tuple(int(v) for v in rng.choice(2**message_bits, size=size, replace=False))
-            for s in self.receiver_seeds
-        }
-
-    def first_message(self, seed):
-        return self._tables[seed]
-
-    def commit_value(self, first_msg, plaintext, coins):
-        return first_msg[(plaintext << self.coin_bits) | coins]
-
-
 class OpaqueCommitment(TwoMessageCommitment):
     """Ignores the plaintext entirely: commit message = f(r).  Perfectly
     hiding (epsilon exactly 0), useful as the zero-epsilon reference."""
@@ -206,7 +182,6 @@ class HidingResult:
 
     epsilon: float
     seed: int
-    per_pair: dict = field(default_factory=dict)
 
 
 def view_distribution(scheme: TwoMessageCommitment, seed: int, plaintext: int) -> Dist:
@@ -225,98 +200,12 @@ def hiding_distance(scheme: TwoMessageCommitment, seed: int) -> HidingResult:
     """Max over plaintext pairs of the exact view distance (for ell = 1
     this is the single distance between the two views)."""
     views = {b: view_distribution(scheme, seed, b) for b in range(2**scheme.ell)}
-    per_pair = {}
     worst = Fraction(0)
     for b0 in views:
         for b1 in views:
             if b0 < b1:
-                d = stat_distance(views[b0], views[b1])
-                per_pair[(b0, b1)] = float(d)
-                worst = max(worst, d)
-    return HidingResult(epsilon=float(worst), seed=seed, per_pair=per_pair)
-
-
-def hiding_profile(scheme: TwoMessageCommitment) -> dict[int, HidingResult]:
-    return {seed: hiding_distance(scheme, seed) for seed in scheme.receiver_seeds}
-
-
-def worst_case_hiding(scheme: TwoMessageCommitment) -> HidingResult:
-    """Max over the enumerated deterministic receivers (= receiver seeds)."""
-    return max(hiding_profile(scheme).values(), key=lambda r: r.epsilon)
-
-
-# --------------------------------------------------------------------- binding
-
-@dataclass
-class BindingResult:
-    """Break probability plus the replayed witness runs that achieve it."""
-
-    break_prob: float
-    witnesses: list = field(default_factory=list)
-
-
-class SenderStrategy:
-    """A cheating sender: deterministic in (first message, tape)."""
-
-    tape_space = 1
-
-    def attack(self, scheme: TwoMessageCommitment, first_msg, tape: int):
-        """Returns (commit_msg, decom, decom_alt)."""
-        raise NotImplementedError
-
-
-class HonestSenderStrategy(SenderStrategy):
-    """Commits honestly and repeats the same opening twice."""
-
-    def __init__(self, plaintext: int = 0, coins: int = 0):
-        self.plaintext = plaintext
-        self.coins = coins
-
-    def attack(self, scheme, first_msg, tape):
-        msg = scheme.commit_value(first_msg, self.plaintext, self.coins)
-        decom = (self.plaintext, self.coins)
-        return msg, decom, decom
-
-
-class BruteForceEquivocator(SenderStrategy):
-    """Scans the whole (plaintext, coins) square for one commit message
-    carrying two plaintexts; falls back to an honest run when none exists."""
-
-    def attack(self, scheme, first_msg, tape):
-        by_msg: dict[int, tuple[int, int]] = {}
-        for b in range(2**scheme.ell):
-            for r in range(2**scheme.coin_bits):
-                msg = scheme.commit_value(first_msg, b, r)
-                prev = by_msg.get(msg)
-                if prev is not None and prev[0] != b:
-                    return msg, prev, (b, r)
-                by_msg.setdefault(msg, (b, r))
-        return scheme.commit_value(first_msg, 0, 0), (0, 0), (0, 0)
-
-
-def binding_break_probability(scheme: TwoMessageCommitment,
-                              s_star: SenderStrategy) -> BindingResult:
-    """Probability over receiver seeds and strategy tapes of producing one
-    commitment with two valid, distinct openings.  Every recorded witness
-    run is re-verified before it is reported."""
-    wins = 0
-    trials = 0
-    witnesses = []
-    for seed in scheme.receiver_seeds:
-        first = scheme.first_message(seed)
-        for tape in range(s_star.tape_space):
-            trials += 1
-            msg, decom, decom_alt = s_star.attack(scheme, first, tape)
-            com = (first, msg)
-            b0 = scheme.verify(com, decom)
-            b1 = scheme.verify(com, decom_alt)
-            if b0 is not None and b1 is not None and b0 != b1:
-                wins += 1
-                witnesses.append((com, decom, decom_alt))
-    for com, decom, decom_alt in witnesses:
-        if scheme.verify(com, decom) is None or scheme.verify(com, decom_alt) is None:
-            raise AssertionError("a recorded binding witness failed to re-verify")
-    return BindingResult(break_prob=wins / trials, witnesses=witnesses)
+                worst = max(worst, stat_distance(views[b0], views[b1]))
+    return HidingResult(epsilon=float(worst), seed=seed)
 
 
 # ----------------------------------------------------- reduction to hash family
@@ -351,11 +240,9 @@ class EquivocationReport:
     rate: float
     epsilon: float
     lower_bound: float
-    openings_valid: bool
 
 
-def col_equivocation_rate(scheme: TwoMessageCommitment, h: HashFunction,
-                          tol: float = TOL) -> EquivocationReport:
+def col_equivocation_rate(scheme: TwoMessageCommitment, h: HashFunction) -> EquivocationReport:
     """Exact Pr_{(x,x') <- Col(h)}[plaintext(x) != plaintext(x')].
 
     Col(h) puts count L/|F| on every ordered pair of a fiber F, over
@@ -387,15 +274,13 @@ def col_equivocation_rate(scheme: TwoMessageCommitment, h: HashFunction,
             per_plain[b] = per_plain.get(b, 0) + 1
         size = len(fiber)
         split_count += lcm // size * (size * size - sum(c * c for c in per_plain.values()))
-    rate = Fraction(split_count, 2**h.n * lcm)
-    lower = 0.5 - 2 * math.sqrt(eps)
-    report = EquivocationReport(rate=float(rate), epsilon=eps,
-                                lower_bound=lower, openings_valid=valid)
     if not valid:
         raise AssertionError("a Col-supported pair failed to re-open")
-    if scheme.ell == 1 and float(rate) < lower - tol:
+    rate = Fraction(split_count, 2**h.n * lcm)
+    lower = 0.5 - 2 * math.sqrt(eps)
+    if scheme.ell == 1 and float(rate) < lower - TOL:
         raise AssertionError(f"equivocation rate {float(rate)} below 1/2 - 2 sqrt(eps) = {lower}")
-    return report
+    return EquivocationReport(rate=float(rate), epsilon=eps, lower_bound=lower)
 
 
 @dataclass
@@ -451,13 +336,12 @@ class StringRateReport:
     upper_bound: float
 
 
-def string_variant_rate(scheme: TwoMessageCommitment, h: HashFunction,
-                        tol: float = TOL) -> StringRateReport:
+def string_variant_rate(scheme: TwoMessageCommitment, h: HashFunction) -> StringRateReport:
     """For ell-bit plaintexts: Pr[b = b'] <= 2^-ell + 2 sqrt(eps)."""
-    rep = col_equivocation_rate(scheme, h, tol=tol)
+    rep = col_equivocation_rate(scheme, h)
     same = 1.0 - rep.rate
     upper = 2.0**-scheme.ell + 2 * math.sqrt(rep.epsilon)
-    if same > upper + tol:
+    if same > upper + TOL:
         raise AssertionError(f"same-plaintext rate {same} above 2^-ell + 2 sqrt(eps) = {upper}")
     return StringRateReport(collision_rate=same, epsilon=rep.epsilon, upper_bound=upper)
 

@@ -116,25 +116,17 @@ def lazy_online(family: HashFamily) -> OnlineGenerator:
                            (family.m, family.n), block)
 
 
-def skewed_online(family: HashFamily, fixed_bits: int = 1) -> OnlineGenerator:
-    """Honest on a biased seed: the top ``fixed_bits`` of x are forced to 0,
-    skewing the first block away from the honest law."""
-    mask = 2 ** max(family.n - fixed_bits, 0) - 1
+def skewed_online(family: HashFamily) -> OnlineGenerator:
+    """Honest on a biased seed: the top bit of x is forced to 0, skewing
+    the first block away from the honest law."""
+    mask = 2 ** max(family.n - 1, 0) - 1
 
     def block(h, coins):
         u = coins[0] & mask
         return h(u) if len(coins) == 1 else u
 
-    return OnlineGenerator(f"skewed{fixed_bits}", family.functions,
+    return OnlineGenerator("skewed1", family.functions,
                            (2**family.n, 1), (family.m, family.n), block)
-
-
-def cheating_length_online(family: HashFamily) -> OnlineGenerator:
-    """Emits an out-of-range second block; never consistent."""
-    def block(h, coins):
-        return h(coins[0]) if len(coins) == 1 else coins[0] + 2**family.n
-    return OnlineGenerator("cheating-length", family.functions, (2**family.n, 1),
-                           (family.m, family.n + 1), block)
 
 
 def mismatched_online(family: HashFamily) -> OnlineGenerator:
@@ -249,17 +241,13 @@ class DivergenceCheck:
     depends_only_on_y: bool | None = None
 
 
-def first_block_kl(gt: OnlineGenerator, family: HashFamily) -> DivergenceCheck:
+def _first_block_kl(adv: RewindingAdversary, gap: float) -> DivergenceCheck:
     """E_h D(X1 || uniform), which the gap upper-bounds.
 
     Computed directly as an average divergence and again as
     n - E_h H(X1); the routes must agree to 1e-9 and the value must stay
     at or below the measured entropy gap.
     """
-    return _first_block_kl(RewindingAdversary(gt, family), entropy_gap(gt, family))
-
-
-def _first_block_kl(adv: RewindingAdversary, gap: float) -> DivergenceCheck:
     family = adv.family
     uniform = Dist.uniform(input_domain(family.n))
     per_h = {}
@@ -279,17 +267,13 @@ def _first_block_kl(adv: RewindingAdversary, gap: float) -> DivergenceCheck:
     return DivergenceCheck(direct, via_entropy, gap, per_h)
 
 
-def second_block_kl(gt: OnlineGenerator, family: HashFamily) -> DivergenceCheck:
+def _second_block_kl(adv: RewindingAdversary, gap: float) -> DivergenceCheck:
     """E_{h, x1} D(X2 | x1  ||  uniform over h^-1(h(x1))).
 
     Also records whether the conditional law of x2 depends only on
     y = h(x1) (it does for the ideal generator, and can fail for
     degenerate ones); the gap bound holds either way.
     """
-    return _second_block_kl(RewindingAdversary(gt, family), entropy_gap(gt, family))
-
-
-def _second_block_kl(adv: RewindingAdversary, gap: float) -> DivergenceCheck:
     family = adv.family
     per_h = {}
     total = 0.0
@@ -314,11 +298,6 @@ def _second_block_kl(adv: RewindingAdversary, gap: float) -> DivergenceCheck:
     if total > gap + TOL:
         raise AssertionError(f"second-block KL {total} exceeds gap {gap}")
     return DivergenceCheck(total, total, gap, per_h, depends_only_on_y=y_only)
-
-
-def entropy_gap(gt: OnlineGenerator, family: HashFamily) -> float:
-    """n minus the generator's accessible entropy (not clamped)."""
-    return family.n - accessible_entropy(gt)
 
 
 # ------------------------------------------------------------------- gap report
@@ -395,12 +374,3 @@ def gap_bound_report(gt: OnlineGenerator, family: HashFamily,
         depends_only_on_y=c2.depends_only_on_y,
         tol=tol,
     )
-
-
-def threshold_consistency(report: GapReport, p_inv: float, tol: float = TOL) -> bool:
-    """Pure threshold arithmetic: with q = 4 p^2, a gap at or below 1/q
-    forces the bound to at most 2 sqrt(1/q) = 1/p."""
-    q_inv = p_inv**2 / 4
-    if report.gap <= q_inv:
-        return report.bound <= p_inv + tol
-    return True

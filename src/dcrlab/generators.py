@@ -19,8 +19,6 @@ to 1e-9, which checks the textbook identities the accounting rests on.
 
 import itertools
 import math
-import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -83,25 +81,19 @@ class BlockGenerator:
         return frozenset(self.output_dist(z).support())
 
 
-def real_sample_entropy(g: BlockGenerator, z, y_prefix: Sequence) -> float:
-    """sum_j H_{Y_j | Z, Y_<j}(y_j | z, y_<j) for an output prefix.
-
-    Each term is -log2 of the conditional probability of block j given the
-    earlier blocks, under the exact law of g(z, uniform seed).
-    """
-    return _sample_entropy_of(g, z)(tuple(y_prefix))
-
-
 def _sample_entropy_of(g: BlockGenerator, z) -> Callable[[tuple], float]:
-    """``real_sample_entropy`` for one z, reading the count of every output
-    prefix from one pass over the law."""
+    """For one z, the map from an output prefix to its real sample-entropy
+    sum_j H_{Y_j | Z, Y_<j}(y_j | z, y_<j): each term is -log2 of the
+    conditional probability of block j given the earlier blocks, under the
+    exact law of g(z, uniform seed).  The count of every output prefix is
+    read from one pass over the law."""
     law = g.output_dist(z)
     prefix_counts: dict[tuple, int] = {}
     for y, c in law.counts.items():
         for j in range(1, len(y) + 1):
             prefix_counts[y[:j]] = prefix_counts.get(y[:j], 0) + c
 
-    def sample_entropy(prefix: tuple) -> float:
+    def prefix_entropy(prefix: tuple) -> float:
         total = 0.0
         prev = law.denominator
         for j in range(1, len(prefix) + 1):
@@ -112,7 +104,7 @@ def _sample_entropy_of(g: BlockGenerator, z) -> Callable[[tuple], float]:
             prev = cur
         return total
 
-    return sample_entropy
+    return prefix_entropy
 
 
 def real_entropy(g: BlockGenerator) -> float:
@@ -134,31 +126,13 @@ def real_entropy(g: BlockGenerator) -> float:
 
     via_samples = 0.0
     for z, law in zip(g.param_space, laws):
-        sample_entropy = _sample_entropy_of(g, z)
+        prefix_entropy = _sample_entropy_of(g, z)
         for y, c in law.counts.items():
-            via_samples += c / law.denominator / k * sample_entropy(y)
+            via_samples += c / law.denominator / k * prefix_entropy(y)
     if abs(via_cond - via_samples) > ROUTE_TOL:
         raise AssertionError(
             f"real-entropy routes disagree: {via_cond} vs {via_samples}")
     return via_cond
-
-
-def real_min_entropy_check(g: BlockGenerator, block: int, k_bits: float,
-                           fail_prob: float) -> tuple[float, bool]:
-    """Diagnostic: Pr[(z,y)] that block ``block`` has sample-entropy < k_bits.
-
-    Returns the measured probability and whether it stays at or below the
-    supplied failure threshold.
-    """
-    kparams = len(g.param_space)
-    bad = 0.0
-    for z in g.param_space:
-        sample_entropy = _sample_entropy_of(g, z)
-        for y, p in g.output_dist(z).items():
-            h_terms = sample_entropy(y[: block + 1]) - (sample_entropy(y[:block]) if block else 0.0)
-            if h_terms < k_bits:
-                bad += float(p) / kparams
-    return bad, bad <= fail_prob
 
 
 # ------------------------------------------------------------ online generators
@@ -223,48 +197,6 @@ class OnlineGenerator:
         return itertools.product(*(range(v) for v in self.coin_spaces[:upto]))
 
 
-@dataclass(frozen=True)
-class Transcript:
-    """One execution record: (z, r_1, y_1, ..., r_m, y_m)."""
-
-    z: object
-    coins: tuple
-    blocks: tuple
-
-
-def sample_transcript(gt: OnlineGenerator, rand: random.Random) -> Transcript:
-    z = gt.param_space[rand.randrange(len(gt.param_space))]
-    coins: list[int] = []
-    blocks = []
-    for i in range(gt.m_blocks):
-        coins.append(rand.randrange(gt.coin_spaces[i]))
-        blocks.append(gt.block(z, coins))
-    return Transcript(z=z, coins=tuple(coins), blocks=tuple(blocks))
-
-
-def validate_transcript(gt: OnlineGenerator, t: Transcript) -> bool:
-    """Every recorded block must be recomputable from z and its coin prefix."""
-    if len(t.coins) != gt.m_blocks or len(t.blocks) != gt.m_blocks:
-        return False
-    return all(
-        gt.block(t.z, t.coins[: i + 1]) == t.blocks[i] for i in range(gt.m_blocks)
-    )
-
-
-def accessible_sample_entropy(gt: OnlineGenerator, t: Transcript) -> float:
-    """sum_i H_{Y_i | Z, R_<i}(y_i | z, r_<i) for one transcript."""
-    if not validate_transcript(gt, t):
-        raise GeneratorError("invalid transcript")
-    total = 0.0
-    for i in range(gt.m_blocks):
-        law = gt.block_law(t.z, t.coins[:i])
-        p = law.prob(t.blocks[i])
-        if p <= 0:
-            raise SupportError("transcript block outside its conditional law")
-        total += -log2_number(p)
-    return total
-
-
 def accessible_entropy(gt: OnlineGenerator) -> float:
     """sum_i H(Y_i | Z, R_{<i}), parameters and coins uniform.
 
@@ -317,32 +249,3 @@ def check_consistent(gt: OnlineGenerator, g: BlockGenerator) -> bool:
     if gt.param_space != g.param_space or gt.m_blocks != g.m_blocks:
         return False
     return all(online_support(gt, z) <= g.support(z) for z in g.param_space)
-
-
-# ----------------------------------------------------------------- toy builders
-
-def identity_generator(seed_bits: int) -> BlockGenerator:
-    """One block: G(z, x) = x."""
-    return BlockGenerator("identity", (0,), seed_bits, (seed_bits,), lambda z, x: (x,))
-
-
-def constant_generator(seed_bits: int, out_bits: int = 1) -> BlockGenerator:
-    return BlockGenerator("constant", (0,), seed_bits, (out_bits,), lambda z, x: (0,))
-
-
-def xor_generator(bits: int) -> BlockGenerator:
-    """One block: G(z, x) = x xor z with matching parameter and seed length."""
-    return BlockGenerator("xor-mask", tuple(range(2**bits)), bits, (bits,),
-                          lambda z, x: (z ^ x,))
-
-
-def coin_echo_online(m_blocks: int, coin_bits: int = 1) -> OnlineGenerator:
-    """Emits its own fresh coins: y_i = r_i."""
-    return OnlineGenerator("coin-echo", (0,), (2**coin_bits,) * m_blocks,
-                           (coin_bits,) * m_blocks, lambda z, coins: coins[-1])
-
-
-def silent_online(m_blocks: int, coin_bits: int = 1) -> OnlineGenerator:
-    """Ignores its coins entirely: y_i = 0."""
-    return OnlineGenerator("silent", (0,), (2**coin_bits,) * m_blocks,
-                           (1,) * m_blocks, lambda z, coins: 0)

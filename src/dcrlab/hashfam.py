@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -89,9 +89,6 @@ class HashFamily:
         self.n = n
         self.m = m
         self.functions = tuple(functions)
-
-    def sample(self, rng: np.random.Generator) -> HashFunction:
-        return self.functions[int(rng.integers(len(self.functions)))]
 
     def __iter__(self):
         return iter(self.functions)
@@ -195,7 +192,7 @@ def input_domain(n: int) -> tuple[int, ...]:
 @lru_cache(maxsize=64)
 def pair_domain(n: int) -> tuple[tuple[int, int], ...]:
     """The shared domain tuple for ({0,1}^n)^2."""
-    _check_cap(2 * n, 2 * ENUM_CAP_HARD)
+    _check_cap(2 * n, ENUM_CAP_HARD)
     side = range(2**n)
     return tuple((x1, x2) for x1 in side for x2 in side)
 
@@ -293,21 +290,6 @@ class DiagonalAdversary(Adversary):
         return tape, tape
 
 
-class FunctionAdversary(Adversary):
-    """Wraps an arbitrary (h, tape) -> pair map over 2^t tapes."""
-
-    def __init__(self, name: str, tape_bits: int, fn: Callable[[HashFunction, int], tuple[int, int]]):
-        self.name = name
-        self.tape_bits = tape_bits
-        self.fn = fn
-
-    def tape_space(self, h):
-        return 2**self.tape_bits
-
-    def run(self, h, tape):
-        return self.fn(h, tape)
-
-
 def adversary_distribution(
     a: Adversary,
     h: HashFunction,
@@ -372,25 +354,17 @@ class GameReport:
     mode: str = "exact"
     samples: int = 0
     ci_half_width: float = 0.0
-    p_inv: float | None = None
     joint_equality_gap: float = 0.0
 
-    @property
-    def beats_threshold(self) -> bool | None:
-        """Whether the measured distance stays below the 1/p threshold."""
-        if self.p_inv is None:
-            return None
-        return self.distance <= self.p_inv
 
-
-def mc_ci_half_width(samples: int, domain_size: int, confidence: float = 0.99) -> float:
+def mc_ci_half_width(samples: int, domain_size: int) -> float:
     """99% half-width for the empirical-TV estimate.
 
     McDiarmid controls deviation of the estimator from its mean
     (sqrt(ln(2/d)/2N)); the empirical-measure bias is bounded by
     (1/2) sqrt(|domain|/N).
     """
-    delta = 1 - confidence
+    delta = 1 - 0.99  # one minus the confidence, not 0.01: the floats differ
     return math.sqrt(math.log(2 / delta) / (2 * samples)) + 0.5 * math.sqrt(domain_size / samples)
 
 
@@ -400,7 +374,6 @@ def dcrh_distance(
     mode: str = "exact",
     samples: int = 0,
     rng: np.random.Generator | None = None,
-    p_inv: float | None = None,
 ) -> GameReport:
     """E_h TV(A(h), Col(h)) over the family's enumerated key space.
 
@@ -430,15 +403,14 @@ def dcrh_distance(
         joint_delta = Fraction(l1, 2 * d_adv * d_col)
         gap = abs(float(joint_delta) - float(distance))
         report = GameReport(family.name, a.name, float(distance), per_h, "exact",
-                            p_inv=p_inv, joint_equality_gap=gap)
+                            joint_equality_gap=gap)
         if gap > 1e-12:
             raise AssertionError(f"joint and per-key game values disagree by {gap}")
         return report
     domain_size = max(len(adv.support()) + len(col_distribution(family.functions[i]).support())
                       for i, adv, _ in dists)
     return GameReport(family.name, a.name, float(distance), per_h, "monte-carlo",
-                      samples=samples, ci_half_width=mc_ci_half_width(samples, domain_size),
-                      p_inv=p_inv)
+                      samples=samples, ci_half_width=mc_ci_half_width(samples, domain_size))
 
 
 def _tag(d: Dist, idx: int) -> Dist:

@@ -17,7 +17,6 @@ contained in ``supp(q)`` are applied throughout.
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterable, Mapping
@@ -199,21 +198,6 @@ class Dist:
         kind = "float" if self._den is None else "exact"
         return f"Dist({len(self._mass)} outcomes of {len(self._domain)}, {kind})"
 
-    def map(self, f: Callable[[Outcome], Outcome]) -> "Dist":
-        """Pushforward of the distribution along f."""
-        out: dict[Outcome, Number] = {}
-        for x, p in self._mass.items():
-            y = f(x)
-            out[y] = out.get(y, 0) + p
-        return Dist(out, denominator=self._den)
-
-    def condition(self, pred: Callable[[Outcome], bool]) -> "Dist":
-        kept = {x: p for x, p in self._mass.items() if pred(x)}
-        total = sum(kept.values())
-        if total == 0:
-            raise SupportError("conditioning event has probability zero")
-        return self._rescaled(kept, total)
-
     def _rescaled(self, part: dict, total: Number) -> "Dist":
         """The law of part of this law's mass, of total ``total``, scaled to
         mass one."""
@@ -315,14 +299,6 @@ def shannon_entropy(p: Dist) -> float:
     return sum(float(px) * -log2_number(px) for _, px in p.items())
 
 
-def sample_entropy(p: Dist, x: Outcome) -> float:
-    """log2(1 / p(x)); raises SupportError off the support."""
-    px = p.prob(x)
-    if px <= 0:
-        raise SupportError(f"outcome {x!r} not in support; sample-entropy undefined")
-    return -log2_number(px)
-
-
 def cond_entropy(j: JointDist) -> float:
     """H(X | Y) = H(X, Y) - H(Y) for a joint law over (x, y) pairs."""
     return shannon_entropy(j) - shannon_entropy(j.marginal(1))
@@ -377,50 +353,16 @@ def pinsker_check(p: Dist, q: Dist) -> tuple[float, float]:
     return tv, bound
 
 
-def jensen_log2_check(values: Iterable[float], weights: Iterable[Number] | None = None) -> tuple[float, float]:
-    """(E[log2 X], log2 E[X]) for positive samples; concavity gives <=."""
+def jensen_log2_check(values: Iterable[float]) -> tuple[float, float]:
+    """(E[log2 X], log2 E[X]) for positive samples, uniformly weighted;
+    concavity gives <=."""
     vals = [float(v) for v in values]
     if any(v <= 0 for v in vals):
         raise ValueError("samples must be positive")
-    if weights is None:
-        w = [1.0 / len(vals)] * len(vals)
-    else:
-        w = [float(x) for x in weights]
-        s = sum(w)
-        w = [x / s for x in w]
-    e_log = sum(wi * math.log2(v) for wi, v in zip(w, vals))
-    log_e = math.log2(sum(wi * v for wi, v in zip(w, vals)))
+    w = 1.0 / len(vals)
+    e_log = sum(w * math.log2(v) for v in vals)
+    log_e = math.log2(sum(w * v for v in vals))
     return e_log, log_e
-
-
-@dataclass(frozen=True)
-class EntropyReport:
-    """Summary of the four basic quantities for a (p, q, joint) triple."""
-
-    shannon: float
-    conditional: float
-    kl: float
-    tv: float
-
-    def __post_init__(self):
-        if not 0 <= self.tv <= 1 + FLOAT_TOL:
-            raise ValueError(f"tv {self.tv} outside [0, 1]")
-        if self.kl < -FLOAT_TOL:
-            raise ValueError(f"kl {self.kl} negative")
-        if self.shannon < -FLOAT_TOL:
-            raise ValueError(f"shannon {self.shannon} negative")
-
-
-def entropy_report(p: Dist, q: Dist, joint: JointDist) -> EntropyReport:
-    report = EntropyReport(
-        shannon=shannon_entropy(p),
-        conditional=cond_entropy(joint),
-        kl=kl_divergence(p, q),
-        tv=float(stat_distance(p, q)),
-    )
-    if report.shannon > math.log2(len(p)) + FLOAT_TOL:
-        raise ValueError(f"shannon {report.shannon} above log2 of the domain size")
-    return report
 
 
 def mixture(components: Iterable[tuple[Number, Dist]]) -> Dist:

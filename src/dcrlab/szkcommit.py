@@ -246,13 +246,6 @@ def _random_partition(rng, total: int, groups: int) -> list[list[int]]:
 
 # ------------------------------------------------------------ ideal WI verdict
 
-def sampler_matches(ledger: dict, sigma: dict, sent: dict, problem: TablePromiseProblem,
-                    n: int) -> list[bool]:
-    """Per slot, in ``slot_list`` order: does the sent instance match the
-    sampler on the committed-and-revealed coins?"""
-    return [sent[slot] == problem.sample(ledger[slot] ^ sigma[slot], n) for slot in slot_list(n)]
-
-
 def wi_statement_true(matches: Sequence[bool]) -> bool:
     """The statement the ideal proof evaluates and whose verdict alone it
     reveals: there is a column b whose every sent instance matches the
@@ -281,8 +274,6 @@ class ProtocolSession:
         self.problem = problem
         self.slots = slot_list(n)
         self.phase = "coin-toss"
-        self.ledger: dict = {}
-        self.sigma: dict = {}
         self.r: dict = {}
         self.instances: dict = {}
         self.wi_verdict: bool | None = None
@@ -303,9 +294,7 @@ class ProtocolSession:
         reveals its own; the receiver-side joint coins r = rho xor sigma are
         fixed here."""
         self._need_phase("coin-toss")
-        self.sigma = dict(sigma)
         for idx, slot in enumerate(self.slots):
-            self.ledger[slot] = rho[slot]
             self._record("coin-toss", idx, ("sbc", slot))
         for idx, slot in enumerate(self.slots):
             self._record("coin-toss", len(self.slots) + idx, sigma[slot])
@@ -319,12 +308,14 @@ class ProtocolSession:
         consistent; the verdict-only proof reveals nothing else."""
         self._need_phase("instance-gen")
         substitutions = substitutions or {}
+        matches = []
         for idx, slot in enumerate(self.slots):
+            # r = rho xor sigma: the sampler on the committed-and-revealed coins.
             honest = self.problem.sample(self.r[slot], self.n)
             self.instances[slot] = substitutions.get(slot, honest)
+            matches.append(self.instances[slot] == honest)
             self._record("instance-gen", idx, self.instances[slot])
-        self.wi_verdict = wi_statement_true(sampler_matches(
-            self.ledger, self.sigma, self.instances, self.problem, self.n))
+        self.wi_verdict = wi_statement_true(matches)
         self._record("instance-gen", len(self.slots), self.wi_verdict)
         self.phase = "commit" if self.wi_verdict else "done"
         return self
@@ -407,17 +398,6 @@ class ReceiverSpec:
     rho: dict
     substitute: Callable[[tuple, Instance], Instance] | None = None
 
-    def substitutions(self, session: ProtocolSession) -> dict:
-        if self.substitute is None:
-            return {}
-        subs = {}
-        for slot in session.slots:
-            honest = session.problem.sample(session.r[slot], session.n)
-            replaced = self.substitute(slot, honest)
-            if replaced != honest:
-                subs[slot] = replaced
-        return subs
-
 
 def honest_receiver(n: int, rho_seed: int = 0) -> ReceiverSpec:
     """Coin shares read off a seed integer, n bits per slot."""
@@ -471,8 +451,9 @@ def hiding_experiment(r_spec: ReceiverSpec, n: int, problem: TablePromiseProblem
 
     The enumeration is exact without a session per preamble: the receiver
     is deterministic and what it sends in slot s depends only on sigma_s.
-    One session per constant share vector sigma = (v, ..., v) therefore
-    yields, for every slot, its facts at share value v.  Each slot's row
+    At share value v, slot s sends substitute(s, sample(rho_s xor v)) and
+    matches the sampler iff that is the honest instance, so each slot's
+    facts come from its own 2^n share values.  Each slot's row
     keeps {(label, eps numerator over L, match): multiplicity}, L the lcm
     of the row epsilons' denominators, and the product of the rows is
     walked once per distinct combination of facts: the inadmissible
@@ -486,14 +467,11 @@ def hiding_experiment(r_spec: ReceiverSpec, n: int, problem: TablePromiseProblem
     still passes it.
     """
     facts = [Counter() for _ in slot_list(n)]  # (label, eps, match): multiplicity
-    for v in range(2**n):
-        session = ProtocolSession(n, problem)
-        session.coin_toss_phase(r_spec.rho, {slot: v for slot in session.slots})
-        session.instance_gen_phase(substitutions=r_spec.substitutions(session))
-        matches = sampler_matches(session.ledger, session.sigma, session.instances, problem, n)
-        for row, slot, match in zip(facts, session.slots, matches):
-            inst = session.instances[slot]
-            row[problem.classify(inst), idc_epsilon(inst), match] += 1
+    for row, slot in zip(facts, slot_list(n)):
+        for v in range(2**n):
+            honest = problem.sample(r_spec.rho[slot] ^ v, n)
+            sent = honest if r_spec.substitute is None else r_spec.substitute(slot, honest)
+            row[problem.classify(sent), idc_epsilon(sent), sent == honest] += 1
     lcm = math.lcm(*(eps.denominator for row in facts for _, eps, _ in row))
     rows = [Counter({(label, eps.numerator * (lcm // eps.denominator), match): count
                      for (label, eps, match), count in row.items()}) for row in facts]
@@ -547,18 +525,6 @@ class SenderAttack:
         """The slot the second opening re-opens, or None to open honestly
         twice.  ``flippable[j]``: slot j's commitment opens to the other bit."""
         return None
-
-
-class HonestSenderAttack(SenderAttack):
-    """Commits to a fixed bit and opens it twice; never equivocates."""
-
-    name = "honest"
-
-    def __init__(self, m: int = 0):
-        self.m = m
-
-    def choose_commitments(self, tape, slots):
-        return derive_shares(self.m, 0, slots), {slot: 0 for slot in slots}
 
 
 class EquivocatingSenderAttack(SenderAttack):
@@ -621,22 +587,23 @@ def break_probability(s_star: SenderAttack, n: int, problem: TablePromiseProblem
 
 @dataclass
 class HybridReport:
-    """Exact Pr[E] per hybrid stage plus the slack budget between stages."""
+    """Exact Pr[E] per hybrid stage and the break probability eps*.
+
+    The ideal share commitment and proof leave no slack between stages, so
+    stages 1, 2 and 3 must agree to ``TOL``."""
 
     pr_e: dict
     eps_star: Fraction
-    sbc_slack: float
-    wi_slack: float
     n: int
 
-    def check(self, tol: float = TOL) -> None:
+    def check(self) -> None:
         if self.pr_e[0] != self.pr_e[1]:
             raise AssertionError("stage 0 and 1 must agree exactly")
         if self.pr_e[3] != self.pr_e[4]:
             raise AssertionError("stage 3 and 4 must agree exactly")
-        if abs(float(self.pr_e[1] - self.pr_e[2])) > self.sbc_slack + tol:
+        if abs(float(self.pr_e[1] - self.pr_e[2])) > TOL:
             raise AssertionError("stage 1 vs 2 exceeds the share-commitment slack")
-        if abs(float(self.pr_e[2] - self.pr_e[3])) > self.wi_slack + tol:
+        if abs(float(self.pr_e[2] - self.pr_e[3])) > TOL:
             raise AssertionError("stage 2 vs 3 exceeds the proof slack")
         if self.pr_e[4] < self.eps_star / (2 * self.n):
             raise AssertionError("final stage below eps*/(2n)")
@@ -694,8 +661,6 @@ def hybrid_sweep(s_star: SenderAttack, n: int, problem: TablePromiseProblem) -> 
     report = HybridReport(
         pr_e=pr_e,
         eps_star=break_probability(s_star, n, problem),
-        sbc_slack=0.0,
-        wi_slack=0.0,
         n=n,
     )
     report.check()

@@ -22,7 +22,7 @@ def test_criterion_1_real_entropy_equals_n():
 
 
 def test_criterion_2_gap_bound_sweep_full():
-    result = acceptance.criterion_gap_sweep(SEED, max_n=8, num_keys=4)
+    result = acceptance.criterion_gap_sweep(SEED, ns=range(2, 9), num_keys=4)
     _check(result)
     assert result.elapsed < 600
 

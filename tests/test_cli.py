@@ -49,6 +49,14 @@ def test_empty_range_exits_2_and_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "gap_sweep.csv").exists()
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_entropy_without_trials_exits_2_and_writes_nothing(tmp_path, capsys, trials):
+    code = main(["entropy", "--trials", trials, "--out", str(tmp_path)])
+    assert code == 2
+    assert "error: trials must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "entropy_identities.csv").exists()
+
+
 def test_enumeration_cap_exits_2(tmp_path, capsys):
     code = main(["dcrh-game", "--n", "15", "--out", str(tmp_path)])
     assert code == 2
@@ -126,6 +134,24 @@ def test_dcrh_game_bound_violation_exits_1(tmp_path, capsys, monkeypatch):
     code = main(["dcrh-game", "--n", "2..2", "--num-keys", "1", "--out", str(tmp_path)])
     assert code == 1
     assert "bound violation: injected violation" in capsys.readouterr().err
+
+
+def test_gap_sweep_bound_violation_exits_1(tmp_path, capsys, monkeypatch):
+    import dcrlab.entropy_gap
+
+    monkeypatch.setattr(dcrlab.entropy_gap, "gap_bound_report", _raise_bound_violation)
+    code = main(["gap-sweep", "--n", "2..2", "--num-keys", "1", "--out", str(tmp_path)])
+    assert code == 1
+    assert "criterion 2 [FAIL]" in capsys.readouterr().out
+
+
+def test_gap_sweep_headline_failure_exits_1(tmp_path, capsys, monkeypatch):
+    import dcrlab.entropy_gap
+
+    monkeypatch.setattr(dcrlab.entropy_gap.GapReport, "headline_ok", False)
+    code = main(["gap-sweep", "--n", "2..2", "--num-keys", "1", "--out", str(tmp_path)])
+    assert code == 1
+    assert "headline bound fails" in capsys.readouterr().out
 
 
 def test_commit_reduce_bound_violation_exits_1(tmp_path, capsys, monkeypatch):

@@ -1,26 +1,31 @@
 """The distance-vs-entropy-gap chain, checked link by link."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from dcrlab.entropy_gap import (
+    TOL,
     ConsistencyError,
     RewindingAdversary,
+    _first_block_kl,
+    _second_block_kl,
     build_two_block_generator,
-    cheating_length_online,
     collision_rate,
     consistent_suite,
-    first_block_kl,
     gap_bound_report,
     honest_online,
     ideal_online,
     lazy_online,
     mismatched_online,
-    second_block_kl,
-    threshold_consistency,
 )
-from dcrlab.generators import accessible_entropy, check_consistent, real_entropy
+from dcrlab.generators import (
+    OnlineGenerator,
+    accessible_entropy,
+    check_consistent,
+    real_entropy,
+)
 from dcrlab.hashfam import (
     HashFamily,
     HashFunction,
@@ -37,6 +42,24 @@ from dcrlab.probkit import stat_distance
 def parity_family(n=2) -> HashFamily:
     table = tuple(bin(x).count("1") % 2 for x in range(2**n))
     return HashFamily("parity", [HashFunction(n=n, m=1, table=table, key="p")])
+
+
+def cheating_length_online(family: HashFamily) -> OnlineGenerator:
+    """Emits an out-of-range second block; never consistent."""
+    def block(h, coins):
+        return h(coins[0]) if len(coins) == 1 else coins[0] + 2**family.n
+    return OnlineGenerator("cheating-length", family.functions, (2**family.n, 1),
+                           (family.m, family.n + 1), block)
+
+
+def kl1_check(gt, family):
+    """``_first_block_kl`` of the rewound generator against its entropy gap."""
+    return _first_block_kl(RewindingAdversary(gt, family), family.n - accessible_entropy(gt))
+
+
+def kl2_check(gt, family):
+    """``_second_block_kl`` of the rewound generator against its entropy gap."""
+    return _second_block_kl(RewindingAdversary(gt, family), family.n - accessible_entropy(gt))
 
 
 # ------------------------------------------------------------ two-block builder
@@ -135,39 +158,39 @@ def test_collision_rate_is_one_for_consistent_suite():
 
 def test_first_block_kl_ideal_is_zero():
     fam = uniform_random_family(3, 2, num_keys=2, seed=1)
-    chk = first_block_kl(ideal_online(fam), fam)
+    chk = kl1_check(ideal_online(fam), fam)
     assert chk.value == pytest.approx(0, abs=1e-9)
 
 
 def test_first_block_kl_honest_on_constant_is_zero():
     fam = constant_family(3, 3, num_keys=2, seed=4)
-    chk = first_block_kl(honest_online(fam), fam)
+    chk = kl1_check(honest_online(fam), fam)
     assert chk.value == pytest.approx(0, abs=1e-9)
 
 
 def test_first_block_kl_lazy_identity_equals_gap():
     fam = identity_family(3)
-    chk = first_block_kl(lazy_online(fam), fam)
+    chk = kl1_check(lazy_online(fam), fam)
     assert chk.value == pytest.approx(3, abs=1e-9)
     assert chk.gap == pytest.approx(3, abs=1e-9)
 
 
 def test_second_block_kl_ideal_zero_and_y_dependent():
     fam = uniform_random_family(3, 2, num_keys=2, seed=3)
-    chk = second_block_kl(ideal_online(fam), fam)
+    chk = kl2_check(ideal_online(fam), fam)
     assert chk.value == pytest.approx(0, abs=1e-9)
     assert chk.depends_only_on_y is True
 
 
 def test_second_block_kl_honest_parity_one_bit():
-    chk = second_block_kl(honest_online(parity_family()), parity_family())
+    chk = kl2_check(honest_online(parity_family()), parity_family())
     assert chk.value == pytest.approx(1, abs=1e-9)
 
 
 def test_second_block_kl_identity_always_zero():
     fam = identity_family(3)
     for gt in consistent_suite(fam):
-        assert second_block_kl(gt, fam).value == pytest.approx(0, abs=1e-9)
+        assert kl2_check(gt, fam).value == pytest.approx(0, abs=1e-9)
 
 
 # ------------------------------------------------------------------ gap reports
@@ -206,14 +229,18 @@ def test_gap_report_sweep_small():
 
 
 def test_threshold_arithmetic():
+    # With q = 4 p^2, a gap at or below 1/q forces the bound to at most
+    # 2 sqrt(1/q) = 1/p.
     fam = identity_family(3)
     rep = gap_bound_report(ideal_online(fam), fam)
     # Zero gap: any positive threshold passes, including very tight ones.
-    assert threshold_consistency(rep, p_inv=0.01)
-    assert threshold_consistency(rep, p_inv=0.5)
+    for p_inv in (0.01, 0.5):
+        assert rep.gap <= p_inv**2 / 4
+        assert rep.bound <= p_inv + TOL
     rep_lazy = gap_bound_report(lazy_online(fam), fam)
     # Gap 3 is far above 1/q for p_inv = 0.5, so the implication is vacuous.
-    assert threshold_consistency(rep_lazy, p_inv=0.5)
+    assert rep_lazy.gap > 0.5**2 / 4
+    assert rep_lazy.bound <= 2 * math.sqrt(rep_lazy.gap) + TOL
 
 
 def test_csv_row_format():

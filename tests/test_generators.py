@@ -1,32 +1,46 @@
 """Entropy accounting for block and online generators."""
 
-import random
-from fractions import Fraction
-
 import pytest
 
 from dcrlab.generators import (
     BlockGenerator,
     GeneratorError,
     OnlineGenerator,
-    Transcript,
+    _sample_entropy_of,
     accessible_entropy,
-    accessible_sample_entropy,
     check_consistent,
-    coin_echo_online,
-    constant_generator,
-    identity_generator,
     online_support,
     real_entropy,
-    real_min_entropy_check,
-    real_sample_entropy,
-    sample_transcript,
-    silent_online,
-    validate_transcript,
-    xor_generator,
 )
 
 PARITY = (0, 1, 1, 0)  # truth table of 2-bit parity
+
+
+def identity_generator(seed_bits: int) -> BlockGenerator:
+    """One block: G(z, x) = x."""
+    return BlockGenerator("identity", (0,), seed_bits, (seed_bits,), lambda z, x: (x,))
+
+
+def constant_generator(seed_bits: int, out_bits: int = 1) -> BlockGenerator:
+    return BlockGenerator("constant", (0,), seed_bits, (out_bits,), lambda z, x: (0,))
+
+
+def xor_generator(bits: int) -> BlockGenerator:
+    """One block: G(z, x) = x xor z with matching parameter and seed length."""
+    return BlockGenerator("xor-mask", tuple(range(2**bits)), bits, (bits,),
+                          lambda z, x: (z ^ x,))
+
+
+def coin_echo_online(m_blocks: int, coin_bits: int = 1) -> OnlineGenerator:
+    """Emits its own fresh coins: y_i = r_i."""
+    return OnlineGenerator("coin-echo", (0,), (2**coin_bits,) * m_blocks,
+                           (coin_bits,) * m_blocks, lambda z, coins: coins[-1])
+
+
+def silent_online(m_blocks: int, coin_bits: int = 1) -> OnlineGenerator:
+    """Ignores its coins entirely: y_i = 0."""
+    return OnlineGenerator("silent", (0,), (2**coin_bits,) * m_blocks,
+                           (1,) * m_blocks, lambda z, coins: 0)
 
 
 def parity_two_block() -> BlockGenerator:
@@ -45,21 +59,20 @@ def honest_wrap_parity() -> OnlineGenerator:
 # ------------------------------------------------------------------ real entropy
 
 def test_real_sample_entropy_identity():
-    g = identity_generator(3)
+    sample_entropy = _sample_entropy_of(identity_generator(3), 0)
     for x in range(8):
-        assert real_sample_entropy(g, 0, ((x,))) == pytest.approx(3, abs=1e-12)
+        assert sample_entropy((x,)) == pytest.approx(3, abs=1e-12)
 
 
 def test_real_sample_entropy_constant():
-    g = constant_generator(3)
-    assert real_sample_entropy(g, 0, (0,)) == 0.0
+    assert _sample_entropy_of(constant_generator(3), 0)((0,)) == 0.0
 
 
 def test_real_sample_entropy_parity_prefix():
-    g = parity_two_block()
+    sample_entropy = _sample_entropy_of(parity_two_block(), 0)
     # First block carries 1 bit; the seed given parity 0 carries 1 more.
-    assert real_sample_entropy(g, 0, (0,)) == pytest.approx(1, abs=1e-12)
-    assert real_sample_entropy(g, 0, (0, 0)) == pytest.approx(2, abs=1e-12)
+    assert sample_entropy((0,)) == pytest.approx(1, abs=1e-12)
+    assert sample_entropy((0, 0)) == pytest.approx(2, abs=1e-12)
 
 
 def test_real_entropy_toy_generators():
@@ -69,62 +82,12 @@ def test_real_entropy_toy_generators():
     assert real_entropy(parity_two_block()) == pytest.approx(2, abs=1e-12)
 
 
-def test_real_min_entropy_diagnostic():
-    g = parity_two_block()
-    # Block 0 always has sample-entropy exactly 1.
-    prob, ok = real_min_entropy_check(g, block=0, k_bits=0.5, fail_prob=0.0)
-    assert prob == 0.0 and ok
-    prob, ok = real_min_entropy_check(g, block=0, k_bits=1.5, fail_prob=0.0)
-    assert prob == 1.0 and not ok
-
-
-# ------------------------------------------------------------------- transcripts
-
-def test_sample_and_validate_transcript():
-    gt = honest_wrap_parity()
-    rand = random.Random(42)
-    for _ in range(50):
-        t = sample_transcript(gt, rand)
-        assert validate_transcript(gt, t)
-        assert t.blocks[0] == PARITY[t.blocks[1]]
-
-
-def test_validate_rejects_tampered_transcript():
-    gt = honest_wrap_parity()
-    t = sample_transcript(gt, random.Random(1))
-    bad = Transcript(z=t.z, coins=t.coins, blocks=(1 - t.blocks[0], t.blocks[1]))
-    assert not validate_transcript(gt, bad)
-
-
 # ------------------------------------------------------------ accessible entropy
-
-def test_accessible_sample_entropy_deterministic_generator():
-    gt = silent_online(3)
-    rand = random.Random(0)
-    for _ in range(10):
-        t = sample_transcript(gt, rand)
-        assert accessible_sample_entropy(gt, t) == 0.0
-
-
-def test_accessible_sample_entropy_coin_echo():
-    gt = coin_echo_online(4, coin_bits=1)
-    t = sample_transcript(gt, random.Random(2))
-    assert accessible_sample_entropy(gt, t) == pytest.approx(4, abs=1e-12)
-
 
 def test_accessible_entropy_three_generators():
     assert accessible_entropy(silent_online(3)) == pytest.approx(0, abs=1e-12)
     assert accessible_entropy(coin_echo_online(3)) == pytest.approx(3, abs=1e-12)
     assert accessible_entropy(honest_wrap_parity()) == pytest.approx(1, abs=1e-12)
-
-
-def test_accessible_sample_entropy_honest_parity_split():
-    gt = honest_wrap_parity()
-    t = Transcript(z=0, coins=(0, 0), blocks=(PARITY[0], 0))
-    # Block 1 carries H(parity) = 1 bit; block 2 is then determined.
-    assert accessible_sample_entropy(gt, t) == pytest.approx(1, abs=1e-12)
-    law2 = gt.block_law(0, (0,))
-    assert law2.prob(0) == Fraction(1)
 
 
 # ------------------------------------------------------------------- consistency

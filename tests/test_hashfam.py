@@ -6,24 +6,39 @@ import numpy as np
 import pytest
 
 from dcrlab.hashfam import (
+    Adversary,
     ColAdversary,
     DiagonalAdversary,
     EnumerationCap,
     FixedPairAdversary,
-    FunctionAdversary,
     HashFunction,
     adversary_distribution,
     builtin_families,
     col_distribution,
     col_sample,
-    constant_family,
     dcrh_distance,
     identity_family,
     mc_ci_half_width,
+    pair_domain,
     preimage_set,
     uniform_random_family,
 )
 from dcrlab.probkit import stat_distance
+
+
+class FunctionAdversary(Adversary):
+    """Wraps an arbitrary (h, tape) -> pair map over 2^t tapes."""
+
+    def __init__(self, name, tape_bits, fn):
+        self.name = name
+        self.tape_bits = tape_bits
+        self.fn = fn
+
+    def tape_space(self, h):
+        return 2**self.tape_bits
+
+    def run(self, h, tape):
+        return self.fn(h, tape)
 
 
 def parity_fn(n=2):
@@ -63,6 +78,13 @@ def test_preimages_partition_inputs():
 def test_cap_enforced():
     with pytest.raises(EnumerationCap):
         identity_family(21)
+
+
+def test_pair_domain_cap_enforced():
+    # A pair domain of n-bit inputs holds 2^(2n) pairs; 2n is capped at 20.
+    assert len(pair_domain(2)) == 16
+    with pytest.raises(EnumerationCap, match="n=22 exceeds enumeration cap 20"):
+        pair_domain(11)
 
 
 # ------------------------------------------------------------- col distribution
@@ -256,12 +278,6 @@ def test_monte_carlo_interval_covers_exact_distance():
 
 def test_ci_half_width_shrinks():
     assert mc_ci_half_width(40_000, 64) < mc_ci_half_width(10_000, 64)
-
-
-def test_game_report_threshold_field():
-    rep = dcrh_distance(constant_family(2, 2, num_keys=2, seed=0), ColAdversary(), p_inv=0.25)
-    assert rep.p_inv == 0.25
-    assert rep.beats_threshold is True
 
 
 def test_per_key_values_average_to_distance():

@@ -1,4 +1,5 @@
-"""Invariant checks stay on under ``python -O``."""
+"""Invariant checks stay on under ``python -O``, and the package holds no
+public name that only the tests reach."""
 
 import ast
 import os
@@ -7,7 +8,52 @@ import sys
 import textwrap
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+def _referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every identifier ``tree`` mentions outside the subtree ``skip``: names,
+    attributes, imported names, and the dotted parts of string constants
+    (``bench/tracing.py`` names its targets as strings)."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.update(node.value.split("."))
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_public_definition_has_a_caller():
+    # A public module-level def or class must be named somewhere in the
+    # package outside its own definition, or in the demos or the benchmark.
+    modules = {path: ast.parse(path.read_text())
+               for path in sorted((SRC / "dcrlab").glob("*.py"))}
+    outside = set()
+    for folder in ("demos", "bench"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            outside |= _referenced_names(ast.parse(path.read_text()))
+    unused = []
+    for path, tree in modules.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                refs = set(outside)
+                for other, other_tree in modules.items():
+                    refs |= _referenced_names(other_tree, skip=node if other == path else None)
+                if node.name not in refs:
+                    unused.append(f"{path.stem}.{node.name}")
+    assert unused == []
 
 
 def test_package_has_no_assert_statements():

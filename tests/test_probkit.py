@@ -10,16 +10,13 @@ from dcrlab.probkit import (
     Dist,
     DomainMismatch,
     JointDist,
-    SupportError,
     cond_entropy,
-    entropy_report,
     jensen_log2_check,
     kl_chain_rule_check,
     kl_divergence,
     log2_number,
     mixture,
     pinsker_check,
-    sample_entropy,
     shannon_entropy,
     stat_distance,
 )
@@ -108,16 +105,6 @@ def test_entropy_bounds_and_max_at_uniform():
         h = shannon_entropy(p)
         assert -1e-12 <= h <= math.log2(size) + 1e-12
     assert shannon_entropy(Dist.uniform(range(12))) == pytest.approx(math.log2(12), abs=1e-12)
-
-
-def test_sample_entropy():
-    assert sample_entropy(Dist.uniform(range(16)), 3) == pytest.approx(4, abs=1e-12)
-    half = Dist({0: Fraction(1, 2), 1: Fraction(1, 2)})
-    assert sample_entropy(half, 0) == pytest.approx(1, abs=1e-12)
-    skew = Dist({0: Fraction(3, 4), 1: Fraction(1, 4)})
-    assert sample_entropy(skew, 1) == pytest.approx(2, abs=1e-12)
-    with pytest.raises(SupportError):
-        sample_entropy(Dist.point(0, domain=[0, 1]), 1)
 
 
 def test_log2_number_rejects_non_positive():
@@ -262,22 +249,10 @@ def test_jensen_log2_on_random_positive_samples():
 
 # ------------------------------------------------------------------- plumbing
 
-def test_entropy_report_fields():
-    p = Dist.uniform(range(4))
-    q = Dist({x: Fraction(x + 1, 10) for x in range(4)})
-    rep = entropy_report(p, q, JointDist.product(p, q))
-    assert rep.shannon == pytest.approx(2, abs=1e-12)
-    assert rep.conditional == pytest.approx(2, abs=1e-12)
-    assert 0 <= rep.tv <= 1
-    assert rep.kl >= 0
-
-
-def test_mixture_and_map():
+def test_mixture_of_two_points():
     p = mixture([(Fraction(1, 2), Dist.point(0, domain=[0, 1])),
                  (Fraction(1, 2), Dist.point(1, domain=[0, 1]))])
     assert p == Dist.uniform([0, 1])
-    doubled = p.map(lambda x: 2 * x)
-    assert doubled.prob(2) == Fraction(1, 2)
 
 
 def test_invalid_masses_rejected():
