@@ -230,8 +230,9 @@ class Adversary:
 
     ``tape_space(h)`` is the size of the uniform tape space (it may depend
     on h so strategies like the Col sampler can index fibers exactly);
-    ``run`` maps (h, tape index) to an output pair.  Strategies whose tape
-    space is too large to enumerate may provide ``exact_distribution``.
+    ``run`` maps (h, tape index) to an output pair, and ``tape_counts``
+    counts the tapes behind each pair.  Strategies whose tape space is too
+    large to enumerate may provide ``exact_distribution``.
     """
 
     name = "adversary"
@@ -241,6 +242,16 @@ class Adversary:
 
     def run(self, h: HashFunction, tape: int) -> tuple[int, int]:
         raise NotImplementedError
+
+    def tape_counts(self, h: HashFunction) -> dict[tuple[int, int], int]:
+        """Output pair -> number of tapes in ``range(tape_space(h))`` that
+        emit it; strategies with structured tapes may count faster than
+        this run-per-tape walk."""
+        counts: dict[tuple[int, int], int] = {}
+        for t in range(self.tape_space(h)):
+            out = self.run(h, t)
+            counts[out] = counts.get(out, 0) + 1
+        return counts
 
     def exact_distribution(self, h: HashFunction) -> JointDist | None:
         return None
@@ -300,9 +311,10 @@ def adversary_distribution(
 ) -> JointDist:
     """The adversary's output law on h.
 
-    Exact mode enumerates the whole tape space; strategies with an analytic
-    law use it once the tape space passes ``enum_threshold`` (the two routes
-    are interchangeable and are cross-checked in the test suite).
+    Exact mode counts the whole tape space through ``a.tape_counts(h)``;
+    strategies with an analytic law use it once the tape space passes
+    ``enum_threshold`` (the two routes are interchangeable and are
+    cross-checked in the test suite).
     Monte-Carlo mode returns the empirical distribution of ``samples`` runs.
     """
     if mode == "exact":
@@ -312,11 +324,7 @@ def adversary_distribution(
             if exact is not None:
                 return exact
         if space <= 2**TAPE_CAP_BITS:
-            counts: dict[tuple[int, int], int] = {}
-            for t in range(space):
-                out = a.run(h, t)
-                counts[out] = counts.get(out, 0) + 1
-            return JointDist(counts, domain=pair_domain(h.n), denominator=space)
+            return JointDist(a.tape_counts(h), domain=pair_domain(h.n), denominator=space)
         raise EnumerationCap(f"tape space {space} exceeds 2^{TAPE_CAP_BITS} and no analytic law given")
     if mode == "monte-carlo":
         if rng is None or samples <= 0:

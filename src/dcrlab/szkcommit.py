@@ -302,20 +302,16 @@ class ProtocolSession:
         self.phase = "instance-gen"
         return self
 
-    def instance_gen_phase(self, substitutions: dict | None = None) -> "ProtocolSession":
-        """Receiver sends the sampled instances (with optional adversarial
-        or experiment-driven substitutions) and proves one column
+    def instance_gen_phase(self) -> "ProtocolSession":
+        """Receiver sends the sampled instances and proves one column
         consistent; the verdict-only proof reveals nothing else."""
         self._need_phase("instance-gen")
-        substitutions = substitutions or {}
-        matches = []
         for idx, slot in enumerate(self.slots):
             # r = rho xor sigma: the sampler on the committed-and-revealed coins.
-            honest = self.problem.sample(self.r[slot], self.n)
-            self.instances[slot] = substitutions.get(slot, honest)
-            matches.append(self.instances[slot] == honest)
+            self.instances[slot] = self.problem.sample(self.r[slot], self.n)
             self._record("instance-gen", idx, self.instances[slot])
-        self.wi_verdict = wi_statement_true(matches)
+        # Every sent instance is the sampler's, so every slot matches.
+        self.wi_verdict = wi_statement_true([True] * len(self.slots))
         self._record("instance-gen", len(self.slots), self.wi_verdict)
         self.phase = "commit" if self.wi_verdict else "done"
         return self

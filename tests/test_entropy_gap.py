@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from dcrlab import entropy_gap
 from dcrlab.entropy_gap import (
     TOL,
     ConsistencyError,
@@ -34,9 +35,11 @@ from dcrlab.hashfam import (
     col_distribution,
     constant_family,
     identity_family,
+    pair_domain,
+    preimage_set,
     uniform_random_family,
 )
-from dcrlab.probkit import stat_distance
+from dcrlab.probkit import JointDist, stat_distance
 
 
 def parity_family(n=2) -> HashFamily:
@@ -50,6 +53,29 @@ def cheating_length_online(family: HashFamily) -> OnlineGenerator:
         return h(coins[0]) if len(coins) == 1 else coins[0] + 2**family.n
     return OnlineGenerator("cheating-length", family.functions, (2**family.n, 1),
                            (family.m, family.n + 1), block)
+
+
+def lopsided_online(family: HashFamily) -> OnlineGenerator:
+    """Consistent, with block two's three coins landing on a fiber's first
+    point once and on its second point twice: rows of unequal counts."""
+    def block(h, coins):
+        if len(coins) == 1:
+            return h(coins[0])
+        fiber = preimage_set(h, h(coins[0]))
+        return fiber[min(coins[1], 1) % len(fiber)]
+    return OnlineGenerator("lopsided", family.functions, (2**family.n, 3),
+                           (family.m, family.n), block)
+
+
+def per_tape_distribution(adv, h) -> JointDist:
+    """The output law by one ``run`` per tape: the reference for the
+    row-by-row ``tape_counts``."""
+    counts = {}
+    space = adv.tape_space(h)
+    for t in range(space):
+        out = adv.run(h, t)
+        counts[out] = counts.get(out, 0) + 1
+    return JointDist(counts, domain=pair_domain(h.n), denominator=space)
 
 
 def kl1_check(gt, family):
@@ -141,11 +167,49 @@ def test_lazy_generator_point_mass_per_key():
 
 def test_tape_enumeration_agrees_with_analytic_law():
     # The same adversary computed by brute tape walk and by law grouping.
-    for fam in (parity_family(), identity_family(3), constant_family(2, 1, num_keys=1)):
+    toys = [parity_family(), identity_family(3), constant_family(2, 1, num_keys=1)]
+    for fam in toys + builtin_families(3, num_keys=2, seed=9):
         adv = RewindingAdversary(ideal_online(fam), fam)
         for h in fam:
             enumerated = adversary_distribution(adv, h, enum_threshold=2**40)
-            assert enumerated == adv.exact_distribution(h)
+            assert enumerated == adv.exact_distribution(h), fam.name
+
+
+def test_tape_counts_match_per_tape_reference():
+    for n in (1, 2, 3, 4):
+        for seed in (0, 1):
+            for fam in builtin_families(n, num_keys=2, seed=seed):
+                gens = consistent_suite(fam) + [lopsided_online(fam)]
+                advs = [RewindingAdversary(gt, fam) for gt in gens]
+                # Its pairs can leave the fiber of x1.
+                advs.append(RewindingAdversary(mismatched_online(fam), fam, _checked=True))
+                for adv in advs:
+                    for h in fam:
+                        counted = adversary_distribution(adv, h, enum_threshold=2**40)
+                        assert counted == per_tape_distribution(adv, h), (fam.name, adv.name)
+
+
+def test_tape_counts_call_block_once_per_row_coin():
+    # v1 * v2 = 16 * 30 block calls, where one run per tape makes
+    # 2 * v1 * v2^2 = 28,800.
+    fam = uniform_random_family(4, 3, num_keys=1, seed=4)
+    gt = ideal_online(fam)
+    adv = RewindingAdversary(gt, fam)
+    h = fam.functions[0]
+    v1, v2 = gt.coin_spaces
+    assert adv.tape_space(h) <= 2**16
+    calls = 0
+    block_fn = gt.block_fn
+
+    def counting_block(z, coins):
+        nonlocal calls
+        calls += 1
+        return block_fn(z, coins)
+
+    gt.block_fn = counting_block
+    counted = adversary_distribution(adv, h)
+    assert calls <= v1 * v2
+    assert counted == adv.exact_distribution(h)
 
 
 def test_collision_rate_is_one_for_consistent_suite():
@@ -185,6 +249,16 @@ def test_second_block_kl_ideal_zero_and_y_dependent():
 def test_second_block_kl_honest_parity_one_bit():
     chk = kl2_check(honest_online(parity_family()), parity_family())
     assert chk.value == pytest.approx(1, abs=1e-9)
+    assert chk.via_entropy == pytest.approx(1, abs=1e-9)
+
+
+def test_second_block_kl_routes_disagreeing_raise(monkeypatch):
+    # With every entropy read as 0 the entropy route is E log2 |fiber| > 0,
+    # while the ideal generator's direct divergence is 0.
+    fam = uniform_random_family(3, 2, num_keys=2, seed=3)
+    monkeypatch.setattr(entropy_gap, "shannon_entropy", lambda d: 0.0)
+    with pytest.raises(AssertionError, match="second-block KL routes disagree"):
+        kl2_check(ideal_online(fam), fam)
 
 
 def test_second_block_kl_identity_always_zero():

@@ -70,6 +70,26 @@ class HonestSenderAttack(SenderAttack):
         return derive_shares(self.m, 0, slots), {slot: 0 for slot in slots}
 
 
+class SubstitutingSession(ProtocolSession):
+    """A session whose receiver may send other instances than the sampled
+    ones: instance generation with substitutions, which the WI-verdict
+    tests and the session-path references drive."""
+
+    def instance_gen_phase(self, substitutions: dict | None = None) -> "SubstitutingSession":
+        self._need_phase("instance-gen")
+        substitutions = substitutions or {}
+        matches = []
+        for idx, slot in enumerate(self.slots):
+            honest = self.problem.sample(self.r[slot], self.n)
+            self.instances[slot] = substitutions.get(slot, honest)
+            matches.append(self.instances[slot] == honest)
+            self._record("instance-gen", idx, self.instances[slot])
+        self.wi_verdict = szkcommit.wi_statement_true(matches)
+        self._record("instance-gen", len(self.slots), self.wi_verdict)
+        self.phase = "commit" if self.wi_verdict else "done"
+        return self
+
+
 def receiver_substitutions(r_spec, session):
     """The slots where the receiver ``r_spec`` sends something other than
     the sampled instance, with what it sends there."""
@@ -228,7 +248,7 @@ def test_wi_verdict_honest_and_substituted():
     assert honest.wi_verdict is True
 
     # Substituting a single column leaves the OR over columns true.
-    one_col = ProtocolSession(n, PROBLEM).coin_toss_phase(rho, sigma)
+    one_col = SubstitutingSession(n, PROBLEM).coin_toss_phase(rho, sigma)
     one_col.instance_gen_phase(substitutions={(i, 1): wrong for i in range(n)})
     assert one_col.wi_verdict is True
 
@@ -238,7 +258,7 @@ def test_wi_verdict_honest_and_substituted():
         for b in (0, 1):
             if PROBLEM.sample(rho[(i, b)] ^ sigma[(i, b)], n) != wrong:
                 sub[(i, b)] = wrong
-    both = ProtocolSession(n, PROBLEM).coin_toss_phase(rho, sigma)
+    both = SubstitutingSession(n, PROBLEM).coin_toss_phase(rho, sigma)
     both.instance_gen_phase(substitutions=sub)
     assert both.wi_verdict is False
 
@@ -362,7 +382,7 @@ def test_all_no_preamble_not_admissible():
 def test_wi_rejection_is_admissible():
     n = 1
     wrong = PROBLEM.sample(0, n)
-    sess = ProtocolSession(n, PROBLEM)
+    sess = SubstitutingSession(n, PROBLEM)
     sess.coin_toss_phase({s: 0 for s in slot_list(n)}, {s: 1 for s in slot_list(n)})
     subs = {}
     for slot in slot_list(n):
@@ -459,7 +479,7 @@ def _session_path_hiding(r_spec, n, problem, tol=TOL):
     worst = Fraction(0)
     total = Fraction(1, (2**n) ** (2 * n))
     for sigma in coin_space(n):
-        session = ProtocolSession(n, problem)
+        session = SubstitutingSession(n, problem)
         session.coin_toss_phase(r_spec.rho, sigma)
         session.instance_gen_phase(substitutions=receiver_substitutions(r_spec, session))
         sent = list(session.instances.values())
@@ -488,7 +508,7 @@ def _per_preamble_hiding(r_spec, n, problem):
     visited on its own, view distances as integer numerators over L^(2n)."""
     facts = [[] for _ in slot_list(n)]  # (label, eps, match), one per share value
     for v in range(2**n):
-        session = ProtocolSession(n, problem)
+        session = SubstitutingSession(n, problem)
         sigma = {slot: v for slot in session.slots}
         session.coin_toss_phase(r_spec.rho, sigma)
         session.instance_gen_phase(substitutions=receiver_substitutions(r_spec, session))
@@ -693,7 +713,7 @@ def run_binding_session(s_star, tape, n, problem, rho, plant_slot=None,
     The second opening flips the slot the attack names, with coins from
     ``idc_equivocation`` when there are any and the honest coins otherwise;
     ``verify_opening`` and ``idc_verify`` judge both openings."""
-    session = ProtocolSession(n, problem)
+    session = SubstitutingSession(n, problem)
     slots = session.slots
     session.coin_toss_phase(rho, s_star.choose_sigma(tape, n, slots))
     substitutions = {} if plant_slot is None else {plant_slot: planted_instance}
