@@ -252,10 +252,10 @@ def collision_rate(adv: RewindingAdversary) -> Fraction:
 
 @dataclass
 class DivergenceCheck:
-    """One averaged divergence with its entropy-route twin and gap bound."""
+    """One averaged divergence, checked against its entropy-route twin, with
+    its gap bound."""
 
     value: float
-    via_entropy: float
     gap: float
     depends_only_on_y: bool | None = None
 
@@ -280,7 +280,7 @@ def _first_block_kl(adv: RewindingAdversary, gap: float) -> DivergenceCheck:
         raise AssertionError(f"first-block KL routes disagree: {direct} vs {via_entropy}")
     if direct > gap + TOL:
         raise AssertionError(f"first-block KL {direct} exceeds gap {gap}")
-    return DivergenceCheck(direct, via_entropy, gap)
+    return DivergenceCheck(direct, gap)
 
 
 def _second_block_kl(adv: RewindingAdversary, gap: float) -> DivergenceCheck:
@@ -322,7 +322,7 @@ def _second_block_kl(adv: RewindingAdversary, gap: float) -> DivergenceCheck:
         raise AssertionError(f"second-block KL routes disagree: {total} vs {via_entropy}")
     if total > gap + TOL:
         raise AssertionError(f"second-block KL {total} exceeds gap {gap}")
-    return DivergenceCheck(total, via_entropy, gap, depends_only_on_y=y_only)
+    return DivergenceCheck(total, gap, depends_only_on_y=y_only)
 
 
 # ------------------------------------------------------------------- gap report

@@ -315,7 +315,12 @@ def adversary_distribution(
     strategies with an analytic law use it once the tape space passes
     ``enum_threshold`` (the two routes are interchangeable and are
     cross-checked in the test suite).
-    Monte-Carlo mode returns the empirical distribution of ``samples`` runs.
+    Monte-Carlo mode returns the empirical distribution of ``samples``
+    tapes.  Tape spaces up to 2^63 draw all tapes in one ``rng.integers``
+    call and run each distinct tape once, in order of first draw, weighted
+    by its multiplicity; larger spaces draw one tape at a time.  Either way
+    the tapes, the rng's state afterwards and the law (its pair order
+    included) are those of drawing and running one tape per sample.
     """
     if mode == "exact":
         space = a.tape_space(h)
@@ -330,11 +335,17 @@ def adversary_distribution(
         if rng is None or samples <= 0:
             raise ValueError("monte-carlo mode needs rng and samples")
         space = a.tape_space(h)
+        if space <= 2**63:
+            tapes, first, reps = np.unique(rng.integers(space, size=samples),
+                                           return_index=True, return_counts=True)
+            order = np.argsort(first)
+            drawn = zip(tapes[order].tolist(), reps[order].tolist())
+        else:
+            drawn = ((rng_bigint(rng, space), 1) for _ in range(samples))
         counts = {}
-        for _ in range(samples):
-            t = int(rng.integers(space)) if space <= 2**63 else rng_bigint(rng, space)
+        for t, c in drawn:
             out = a.run(h, t)
-            counts[out] = counts.get(out, 0) + 1
+            counts[out] = counts.get(out, 0) + c
         return JointDist({pair: c / samples for pair, c in counts.items()},
                          domain=pair_domain(h.n))
     raise ValueError(f"unknown mode {mode!r}")

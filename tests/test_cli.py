@@ -1,5 +1,6 @@
 """Command-line surface: flags, config file, env var, exit codes."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -69,6 +70,15 @@ def test_dcrh_game_exact(tmp_path):
                  "--seed", "2", "--out", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "dcrh_game.csv").exists()
+
+
+def test_dcrh_game_monte_carlo_rows_pinned(tmp_path):
+    # sha256 of dcrh_game.csv as the draw-and-run-per-sample loop wrote it.
+    code = main(["dcrh-game", "--mode", "monte-carlo", "--n", "2..4", "--seed", "3",
+                 "--samples", "2000", "--out", str(tmp_path)])
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "dcrh_game.csv").read_bytes()).hexdigest()
+    assert digest == "140adbc6808501bb0153d1024e106f51e5975495d195ac50136ba8343779632a"
 
 
 def test_commit_reduce(tmp_path):
@@ -175,6 +185,7 @@ def _cli_csv(argv, out, hash_seed):
     ["gap-sweep", "--n", "2..4", "--seed", "3"],
     ["dcrh-game", "--n", "2..3"],
     ["commit-reduce", "--seed", "3", "--num-seeds", "20"],
+    ["dcrh-game", "--n", "2..3", "--mode", "monte-carlo", "--samples", "2000"],
 ])
 def test_reports_identical_across_hash_seeds(tmp_path, argv):
     first = _cli_csv(argv, tmp_path / "hash0", "0")

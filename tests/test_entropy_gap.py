@@ -249,7 +249,6 @@ def test_second_block_kl_ideal_zero_and_y_dependent():
 def test_second_block_kl_honest_parity_one_bit():
     chk = kl2_check(honest_online(parity_family()), parity_family())
     assert chk.value == pytest.approx(1, abs=1e-9)
-    assert chk.via_entropy == pytest.approx(1, abs=1e-9)
 
 
 def test_second_block_kl_routes_disagreeing_raise(monkeypatch):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dcrlab.entropy_gap import RewindingAdversary, honest_online
 from dcrlab.hashfam import (
     Adversary,
     ColAdversary,
@@ -21,9 +22,10 @@ from dcrlab.hashfam import (
     mc_ci_half_width,
     pair_domain,
     preimage_set,
+    rng_bigint,
     uniform_random_family,
 )
-from dcrlab.probkit import stat_distance
+from dcrlab.probkit import JointDist, stat_distance
 
 
 class FunctionAdversary(Adversary):
@@ -212,6 +214,63 @@ def test_monte_carlo_mode_has_sample_count():
     d = adversary_distribution(DiagonalAdversary(), h, mode="monte-carlo", samples=2000, rng=rng)
     assert not d.exact
     assert abs(sum(float(p) for _, p in d.items()) - 1) < 1e-9
+
+
+def per_sample_distribution(a, h, samples, rng):
+    """The Monte-Carlo law by one draw and one ``run`` per sample: the
+    reference for the draw-once, run-each-distinct-tape path."""
+    space = a.tape_space(h)
+    counts = {}
+    for _ in range(samples):
+        t = int(rng.integers(space)) if space <= 2**63 else rng_bigint(rng, space)
+        out = a.run(h, t)
+        counts[out] = counts.get(out, 0) + 1
+    return JointDist({pair: c / samples for pair, c in counts.items()},
+                     domain=pair_domain(h.n))
+
+
+class WideTapeAdversary(Adversary):
+    """A tape space above 2^63, so tapes are drawn one at a time."""
+
+    name = "wide-tape"
+
+    def tape_space(self, h):
+        return 2**64 + 5
+
+    def run(self, h, tape):
+        return tape % 2**h.n, (tape >> 60) % 2**h.n
+
+
+def monte_carlo_adversary(name, fam):
+    return {"ideal-col": ColAdversary, "diagonal": DiagonalAdversary,
+            "fixed": lambda: FixedPairAdversary((1, 2)),
+            "rewind": lambda: RewindingAdversary(honest_online(fam), fam),
+            "wide-tape": WideTapeAdversary}[name]()
+
+
+@pytest.mark.parametrize("seed", [5, 2024])
+@pytest.mark.parametrize("name", ["ideal-col", "diagonal", "fixed", "rewind", "wide-tape"])
+def test_monte_carlo_matches_per_sample_loop(seed, name):
+    fam = uniform_random_family(3, 2, num_keys=2, seed=12)
+    a, h = monte_carlo_adversary(name, fam), fam.functions[0]
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    d = adversary_distribution(a, h, mode="monte-carlo", samples=3000, rng=rng)
+    ref = per_sample_distribution(a, h, 3000, ref_rng)
+    assert list(d.items()) == list(ref.items())
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert rng.integers(2**40) == ref_rng.integers(2**40)
+
+
+def test_monte_carlo_runs_each_distinct_tape_once(monkeypatch):
+    # The diagonal finder at n = 3 has 8 tapes; one run per sample made 2,000 calls.
+    calls = []
+    run = DiagonalAdversary.run
+    monkeypatch.setattr(DiagonalAdversary, "run",
+                        lambda self, h, tape: calls.append(tape) or run(self, h, tape))
+    h = identity_family(3).functions[0]
+    adversary_distribution(DiagonalAdversary(), h, mode="monte-carlo", samples=2000,
+                           rng=np.random.default_rng(1))
+    assert len(calls) <= 8
 
 
 # ------------------------------------------------------------------- game value

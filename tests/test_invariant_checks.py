@@ -43,16 +43,16 @@ def test_every_public_definition_has_a_caller():
     for folder in ("demos", "bench"):
         for path in sorted((ROOT / folder).glob("*.py")):
             outside |= _referenced_names(ast.parse(path.read_text()))
+    names = {path: _referenced_names(tree) for path, tree in modules.items()}
     unused = []
     for path, tree in modules.items():
+        elsewhere = outside.union(*(found for other, found in names.items() if other != path))
         for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                refs = set(outside)
-                for other, other_tree in modules.items():
-                    refs |= _referenced_names(other_tree, skip=node if other == path else None)
-                if node.name not in refs:
-                    unused.append(f"{path.stem}.{node.name}")
+                    and not node.name.startswith("_")
+                    and node.name not in elsewhere
+                    and node.name not in _referenced_names(tree, skip=node)):
+                unused.append(f"{path.stem}.{node.name}")
     assert unused == []
 
 
