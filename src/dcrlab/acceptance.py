@@ -256,7 +256,7 @@ def criterion_protocol_completeness(seed: int = 0) -> CriterionResult:
             if szk.xor_all(szk.derive_shares(m, s, slots).values()) != m:
                 failures.append("share reconstruction broken")
 
-    # Full joint at n=1 with a k=2 problem (8192 complete sessions).
+    # Full joint at n=1 with a k=2 problem (4*4*2*16*2 = 1024 complete sessions).
     small = szk.TablePromiseProblem(k=2, out_bits_choices=(2, 3), salt=seed + 42)
     ok_runs = 0
     for rho_seed in range(4):

@@ -202,15 +202,17 @@ def cmd_verify_all(args, config) -> int:
         if res.rows and res.artifact:
             write_report(outdir / res.artifact, res.header, res.rows)
 
-    # Determinism self-check: render the heaviest report twice and compare.
+    # Determinism self-check: render the heaviest report twice in this
+    # process and compare; byte identity across processes is a test.
     from dcrlab.acceptance import criterion_gap_sweep
 
     again = criterion_gap_sweep(seed, ns=range(2, 5), num_keys=2)
     once_more = criterion_gap_sweep(seed, ns=range(2, 5), num_keys=2)
     deterministic = again.rows == once_more.rows
     status = "PASS" if deterministic else "FAIL"
-    lines.append(f"criterion 9 [{status}] deterministic reports: "
-                 f"same-seed double render {'matches' if deterministic else 'differs'}")
+    lines.append(f"criterion 9 [{status}] deterministic reports: gap-sweep n=2..4 "
+                 f"rendered twice in one process {'matches' if deterministic else 'differs'}; "
+                 f"the test suite checks byte identity across processes")
     print(lines[-1])
 
     outdir.mkdir(parents=True, exist_ok=True)

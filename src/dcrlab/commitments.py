@@ -312,17 +312,17 @@ def markov_step_check(scheme: TwoMessageCommitment, h: HashFunction) -> MarkovSt
             by_msg.setdefault(msg, {}).setdefault(b, 0)
             by_msg[msg][b] += 1
             total += 1
-    heavy = Fraction(0)
+    heavy_mass = 0
     all_uniform = True
     for msg, counts in by_msg.items():
         mass = sum(counts.values())
         # TV(B_c, B) = 1/2 sum_b |n_b / N - 2^-ell|, on integers.
-        d = Fraction(sum(abs(counts.get(b, 0) * n_plain - mass) for b in range(n_plain)),
-                     2 * mass * n_plain)
-        if d != 0:
+        num = sum(abs(counts.get(b, 0) * n_plain - mass) for b in range(n_plain))
+        if num != 0:
             all_uniform = False
-        if eps > 0 and float(d) >= sqrt_eps:
-            heavy += Fraction(mass, total)
+        if eps > 0 and num / (2 * mass * n_plain) >= sqrt_eps:
+            heavy_mass += mass
+    heavy = Fraction(heavy_mass, total)
     ok = all_uniform if eps == 0 else float(heavy) <= sqrt_eps + TOL
     return MarkovStepReport(heavy_fraction=float(heavy), sqrt_eps=sqrt_eps, ok=ok)
 

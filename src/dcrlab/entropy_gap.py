@@ -77,8 +77,7 @@ def honest_online(family: HashFamily) -> OnlineGenerator:
     """Runs the generator honestly: x is drawn with the first block's coins."""
     def block(h, coins):
         return h(coins[0]) if len(coins) == 1 else coins[0]
-    return OnlineGenerator("honest", family.functions, (2**family.n, 1),
-                           (family.m, family.n), block)
+    return OnlineGenerator("honest", family.functions, (2**family.n, 1), block)
 
 
 def ideal_online(family: HashFamily) -> OnlineGenerator:
@@ -103,8 +102,8 @@ def ideal_online(family: HashFamily) -> OnlineGenerator:
             return Dist({y: len(f) for y, f in h.fibers.items()}, denominator=2**h.n)
         return Dist.uniform(preimage_set(h, h(prefix[0])))
 
-    return OnlineGenerator("ideal", family.functions, (2**family.n, v2),
-                           (family.m, family.n), block, law_fn=law)
+    return OnlineGenerator("ideal", family.functions, (2**family.n, v2), block,
+                           law_fn=law)
 
 
 def lazy_online(family: HashFamily) -> OnlineGenerator:
@@ -112,8 +111,7 @@ def lazy_online(family: HashFamily) -> OnlineGenerator:
     def block(h, coins):
         y0 = h(0)
         return y0 if len(coins) == 1 else min(preimage_set(h, y0))
-    return OnlineGenerator("lazy", family.functions, (1, 1),
-                           (family.m, family.n), block)
+    return OnlineGenerator("lazy", family.functions, (1, 1), block)
 
 
 def skewed_online(family: HashFamily) -> OnlineGenerator:
@@ -125,8 +123,7 @@ def skewed_online(family: HashFamily) -> OnlineGenerator:
         u = coins[0] & mask
         return h(u) if len(coins) == 1 else u
 
-    return OnlineGenerator("skewed1", family.functions,
-                           (2**family.n, 1), (family.m, family.n), block)
+    return OnlineGenerator("skewed1", family.functions, (2**family.n, 1), block)
 
 
 def mismatched_online(family: HashFamily) -> OnlineGenerator:
@@ -140,8 +137,7 @@ def mismatched_online(family: HashFamily) -> OnlineGenerator:
         if coins[0] == 0 and coins[1] == 1:
             return coins[0] ^ 1
         return coins[0]
-    return OnlineGenerator("mismatched", family.functions, (2**family.n, 2),
-                           (family.m, family.n), block)
+    return OnlineGenerator("mismatched", family.functions, (2**family.n, 2), block)
 
 
 def consistent_suite(family: HashFamily) -> list[OnlineGenerator]:
@@ -250,17 +246,7 @@ def collision_rate(adv: RewindingAdversary) -> Fraction:
 
 # --------------------------------------------------------------- per-term bounds
 
-@dataclass
-class DivergenceCheck:
-    """One averaged divergence, checked against its entropy-route twin, with
-    its gap bound."""
-
-    value: float
-    gap: float
-    depends_only_on_y: bool | None = None
-
-
-def _first_block_kl(adv: RewindingAdversary, gap: float) -> DivergenceCheck:
+def _first_block_kl(adv: RewindingAdversary, gap: float) -> float:
     """E_h D(X1 || uniform), which the gap upper-bounds.
 
     Computed directly as an average divergence and again as
@@ -280,23 +266,20 @@ def _first_block_kl(adv: RewindingAdversary, gap: float) -> DivergenceCheck:
         raise AssertionError(f"first-block KL routes disagree: {direct} vs {via_entropy}")
     if direct > gap + TOL:
         raise AssertionError(f"first-block KL {direct} exceeds gap {gap}")
-    return DivergenceCheck(direct, gap)
+    return direct
 
 
-def _second_block_kl(adv: RewindingAdversary, gap: float) -> DivergenceCheck:
+def _second_block_kl(adv: RewindingAdversary, gap: float) -> float:
     """E_{h, x1} D(X2 | x1  ||  uniform over h^-1(h(x1))).
 
     Computed directly as an average of conditional divergences and again
     as E_h [E_{x1} log2 |h^-1(h(x1))| - (H(X1, X2) - H(X1))]; the routes
     must agree to 1e-9 and the value must stay at or below the measured
-    entropy gap.  Also records whether the conditional law of x2 depends
-    only on y = h(x1) (it does for the ideal generator, and can fail for
-    degenerate ones); the gap bound holds either way.
+    entropy gap.
     """
     family = adv.family
     total = 0.0
     via_entropy = 0.0
-    y_only = True
     for h in family:
         joint = adv.exact_distribution(h)
         rows: dict[int, dict[int, int]] = {}
@@ -304,7 +287,6 @@ def _second_block_kl(adv: RewindingAdversary, gap: float) -> DivergenceCheck:
             rows.setdefault(x1, {})[x2] = c
         contribution = 0.0
         log_fiber = 0.0
-        by_y: dict[int, Dist] = {}
         for x1, row in rows.items():
             row_mass = sum(row.values())
             fiber = preimage_set(h, h(x1))
@@ -312,9 +294,6 @@ def _second_block_kl(adv: RewindingAdversary, gap: float) -> DivergenceCheck:
             weight = row_mass / joint.denominator
             contribution += weight * kl_divergence(cond, Dist.uniform(fiber))
             log_fiber += weight * math.log2(len(fiber))
-            seen = by_y.setdefault(h(x1), cond)
-            if seen != cond:
-                y_only = False
         total += contribution / len(family)
         cond_h = shannon_entropy(joint) - shannon_entropy(joint.marginal(0))
         via_entropy += (log_fiber - cond_h) / len(family)
@@ -322,7 +301,7 @@ def _second_block_kl(adv: RewindingAdversary, gap: float) -> DivergenceCheck:
         raise AssertionError(f"second-block KL routes disagree: {total} vs {via_entropy}")
     if total > gap + TOL:
         raise AssertionError(f"second-block KL {total} exceeds gap {gap}")
-    return DivergenceCheck(total, gap, depends_only_on_y=y_only)
+    return total
 
 
 # ------------------------------------------------------------------- gap report
@@ -345,8 +324,6 @@ class GapReport:
     distance: float
     bound: float
     real: float = 0.0
-    accessible: float = 0.0
-    depends_only_on_y: bool | None = None
     tol: float = TOL
 
     def __post_init__(self):
@@ -378,13 +355,10 @@ def gap_bound_report(gt: OnlineGenerator, family: HashFamily,
                      tol: float = TOL) -> GapReport:
     """Measure every quantity in the chain and assert the four invariants."""
     adv = RewindingAdversary(gt, family)
-    accessible = accessible_entropy(gt)
-    raw_gap = family.n - accessible
-    c1 = _first_block_kl(adv, raw_gap)
-    c2 = _second_block_kl(adv, raw_gap)
+    raw_gap = family.n - accessible_entropy(gt)
+    kl1 = max(_first_block_kl(adv, raw_gap), 0.0)
+    kl2 = max(_second_block_kl(adv, raw_gap), 0.0)
     game = dcrh_distance(family, adv)
-    kl1 = max(c1.value, 0.0)
-    kl2 = max(c2.value, 0.0)
     return GapReport(
         family=family.name,
         generator=gt.name,
@@ -395,7 +369,5 @@ def gap_bound_report(gt: OnlineGenerator, family: HashFamily,
         distance=game.distance,
         bound=math.sqrt(kl1) + math.sqrt(kl2),
         real=_two_block_real_entropy(family),
-        accessible=accessible,
-        depends_only_on_y=c2.depends_only_on_y,
         tol=tol,
     )

@@ -19,10 +19,9 @@ to 1e-9, which checks the textbook identities the accounting rests on.
 
 import itertools
 import math
-from fractions import Fraction
 from typing import Callable, Sequence
 
-from dcrlab.probkit import Dist, JointDist, SupportError, cond_entropy, log2_number
+from dcrlab.probkit import Dist, JointDist, SupportError, _log2_ratio, cond_entropy
 
 ROUTE_TOL = 1e-9
 LAW_ENUM_CAP = 2**20      # largest single coin space enumerated by counting
@@ -100,7 +99,7 @@ def _sample_entropy_of(g: BlockGenerator, z) -> Callable[[tuple], float]:
             cur = prefix_counts.get(prefix[:j], 0)
             if cur == 0:
                 raise SupportError(f"prefix {prefix[:j]} not in support for z={z!r}")
-            total += -log2_number(Fraction(cur, prev))
+            total += -_log2_ratio(cur, prev)
             prev = cur
         return total
 
@@ -144,27 +143,23 @@ class OnlineGenerator:
     sees only coins 1..i.  ``block(z, coins)`` with ``len(coins) == i``
     returns block i.  ``block_law`` gives the exact conditional law of
     block i given (z, earlier coins); the default implementation counts
-    over the block's coin range, subclasses with oversized coin spaces
-    override it analytically.
+    over the block's coin range, generators with oversized coin spaces
+    supply it analytically as ``law_fn``.
     """
 
     def __init__(self, name: str, param_space: Sequence, coin_spaces: Sequence[int],
-                 block_bits: Sequence[int], block_fn: Callable,
-                 law_fn: Callable | None = None):
+                 block_fn: Callable, law_fn: Callable | None = None):
         self.name = name
         self.param_space = tuple(param_space)
         self.coin_spaces = tuple(int(v) for v in coin_spaces)
-        self.block_bits = tuple(block_bits)
         self.block_fn = block_fn
         self.law_fn = law_fn
         if any(v < 1 for v in self.coin_spaces):
             raise GeneratorError("coin spaces must be non-empty")
-        if len(self.coin_spaces) != len(self.block_bits):
-            raise GeneratorError("one coin space per block required")
 
     @property
     def m_blocks(self) -> int:
-        return len(self.block_bits)
+        return len(self.coin_spaces)
 
     def block(self, z, coins: Sequence[int]):
         i = len(coins) - 1
@@ -222,7 +217,7 @@ def accessible_entropy(gt: OnlineGenerator) -> float:
             for y, c in law.counts.items():
                 count = c * (lcm // d)
                 mass[(y, context)] = count
-                expect_i += count / den * -log2_number(Fraction(c, d))
+                expect_i += count / den * -_log2_ratio(c, d)
         via_cond += cond_entropy(JointDist(mass, denominator=den))
         via_expect += expect_i
     if abs(via_cond - via_expect) > ROUTE_TOL:

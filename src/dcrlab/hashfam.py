@@ -192,7 +192,9 @@ def input_domain(n: int) -> tuple[int, ...]:
 @lru_cache(maxsize=64)
 def pair_domain(n: int) -> tuple[tuple[int, int], ...]:
     """The shared domain tuple for ({0,1}^n)^2."""
-    _check_cap(2 * n, ENUM_CAP_HARD)
+    if 2 * n > ENUM_CAP_HARD:
+        raise EnumerationCap(f"pairs of n={n}-bit inputs need 2n={2 * n} bits, "
+                             f"above the cap {ENUM_CAP_HARD}")
     side = range(2**n)
     return tuple((x1, x2) for x1 in side for x2 in side)
 

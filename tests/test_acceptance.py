@@ -27,6 +27,14 @@ def test_criterion_2_gap_bound_sweep_full():
     assert result.elapsed < 600
 
 
+def test_criterion_2_rows_pinned():
+    # sha256 of the newline-joined gap_sweep.csv rows as the
+    # Fraction-per-outcome sample-entropy logs wrote them.
+    rows = acceptance.criterion_gap_sweep(7, ns=range(2, 7)).rows
+    digest = "9f861f78fb9d8f4d2bce57b6a7f95a840eaad358ef417f0983de480b514cbdc6"
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == digest
+
+
 def test_criterion_3_ideal_tightness():
     result = acceptance.criterion_ideal_tightness(SEED, max_n=8)
     _check(result)

@@ -65,6 +65,14 @@ def test_enumeration_cap_exits_2(tmp_path, capsys):
     assert not (tmp_path / "dcrh_game.csv").exists()
 
 
+@pytest.mark.parametrize("mode", ["exact", "monte-carlo"])
+def test_pair_domain_cap_names_input_length(tmp_path, capsys, mode):
+    code = main(["dcrh-game", "--n", "11", "--mode", mode, "--out", str(tmp_path)])
+    assert code == 2
+    assert "error: pairs of n=11-bit inputs need 2n=22 bits" in capsys.readouterr().err
+    assert not (tmp_path / "dcrh_game.csv").exists()
+
+
 def test_dcrh_game_exact(tmp_path):
     code = main(["dcrh-game", "--n", "2..2", "--num-keys", "1",
                  "--seed", "2", "--out", str(tmp_path)])

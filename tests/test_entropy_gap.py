@@ -51,8 +51,7 @@ def cheating_length_online(family: HashFamily) -> OnlineGenerator:
     """Emits an out-of-range second block; never consistent."""
     def block(h, coins):
         return h(coins[0]) if len(coins) == 1 else coins[0] + 2**family.n
-    return OnlineGenerator("cheating-length", family.functions, (2**family.n, 1),
-                           (family.m, family.n + 1), block)
+    return OnlineGenerator("cheating-length", family.functions, (2**family.n, 1), block)
 
 
 def lopsided_online(family: HashFamily) -> OnlineGenerator:
@@ -63,8 +62,7 @@ def lopsided_online(family: HashFamily) -> OnlineGenerator:
             return h(coins[0])
         fiber = preimage_set(h, h(coins[0]))
         return fiber[min(coins[1], 1) % len(fiber)]
-    return OnlineGenerator("lopsided", family.functions, (2**family.n, 3),
-                           (family.m, family.n), block)
+    return OnlineGenerator("lopsided", family.functions, (2**family.n, 3), block)
 
 
 def per_tape_distribution(adv, h) -> JointDist:
@@ -222,33 +220,38 @@ def test_collision_rate_is_one_for_consistent_suite():
 
 def test_first_block_kl_ideal_is_zero():
     fam = uniform_random_family(3, 2, num_keys=2, seed=1)
-    chk = kl1_check(ideal_online(fam), fam)
-    assert chk.value == pytest.approx(0, abs=1e-9)
+    assert kl1_check(ideal_online(fam), fam) == pytest.approx(0, abs=1e-9)
 
 
 def test_first_block_kl_honest_on_constant_is_zero():
     fam = constant_family(3, 3, num_keys=2, seed=4)
-    chk = kl1_check(honest_online(fam), fam)
-    assert chk.value == pytest.approx(0, abs=1e-9)
+    assert kl1_check(honest_online(fam), fam) == pytest.approx(0, abs=1e-9)
 
 
 def test_first_block_kl_lazy_identity_equals_gap():
     fam = identity_family(3)
-    chk = kl1_check(lazy_online(fam), fam)
-    assert chk.value == pytest.approx(3, abs=1e-9)
-    assert chk.gap == pytest.approx(3, abs=1e-9)
+    gt = lazy_online(fam)
+    gap = fam.n - accessible_entropy(gt)
+    assert gap == pytest.approx(3, abs=1e-9)
+    assert _first_block_kl(RewindingAdversary(gt, fam), gap) == pytest.approx(3, abs=1e-9)
 
 
-def test_second_block_kl_ideal_zero_and_y_dependent():
+def test_first_block_kl_routes_disagreeing_raise(monkeypatch):
+    # With every entropy read as 0 the entropy route is n, while the ideal
+    # generator's direct divergence from uniform is 0.
+    fam = uniform_random_family(3, 2, num_keys=2, seed=1)
+    monkeypatch.setattr(entropy_gap, "shannon_entropy", lambda d: 0.0)
+    with pytest.raises(AssertionError, match="first-block KL routes disagree"):
+        kl1_check(ideal_online(fam), fam)
+
+
+def test_second_block_kl_ideal_is_zero():
     fam = uniform_random_family(3, 2, num_keys=2, seed=3)
-    chk = kl2_check(ideal_online(fam), fam)
-    assert chk.value == pytest.approx(0, abs=1e-9)
-    assert chk.depends_only_on_y is True
+    assert kl2_check(ideal_online(fam), fam) == pytest.approx(0, abs=1e-9)
 
 
 def test_second_block_kl_honest_parity_one_bit():
-    chk = kl2_check(honest_online(parity_family()), parity_family())
-    assert chk.value == pytest.approx(1, abs=1e-9)
+    assert kl2_check(honest_online(parity_family()), parity_family()) == pytest.approx(1, abs=1e-9)
 
 
 def test_second_block_kl_routes_disagreeing_raise(monkeypatch):
@@ -263,7 +266,7 @@ def test_second_block_kl_routes_disagreeing_raise(monkeypatch):
 def test_second_block_kl_identity_always_zero():
     fam = identity_family(3)
     for gt in consistent_suite(fam):
-        assert kl2_check(gt, fam).value == pytest.approx(0, abs=1e-9)
+        assert kl2_check(gt, fam) == pytest.approx(0, abs=1e-9)
 
 
 # ------------------------------------------------------------------ gap reports

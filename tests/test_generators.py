@@ -2,6 +2,7 @@
 
 import pytest
 
+from dcrlab import generators
 from dcrlab.generators import (
     BlockGenerator,
     GeneratorError,
@@ -34,13 +35,13 @@ def xor_generator(bits: int) -> BlockGenerator:
 def coin_echo_online(m_blocks: int, coin_bits: int = 1) -> OnlineGenerator:
     """Emits its own fresh coins: y_i = r_i."""
     return OnlineGenerator("coin-echo", (0,), (2**coin_bits,) * m_blocks,
-                           (coin_bits,) * m_blocks, lambda z, coins: coins[-1])
+                           lambda z, coins: coins[-1])
 
 
 def silent_online(m_blocks: int, coin_bits: int = 1) -> OnlineGenerator:
     """Ignores its coins entirely: y_i = 0."""
     return OnlineGenerator("silent", (0,), (2**coin_bits,) * m_blocks,
-                           (1,) * m_blocks, lambda z, coins: 0)
+                           lambda z, coins: 0)
 
 
 def parity_two_block() -> BlockGenerator:
@@ -52,7 +53,7 @@ def parity_two_block() -> BlockGenerator:
 def honest_wrap_parity() -> OnlineGenerator:
     """Draws x with the first block's coins, emits parity(x) then x."""
     return OnlineGenerator(
-        "honest-parity", (0,), (4, 1), (1, 2),
+        "honest-parity", (0,), (4, 1),
         lambda z, coins: PARITY[coins[0]] if len(coins) == 1 else coins[0])
 
 
@@ -82,12 +83,28 @@ def test_real_entropy_toy_generators():
     assert real_entropy(parity_two_block()) == pytest.approx(2, abs=1e-12)
 
 
+def test_real_entropy_routes_disagreeing_raise(monkeypatch):
+    # With every sample-entropy term read as 0 the sample route is 0, while
+    # the conditional route of the identity generator is 4.
+    monkeypatch.setattr(generators, "_log2_ratio", lambda c, d: 0.0)
+    with pytest.raises(AssertionError, match="real-entropy routes disagree"):
+        real_entropy(identity_generator(4))
+
+
 # ------------------------------------------------------------ accessible entropy
 
 def test_accessible_entropy_three_generators():
     assert accessible_entropy(silent_online(3)) == pytest.approx(0, abs=1e-12)
     assert accessible_entropy(coin_echo_online(3)) == pytest.approx(3, abs=1e-12)
     assert accessible_entropy(honest_wrap_parity()) == pytest.approx(1, abs=1e-12)
+
+
+def test_accessible_entropy_routes_disagreeing_raise(monkeypatch):
+    # With every per-block sample entropy read as 0 the expectation route
+    # is 0, while the conditional route of the coin echo is 3.
+    monkeypatch.setattr(generators, "_log2_ratio", lambda c, d: 0.0)
+    with pytest.raises(AssertionError, match="accessible-entropy routes disagree"):
+        accessible_entropy(coin_echo_online(3))
 
 
 # ------------------------------------------------------------------- consistency
@@ -97,7 +114,7 @@ def test_honest_wrap_is_consistent():
 
 
 def test_wrong_length_block_inconsistent():
-    gt = OnlineGenerator("cheat-length", (0,), (4, 1), (1, 2),
+    gt = OnlineGenerator("cheat-length", (0,), (4, 1),
                          lambda z, coins: PARITY[coins[0]] if len(coins) == 1 else coins[0] + 4)
     g = parity_two_block()
     assert not check_consistent(gt, g)
@@ -110,7 +127,7 @@ def test_mismatched_pair_found_by_enumeration():
             return PARITY[coins[0]]
         return coins[0] ^ 1 if coins[0] == 0 else coins[0]
 
-    gt = OnlineGenerator("mismatch", (0,), (4, 1), (1, 2), block)
+    gt = OnlineGenerator("mismatch", (0,), (4, 1), block)
     g = parity_two_block()
     assert not check_consistent(gt, g)
     bad = [t for t in online_support(gt, 0) if t not in g.support(0)]
@@ -127,7 +144,7 @@ def test_accessible_at_most_real_for_consistent_suite():
 
 def silent_wrap_parity() -> OnlineGenerator:
     """Always outputs the (parity(0), 0) execution; consistent, zero access."""
-    return OnlineGenerator("silent-parity", (0,), (1, 1), (1, 2),
+    return OnlineGenerator("silent-parity", (0,), (1, 1),
                            lambda z, coins: PARITY[0] if len(coins) == 1 else 0)
 
 
@@ -140,6 +157,6 @@ def test_out_of_range_block_raises():
 
 
 def test_law_requires_enumerable_coin_space():
-    gt = OnlineGenerator("huge", (0,), (2**40,), (1,), lambda z, coins: 0)
+    gt = OnlineGenerator("huge", (0,), (2**40,), lambda z, coins: 0)
     with pytest.raises(GeneratorError):
         gt.block_law(0, ())

@@ -85,7 +85,10 @@ def test_cap_enforced():
 def test_pair_domain_cap_enforced():
     # A pair domain of n-bit inputs holds 2^(2n) pairs; 2n is capped at 20.
     assert len(pair_domain(2)) == 16
-    with pytest.raises(EnumerationCap, match="n=22 exceeds enumeration cap 20"):
+    # n = 10 is the largest allowed; built uncached so its 2^20 pairs are freed.
+    assert len(pair_domain.__wrapped__(10)) == 2**20
+    with pytest.raises(EnumerationCap,
+                       match=r"pairs of n=11-bit inputs need 2n=22 bits, above the cap 20"):
         pair_domain(11)
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from dcrlab.probkit import (
     Dist,
     JointDist,
+    _log2_ratio,
     cond_entropy,
     kl_divergence,
     log2_number,
@@ -162,3 +163,19 @@ def test_equality_and_hash_match_reference(pc, qc, scale):
     as_float = Dist({x: float(v) for x, v in ref_p.items()})
     if all(float(v) == v for v in ref_p.values()):
         assert p == as_float and hash(p) == hash(as_float)
+
+
+ratio_terms = st.one_of(
+    st.integers(1, 1000),
+    st.integers(0, 80).map(lambda k: 2**k),
+    st.integers(2**64, 2**80),
+)
+
+
+@settings(deadline=None)
+@given(ratio_terms, ratio_terms, st.integers(1, 7))
+def test_log2_ratio_matches_fraction_log_bit_for_bit(c, d, k):
+    # The cases c > d, powers of two on either side and terms above 2^64
+    # are all drawn; the common factor k exercises the gcd reduction.
+    for n, m in ((c, d), (d, c), (c * k, d * k)):
+        assert _log2_ratio(n, m) == log2_number(Fraction(n, m))
