@@ -39,7 +39,7 @@ lhs, rhs = kl_chain_rule_check(pj, qj)
 print(f"\nchain rule on a random 4x4 pair: direct {lhs:.12f} vs decomposed {rhs:.12f}")
 
 # Pinsker ties the two metrics together; Jensen caps expected logs.
-tv, bound = pinsker_check(Dist.point(0, domain=[0, 1]), Dist.uniform([0, 1]))
+tv, bound = pinsker_check(Dist.point(0), Dist.uniform([0, 1]))
 print(f"pinsker: tv = {tv}, sqrt((ln 2 / 2) KL) = {bound:.6f}")
 e_log, log_e = jensen_log2_check(rng.uniform(0.5, 9.5, size=6))
 print(f"jensen:  E[log2 X] = {e_log:.6f} <= log2 E[X] = {log_e:.6f}")

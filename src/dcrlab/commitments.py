@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from dcrlab.hashfam import HashFamily, HashFunction, input_domain
+from dcrlab.hashfam import HashFamily, HashFunction
 from dcrlab.probkit import Dist, stat_distance
 from dcrlab.reporting import csv_line
 
@@ -193,7 +193,7 @@ def view_distribution(scheme: TwoMessageCommitment, seed: int, plaintext: int) -
     for coins in range(k):
         msg = scheme.commit_value(first, plaintext, coins)
         counts[msg] = counts.get(msg, 0) + 1
-    return Dist(counts, domain=input_domain(scheme.message_bits), denominator=k)
+    return Dist(counts, denominator=k)
 
 
 def hiding_distance(scheme: TwoMessageCommitment, seed: int) -> HidingResult:

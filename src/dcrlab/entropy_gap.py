@@ -31,9 +31,8 @@ from dcrlab.hashfam import (
     Adversary,
     HashFamily,
     HashFunction,
+    check_pair_cap,
     dcrh_distance,
-    input_domain,
-    pair_domain,
     preimage_set,
 )
 from dcrlab.probkit import Dist, JointDist, kl_divergence, shannon_entropy
@@ -211,6 +210,7 @@ class RewindingAdversary(Adversary):
         """Group first-block coins by the induced second-block law; the
         output law is the mixture of law (x) law over the groups, with
         weight count / v1 each: counts over v1 * lcm(law denominators^2)."""
+        check_pair_cap(h.n)
         v1 = self.gt.coin_spaces[0]
         groups: dict[Dist, int] = {}
         for r in range(v1):
@@ -226,12 +226,7 @@ class RewindingAdversary(Adversary):
                 for x2, c2 in counts:
                     key = (x1, x2)
                     mass[key] = mass.get(key, 0) + w1 * c2
-        return JointDist(mass, domain=pair_domain(h.n), denominator=v1 * lcm)
-
-    def first_block_marginal(self, h: HashFunction) -> Dist:
-        marginal = self.exact_distribution(h).marginal(0)
-        return Dist(marginal.counts, domain=input_domain(h.n),
-                    denominator=marginal.denominator)
+        return JointDist(mass, denominator=v1 * lcm)
 
 
 def collision_rate(adv: RewindingAdversary) -> Fraction:
@@ -254,11 +249,11 @@ def _first_block_kl(adv: RewindingAdversary, gap: float) -> float:
     at or below the measured entropy gap.
     """
     family = adv.family
-    uniform = Dist.uniform(input_domain(family.n))
+    uniform = Dist.uniform(range(2**family.n))
     direct = 0.0
     mean_entropy = 0.0
     for h in family:
-        marg = adv.first_block_marginal(h)
+        marg = adv.exact_distribution(h).marginal(0)
         direct += kl_divergence(marg, uniform) / len(family)
         mean_entropy += shannon_entropy(marg) / len(family)
     via_entropy = family.n - mean_entropy
@@ -290,7 +285,7 @@ def _second_block_kl(adv: RewindingAdversary, gap: float) -> float:
         for x1, row in rows.items():
             row_mass = sum(row.values())
             fiber = preimage_set(h, h(x1))
-            cond = Dist(row, domain=fiber, denominator=row_mass)
+            cond = Dist(row, denominator=row_mass)
             weight = row_mass / joint.denominator
             contribution += weight * kl_divergence(cond, Dist.uniform(fiber))
             log_fiber += weight * math.log2(len(fiber))

@@ -182,21 +182,20 @@ def builtin_families(n: int, num_keys: int = 4, seed: int = 0) -> list[HashFamil
 
 # -------------------------------------------------------------- collision finder
 
-@lru_cache(maxsize=64)
-def input_domain(n: int) -> tuple[int, ...]:
-    """The shared domain tuple for {0,1}^n, cached so dists can alias it."""
-    _check_cap(n, ENUM_CAP_HARD)
-    return tuple(range(2**n))
-
-
-@lru_cache(maxsize=64)
-def pair_domain(n: int) -> tuple[tuple[int, int], ...]:
-    """The shared domain tuple for ({0,1}^n)^2."""
+def check_pair_cap(n: int) -> None:
+    """Refuse laws over pairs of n-bit inputs, 2^(2n) outcomes, past the cap."""
     if 2 * n > ENUM_CAP_HARD:
         raise EnumerationCap(f"pairs of n={n}-bit inputs need 2n={2 * n} bits, "
                              f"above the cap {ENUM_CAP_HARD}")
+
+
+def _check_pair_range(law: JointDist, n: int) -> JointDist:
+    """``law`` itself, once every outcome is checked to be a pair in ({0,1}^n)^2."""
     side = range(2**n)
-    return tuple((x1, x2) for x1 in side for x2 in side)
+    for x1, x2 in law.support():
+        if x1 not in side or x2 not in side:
+            raise ValueError(f"output pair {(x1, x2)!r} outside ({{0,1}}^{n})^2")
+    return law
 
 
 def preimage_set(h: HashFunction, y: int) -> tuple[int, ...]:
@@ -208,13 +207,14 @@ def preimage_set(h: HashFunction, y: int) -> tuple[int, ...]:
 def col_distribution(h: HashFunction) -> JointDist:
     """Exact law of Col(h): P(x1, x2) = 2^-n / |h^-1(h(x1))| on collisions,
     as counts L / |fiber| over 2^n * L with L = ``h.fiber_lcm``."""
+    check_pair_cap(h.n)
     lcm = h.fiber_lcm
     mass = {(x1, x2): count
             for fiber in h.fibers.values()
             for count in (lcm // len(fiber),)
             for x1 in fiber
             for x2 in fiber}
-    return JointDist(mass, domain=pair_domain(h.n), denominator=2**h.n * lcm)
+    return JointDist(mass, denominator=2**h.n * lcm)
 
 
 def col_sample(h: HashFunction, rng: np.random.Generator) -> tuple[int, int]:
@@ -323,7 +323,9 @@ def adversary_distribution(
     by its multiplicity; larger spaces draw one tape at a time.  Either way
     the tapes, the rng's state afterwards and the law (its pair order
     included) are those of drawing and running one tape per sample.
+    Counted and sampled output pairs outside ({0,1}^n)^2 raise ``ValueError``.
     """
+    check_pair_cap(h.n)
     if mode == "exact":
         space = a.tape_space(h)
         if space > enum_threshold:
@@ -331,7 +333,7 @@ def adversary_distribution(
             if exact is not None:
                 return exact
         if space <= 2**TAPE_CAP_BITS:
-            return JointDist(a.tape_counts(h), domain=pair_domain(h.n), denominator=space)
+            return _check_pair_range(JointDist(a.tape_counts(h), denominator=space), h.n)
         raise EnumerationCap(f"tape space {space} exceeds 2^{TAPE_CAP_BITS} and no analytic law given")
     if mode == "monte-carlo":
         if rng is None or samples <= 0:
@@ -348,8 +350,8 @@ def adversary_distribution(
         for t, c in drawn:
             out = a.run(h, t)
             counts[out] = counts.get(out, 0) + c
-        return JointDist({pair: c / samples for pair, c in counts.items()},
-                         domain=pair_domain(h.n))
+        return _check_pair_range(JointDist({pair: c / samples for pair, c in counts.items()}),
+                                 h.n)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -378,15 +380,18 @@ class GameReport:
     joint_equality_gap: float = 0.0
 
 
-def mc_ci_half_width(samples: int, domain_size: int) -> float:
+def mc_ci_half_width(samples: int, support_size: int) -> float:
     """99% half-width for the empirical-TV estimate.
 
     McDiarmid controls deviation of the estimator from its mean
     (sqrt(ln(2/d)/2N)); the empirical-measure bias is bounded by
-    (1/2) sqrt(|domain|/N).
+    (1/2) sqrt(k/N) for a law on k outcomes.  ``support_size`` is the k the
+    caller observed (A(h)'s empirical support plus Col(h)'s support), not
+    the true one, so the test suite checks the interval's coverage against
+    exact game values.
     """
     delta = 1 - 0.99  # one minus the confidence, not 0.01: the floats differ
-    return math.sqrt(math.log(2 / delta) / (2 * samples)) + 0.5 * math.sqrt(domain_size / samples)
+    return math.sqrt(math.log(2 / delta) / (2 * samples)) + 0.5 * math.sqrt(support_size / samples)
 
 
 def dcrh_distance(
@@ -417,21 +422,16 @@ def dcrh_distance(
         w = Fraction(1, k)
         joint_adv = mixture([(w, _tag(adv, idx)) for idx, adv, _ in dists])
         joint_col = mixture([(w, _tag(col_distribution(h), idx)) for idx, h in enumerate(family)])
-        adv_counts, col_counts = joint_adv.counts, joint_col.counts
-        d_adv, d_col = joint_adv.denominator, joint_col.denominator
-        l1 = sum(abs(adv_counts.get(x, 0) * d_col - col_counts.get(x, 0) * d_adv)
-                 for x in adv_counts.keys() | col_counts.keys())
-        joint_delta = Fraction(l1, 2 * d_adv * d_col)
-        gap = abs(float(joint_delta) - float(distance))
+        gap = abs(float(stat_distance(joint_adv, joint_col)) - float(distance))
         report = GameReport(family.name, a.name, float(distance), per_h, "exact",
                             joint_equality_gap=gap)
         if gap > 1e-12:
             raise AssertionError(f"joint and per-key game values disagree by {gap}")
         return report
-    domain_size = max(len(adv.support()) + len(col_distribution(family.functions[i]).support())
-                      for i, adv, _ in dists)
+    support_size = max(len(adv.support()) + len(col_distribution(family.functions[i]).support())
+                       for i, adv, _ in dists)
     return GameReport(family.name, a.name, float(distance), per_h, "monte-carlo",
-                      samples=samples, ci_half_width=mc_ci_half_width(samples, domain_size))
+                      samples=samples, ci_half_width=mc_ci_half_width(samples, support_size))
 
 
 def _tag(d: Dist, idx: int) -> Dist:

@@ -10,6 +10,10 @@ mixtures of exact laws are integer sums over a common denominator.
 comparisons keep true equality.  64-bit float masses are accepted for
 large sweeps and are validated to a 1e-9 tolerance instead.
 
+A law's outcomes are its support: there is no separately declared
+outcome set, so the total variation distance runs over the union of the
+two supports and the divergence over the first law's support.
+
 All logarithms are base 2; entropies are in bits.  The conventions
 ``0*log(0) = 0`` and ``D(p||q) = +inf`` whenever ``supp(p)`` is not
 contained in ``supp(q)`` are applied throughout.
@@ -26,10 +30,6 @@ Number = Fraction | float
 
 LN2 = math.log(2.0)
 FLOAT_TOL = 1e-9
-
-
-class DomainMismatch(ValueError):
-    """Two distributions were combined over different outcome domains."""
 
 
 class SupportError(ValueError):
@@ -71,20 +71,19 @@ def _common_denominator(mass: Mapping[Outcome, Number]) -> tuple[dict, int]:
 
 
 class Dist:
-    """An immutable probability distribution over an enumerable domain.
+    """An immutable probability distribution over a finite support.
 
     ``mass`` maps outcomes to probabilities; outcomes missing from the
-    mapping have probability zero.  With ``denominator`` given, ``mass``
+    mapping have probability zero, and the outcomes of positive mass are
+    the law's whole outcome set.  With ``denominator`` given, ``mass``
     holds non-negative integer counts and outcome x has probability
     ``mass[x] / denominator``; this is how every exact law in the lab is
-    built.  ``domain`` may widen the outcome set beyond the support (it
-    defaults to the support).
+    built.
     """
 
-    __slots__ = ("_mass", "_den", "_domain", "_domain_set")
+    __slots__ = ("_mass", "_den")
 
-    def __init__(self, mass: Mapping[Outcome, Number], domain: Iterable[Outcome] | None = None,
-                 denominator: int | None = None):
+    def __init__(self, mass: Mapping[Outcome, Number], denominator: int | None = None):
         if denominator is None and not _is_exact(mass.values()):
             clean: dict[Outcome, Number] = {}
             for x, p in mass.items():
@@ -104,22 +103,6 @@ class Dist:
             clean, denominator = _reduced_counts(mass, denominator)
         self._mass = clean
         self._den = denominator
-        self._domain_set = None
-        if domain is None:
-            self._domain = tuple(clean)
-        else:
-            dom = tuple(domain)
-            if len(set(dom)) != len(dom):
-                raise ValueError("domain labels not unique")
-            missing = set(clean) - set(dom)
-            if missing:
-                raise ValueError(f"support outside declared domain: {missing}")
-            self._domain = dom
-
-    def domain_set(self) -> frozenset:
-        if self._domain_set is None:
-            self._domain_set = frozenset(self._domain)
-        return self._domain_set
 
     @classmethod
     def uniform(cls, outcomes: Iterable[Outcome]) -> "Dist":
@@ -127,16 +110,12 @@ class Dist:
         return cls({x: 1 for x in items}, denominator=len(items))
 
     @classmethod
-    def point(cls, x: Outcome, domain: Iterable[Outcome] | None = None) -> "Dist":
-        return cls({x: 1}, domain=domain, denominator=1)
+    def point(cls, x: Outcome) -> "Dist":
+        return cls({x: 1}, denominator=1)
 
     @classmethod
-    def from_counts(cls, counts: Mapping[Outcome, int], domain=None) -> "Dist":
-        return cls(counts, domain=domain, denominator=sum(counts.values()))
-
-    @property
-    def domain(self) -> tuple:
-        return self._domain
+    def from_counts(cls, counts: Mapping[Outcome, int]) -> "Dist":
+        return cls(counts, denominator=sum(counts.values()))
 
     @property
     def exact(self) -> bool:
@@ -170,9 +149,6 @@ class Dist:
         den = self._den
         return ((x, Fraction(c, den)) for x, c in self._mass.items())
 
-    def __len__(self) -> int:
-        return len(self._domain)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dist):
             return NotImplemented
@@ -196,7 +172,7 @@ class Dist:
 
     def __repr__(self):
         kind = "float" if self._den is None else "exact"
-        return f"Dist({len(self._mass)} outcomes of {len(self._domain)}, {kind})"
+        return f"Dist({len(self._mass)} outcomes, {kind})"
 
     def _rescaled(self, part: dict, total: Number) -> "Dist":
         """The law of part of this law's mass, of total ``total``, scaled to
@@ -229,11 +205,11 @@ def _reduced_counts(counts: Mapping[Outcome, int], den: int) -> tuple[dict, int]
 class JointDist(Dist):
     """A Dist over ordered pairs, with marginal and conditional accessors."""
 
-    def __init__(self, mass: Mapping[tuple, Number], domain=None, denominator: int | None = None):
+    def __init__(self, mass: Mapping[tuple, Number], denominator: int | None = None):
         for xy in mass:
             if not (isinstance(xy, tuple) and len(xy) == 2):
                 raise ValueError("JointDist outcomes must be pairs")
-        super().__init__(mass, domain=domain, denominator=denominator)
+        super().__init__(mass, denominator=denominator)
 
     @classmethod
     def product(cls, p: Dist, q: Dist) -> "JointDist":
@@ -255,18 +231,9 @@ class JointDist(Dist):
         return self._rescaled(kept, total)
 
 
-def _check_same_domain(p: Dist, q: Dist) -> None:
-    # The two laws must live on one domain: each support has to fall inside
-    # the other's declared domain (declared domains default to the support).
-    if p._domain is q._domain:
-        return
-    if not p.domain_set() >= set(q.support()) or not q.domain_set() >= set(p.support()):
-        raise DomainMismatch("distributions are over different domains")
-
-
 def stat_distance(p: Dist, q: Dist) -> Number:
-    """Total variation distance (1/2) * sum_x |p(x) - q(x)|."""
-    _check_same_domain(p, q)
+    """Total variation distance (1/2) * sum_x |p(x) - q(x)| over the union
+    of the two supports."""
     if p.exact and q.exact:
         # (1/2) sum |a/dp - b/dq| = sum |a*dq - b*dp| / (2*dp*dq); outcomes
         # of q outside supp(p) contribute dp * (dq - mass of q on supp(p)).
@@ -306,7 +273,6 @@ def cond_entropy(j: JointDist) -> float:
 
 def kl_divergence(p: Dist, q: Dist) -> float:
     """D(p || q) in bits; +inf when supp(p) is not inside supp(q)."""
-    _check_same_domain(p, q)
     total = 0.0
     if p.exact and q.exact:
         qm, dp, dq = q._mass, p._den, q._den

@@ -99,8 +99,8 @@ class Instance:
 def idc_epsilon(inst: Instance) -> Fraction:
     """Exact hiding distance of the instance-dependent commitment:
     TV between g(0 || uniform) and g(1 || uniform)."""
-    zero = Dist.from_counts(_count_values(inst, 0), domain=range(2**inst.out_bits))
-    one = Dist.from_counts(_count_values(inst, 1), domain=range(2**inst.out_bits))
+    zero = Dist.from_counts(_count_values(inst, 0))
+    one = Dist.from_counts(_count_values(inst, 1))
     return stat_distance(zero, one)
 
 

@@ -65,12 +65,16 @@ def test_enumeration_cap_exits_2(tmp_path, capsys):
     assert not (tmp_path / "dcrh_game.csv").exists()
 
 
-@pytest.mark.parametrize("mode", ["exact", "monte-carlo"])
-def test_pair_domain_cap_names_input_length(tmp_path, capsys, mode):
-    code = main(["dcrh-game", "--n", "11", "--mode", mode, "--out", str(tmp_path)])
+@pytest.mark.parametrize("command, csv", [
+    (["dcrh-game", "--mode", "exact"], "dcrh_game.csv"),
+    (["dcrh-game", "--mode", "monte-carlo"], "dcrh_game.csv"),
+    (["gap-sweep"], "gap_sweep.csv"),
+], ids=["exact", "monte-carlo", "gap-sweep"])
+def test_pair_domain_cap_names_input_length(tmp_path, capsys, command, csv):
+    code = main(command + ["--n", "11", "--out", str(tmp_path)])
     assert code == 2
     assert "error: pairs of n=11-bit inputs need 2n=22 bits" in capsys.readouterr().err
-    assert not (tmp_path / "dcrh_game.csv").exists()
+    assert not (tmp_path / csv).exists()
 
 
 def test_dcrh_game_exact(tmp_path):
@@ -78,6 +82,14 @@ def test_dcrh_game_exact(tmp_path):
                  "--seed", "2", "--out", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "dcrh_game.csv").exists()
+
+
+def test_dcrh_game_exact_rows_pinned(tmp_path):
+    # sha256 of dcrh_game.csv as written while laws carried declared domains.
+    code = main(["dcrh-game", "--n", "2..5", "--seed", "3", "--out", str(tmp_path)])
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "dcrh_game.csv").read_bytes()).hexdigest()
+    assert digest == "81b70afc79715c8218a4d3e62d99e3c9144659f72cdf175f6fc459ee42f3a8c1"
 
 
 def test_dcrh_game_monte_carlo_rows_pinned(tmp_path):

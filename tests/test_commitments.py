@@ -198,7 +198,7 @@ def _dist_markov_step(scheme, h):
     heavy = Fraction(0)
     all_uniform = True
     for counts in by_msg.values():
-        d = stat_distance(Dist.from_counts(counts, domain=range(n_plain)),
+        d = stat_distance(Dist.from_counts(counts),
                           Dist.uniform(range(n_plain)))
         all_uniform = all_uniform and d == 0
         if eps > 0 and float(d) >= sqrt_eps:

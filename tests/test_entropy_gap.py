@@ -35,7 +35,6 @@ from dcrlab.hashfam import (
     col_distribution,
     constant_family,
     identity_family,
-    pair_domain,
     preimage_set,
     uniform_random_family,
 )
@@ -73,7 +72,7 @@ def per_tape_distribution(adv, h) -> JointDist:
     for t in range(space):
         out = adv.run(h, t)
         counts[out] = counts.get(out, 0) + 1
-    return JointDist(counts, domain=pair_domain(h.n), denominator=space)
+    return JointDist(counts, denominator=space)
 
 
 def kl1_check(gt, family):

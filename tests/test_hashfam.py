@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dcrlab.entropy_gap import RewindingAdversary, honest_online
+from dcrlab.entropy_gap import RewindingAdversary, consistent_suite, honest_online
 from dcrlab.hashfam import (
     Adversary,
     ColAdversary,
@@ -15,12 +15,12 @@ from dcrlab.hashfam import (
     HashFunction,
     adversary_distribution,
     builtin_families,
+    check_pair_cap,
     col_distribution,
     col_sample,
     dcrh_distance,
     identity_family,
     mc_ci_half_width,
-    pair_domain,
     preimage_set,
     rng_bigint,
     uniform_random_family,
@@ -83,13 +83,18 @@ def test_cap_enforced():
 
 
 def test_pair_domain_cap_enforced():
-    # A pair domain of n-bit inputs holds 2^(2n) pairs; 2n is capped at 20.
-    assert len(pair_domain(2)) == 16
-    # n = 10 is the largest allowed; built uncached so its 2^20 pairs are freed.
-    assert len(pair_domain.__wrapped__(10)) == 2**20
-    with pytest.raises(EnumerationCap,
-                       match=r"pairs of n=11-bit inputs need 2n=22 bits, above the cap 20"):
-        pair_domain(11)
+    # A law over pairs of n-bit inputs has up to 2^(2n) outcomes; 2n is capped
+    # at 20, and the check itself builds no pairs.
+    check_pair_cap(10)
+    cap = r"pairs of n=11-bit inputs need 2n=22 bits, above the cap 20"
+    with pytest.raises(EnumerationCap, match=cap):
+        check_pair_cap(11)
+    # The pair laws refuse before building a pair.
+    h = HashFunction(n=11, m=1, table=(0,) * 2**11)
+    with pytest.raises(EnumerationCap, match=cap):
+        col_distribution(h)
+    with pytest.raises(EnumerationCap, match=cap):
+        adversary_distribution(FixedPairAdversary((0, 0)), h)
 
 
 # ------------------------------------------------------------- col distribution
@@ -204,6 +209,15 @@ def test_fixed_pair_adversary_point_mass():
     assert d.prob((0, 0)) == 1
 
 
+@pytest.mark.parametrize("mode", ["exact", "monte-carlo"])
+@pytest.mark.parametrize("pair", [(0, 2**3), (-1, 0)])
+def test_adversary_output_outside_pair_range_raises(mode, pair):
+    h = identity_family(3).functions[0]
+    rng = np.random.default_rng(0) if mode == "monte-carlo" else None
+    with pytest.raises(ValueError):
+        adversary_distribution(FixedPairAdversary(pair), h, mode=mode, samples=10, rng=rng)
+
+
 def test_tape_echo_adversary_on_identity():
     # Outputting (tape, tape) on the identity function reproduces Col exactly.
     h = identity_family(3).functions[0]
@@ -228,8 +242,7 @@ def per_sample_distribution(a, h, samples, rng):
         t = int(rng.integers(space)) if space <= 2**63 else rng_bigint(rng, space)
         out = a.run(h, t)
         counts[out] = counts.get(out, 0) + 1
-    return JointDist({pair: c / samples for pair, c in counts.items()},
-                     domain=pair_domain(h.n))
+    return JointDist({pair: c / samples for pair, c in counts.items()})
 
 
 class WideTapeAdversary(Adversary):
@@ -336,6 +349,29 @@ def test_monte_carlo_interval_covers_exact_distance():
                                    rng=np.random.default_rng(seed))
                 assert abs(mc.distance - exact) <= mc.ci_half_width, (fam.name, adversary.name,
                                                                       seed)
+
+
+def test_monte_carlo_interval_coverage_over_game_grid():
+    """Coverage of the 99% interval against the exact game value over the
+    five stock families at n = 3 and 4, against Col, Diagonal and the four
+    rewinding adversaries, 20 rng seeds each: 1,200 reports."""
+    reports = misses = 0
+    worst = 0.0
+    for n in (3, 4):
+        for fam in builtin_families(n, seed=n):
+            adversaries = [ColAdversary(), DiagonalAdversary()]
+            adversaries += [RewindingAdversary(gt, fam) for gt in consistent_suite(fam)]
+            for adversary in adversaries:
+                exact = dcrh_distance(fam, adversary).distance
+                for s in range(20):
+                    mc = dcrh_distance(fam, adversary, mode="monte-carlo", samples=2_000,
+                                       rng=np.random.default_rng(1000 + s))
+                    ratio = abs(mc.distance - exact) / mc.ci_half_width
+                    reports += 1
+                    misses += ratio > 1
+                    worst = max(worst, ratio)
+    assert reports == 1_200
+    assert misses <= reports // 100, (misses, worst)
 
 
 def test_ci_half_width_shrinks():

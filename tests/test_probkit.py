@@ -8,7 +8,6 @@ import pytest
 
 from dcrlab.probkit import (
     Dist,
-    DomainMismatch,
     JointDist,
     cond_entropy,
     jensen_log2_check,
@@ -22,11 +21,10 @@ from dcrlab.probkit import (
 )
 
 
-def random_dist(rng, size, domain=None):
+def random_dist(rng, size):
     """Float-mode distribution with Dirichlet(1) masses over `size` outcomes."""
     probs = rng.dirichlet(np.ones(size))
-    outcomes = domain if domain is not None else list(range(size))
-    return Dist({x: float(p) for x, p in zip(outcomes, probs)})
+    return Dist({x: float(p) for x, p in enumerate(probs)})
 
 
 def random_joint(rng, rows, cols):
@@ -43,22 +41,16 @@ def test_stat_distance_identical_is_zero():
 
 
 def test_stat_distance_disjoint_point_masses():
-    dom = ["a", "b"]
-    p = Dist.point("a", domain=dom)
-    q = Dist.point("b", domain=dom)
+    p = Dist.point("a")
+    q = Dist.point("b")
     assert stat_distance(p, q) == 1
 
 
 def test_stat_distance_uniform_vs_point():
     dom = ["00", "01", "10", "11"]
     p = Dist.uniform(dom)
-    q = Dist.point("00", domain=dom)
+    q = Dist.point("00")
     assert stat_distance(p, q) == Fraction(3, 4)
-
-
-def test_stat_distance_domain_mismatch_raises():
-    with pytest.raises(DomainMismatch):
-        stat_distance(Dist.uniform(range(2)), Dist.uniform(range(3)))
 
 
 def test_stat_distance_metric_axioms_on_random_triples():
@@ -163,9 +155,8 @@ def test_kl_vs_uniform_identity():
 
 
 def test_kl_support_violation_is_inf():
-    dom = ["a", "b"]
-    p = Dist.point("a", domain=dom)
-    q = Dist.point("b", domain=dom)
+    p = Dist.point("a")
+    q = Dist.point("b")
     assert kl_divergence(p, q) == math.inf
 
 
@@ -205,9 +196,8 @@ def test_chain_rule_random_four_by_four():
 
 
 def test_chain_rule_infinite_case():
-    dom = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    pj = JointDist({(0, 0): Fraction(1)}, domain=dom)
-    qj = JointDist({(1, 1): Fraction(1)}, domain=dom)
+    pj = JointDist({(0, 0): Fraction(1)})
+    qj = JointDist({(1, 1): Fraction(1)})
     assert kl_chain_rule_check(pj, qj) == (math.inf, math.inf)
 
 
@@ -219,9 +209,8 @@ def test_pinsker_equal():
 
 
 def test_pinsker_point_vs_fair_coin():
-    dom = [0, 1]
-    p = Dist.point(0, domain=dom)
-    q = Dist.uniform(dom)
+    p = Dist.point(0)
+    q = Dist.uniform([0, 1])
     tv, bound = pinsker_check(p, q)
     assert tv == pytest.approx(0.5, abs=1e-12)
     assert bound == pytest.approx(math.sqrt(math.log(2) / 2), abs=1e-12)
@@ -250,8 +239,8 @@ def test_jensen_log2_on_random_positive_samples():
 # ------------------------------------------------------------------- plumbing
 
 def test_mixture_of_two_points():
-    p = mixture([(Fraction(1, 2), Dist.point(0, domain=[0, 1])),
-                 (Fraction(1, 2), Dist.point(1, domain=[0, 1]))])
+    p = mixture([(Fraction(1, 2), Dist.point(0)),
+                 (Fraction(1, 2), Dist.point(1))])
     assert p == Dist.uniform([0, 1])
 
 
@@ -260,5 +249,3 @@ def test_invalid_masses_rejected():
         Dist({0: Fraction(1, 2)})
     with pytest.raises(ValueError):
         Dist({0: Fraction(3, 2), 1: Fraction(-1, 2)})
-    with pytest.raises(ValueError):
-        Dist({0: Fraction(1)}, domain=[1, 1])
