@@ -8,7 +8,13 @@ the constructor, validation is one integer sum, and distances and
 mixtures of exact laws are integer sums over a common denominator.
 ``prob`` and ``items`` still give ``fractions.Fraction`` values, so exact
 comparisons keep true equality.  64-bit float masses are accepted for
-large sweeps and are validated to a 1e-9 tolerance instead.
+large sweeps and are validated to a 1e-9 tolerance instead, in one pass
+over the masses: one conversion and one sum, with the per-value checks
+(tiny negatives clipped, NaNs and larger negatives rejected) only when
+some mass is not positive or the sum is NaN.  When either law of a pair
+is float, the total variation distance and the divergence run over plain
+floats: the exact side becomes one dict of ``count / denominator``
+floats, and the mass dicts are read directly.
 
 A law's outcomes are its support: there is no separately declared
 outcome set, so the total variation distance runs over the union of the
@@ -23,7 +29,7 @@ import math
 import sys
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping
 
 Outcome = Hashable
 Number = Fraction | float
@@ -36,15 +42,6 @@ class SupportError(ValueError):
     """An outcome outside the support was used where mass is required."""
 
 
-def log2_number(x: Number) -> float:
-    """log2 of a positive rational or float, exact for powers of two."""
-    if x <= 0:
-        raise ValueError("log2 of non-positive value")
-    if isinstance(x, Fraction):
-        return _log2_reduced(x.numerator, x.denominator)
-    return math.log2(x)
-
-
 def _log2_reduced(n: int, d: int) -> float:
     if n == 1 and d & (d - 1) == 0:
         return -float(d.bit_length() - 1)
@@ -54,8 +51,8 @@ def _log2_reduced(n: int, d: int) -> float:
 
 
 def _log2_ratio(n: int, d: int) -> float:
-    """log2(n / d) for positive ints, taken on the reduced fraction so it
-    equals ``log2_number(Fraction(n, d))`` bit for bit."""
+    """log2(n / d) for positive ints, taken on the reduced fraction, so a
+    ratio that reduces to a power of two gives an exact integer."""
     g = math.gcd(n, d)
     return _log2_reduced(n // g, d // g)
 
@@ -85,16 +82,11 @@ class Dist:
 
     def __init__(self, mass: Mapping[Outcome, Number], denominator: int | None = None):
         if denominator is None and not _is_exact(mass.values()):
-            clean: dict[Outcome, Number] = {}
-            for x, p in mass.items():
-                p = float(p)
-                if p < 0:
-                    if p < -FLOAT_TOL:
-                        raise ValueError(f"negative mass {p} at {x!r}")
-                    p = 0.0
-                if p > 0:
-                    clean[x] = p
+            clean = {x: float(p) for x, p in mass.items()}
             total = sum(clean.values())
+            if total != total or min(clean.values()) <= 0:
+                clean = _positive_floats(clean)
+                total = sum(clean.values())
             if abs(total - 1.0) > FLOAT_TOL:
                 raise ValueError(f"masses sum to {total}, not 1 within {FLOAT_TOL}")
         else:
@@ -107,7 +99,12 @@ class Dist:
     @classmethod
     def uniform(cls, outcomes: Iterable[Outcome]) -> "Dist":
         items = tuple(outcomes)
-        return cls({x: 1 for x in items}, denominator=len(items))
+        counts = {x: 1 for x in items}
+        if len(counts) != len(items):
+            seen = set()
+            repeated = next(x for x in items if x in seen or seen.add(x))
+            raise ValueError(f"outcome {repeated!r} is repeated in a uniform law")
+        return cls(counts, denominator=len(items))
 
     @classmethod
     def point(cls, x: Outcome) -> "Dist":
@@ -174,12 +171,21 @@ class Dist:
         kind = "float" if self._den is None else "exact"
         return f"Dist({len(self._mass)} outcomes, {kind})"
 
-    def _rescaled(self, part: dict, total: Number) -> "Dist":
-        """The law of part of this law's mass, of total ``total``, scaled to
-        mass one."""
-        if self._den is None:
-            return Dist({x: p / total for x, p in part.items()})
-        return Dist(part, denominator=total)
+
+def _positive_floats(mass: dict) -> dict:
+    """Float masses without their zeros; tiny negatives are clipped to zero,
+    and NaNs and larger negatives are rejected."""
+    clean = {}
+    for x, p in mass.items():
+        if p != p:
+            raise ValueError(f"NaN mass at {x!r}")
+        if p < 0:
+            if p < -FLOAT_TOL:
+                raise ValueError(f"negative mass {p} at {x!r}")
+            p = 0.0
+        if p > 0:
+            clean[x] = p
+    return clean
 
 
 def _reduced_counts(counts: Mapping[Outcome, int], den: int) -> tuple[dict, int]:
@@ -221,14 +227,30 @@ class JointDist(Dist):
             out[xy[coord]] = out.get(xy[coord], 0) + p
         return Dist(out, denominator=self._den)
 
-    def conditional(self, coord: int, value: Outcome) -> Dist:
-        """Law of the other coordinate given coordinate ``coord`` == value."""
-        other = 1 - coord
-        kept = {xy[other]: p for xy, p in self._mass.items() if xy[coord] == value}
-        total = sum(kept.values())
-        if total == 0:
-            raise SupportError(f"conditioning value {value!r} has zero mass")
-        return self._rescaled(kept, total)
+    def conditionals(self) -> dict[Outcome, Dist]:
+        """{x: law of the second coordinate given the first == x}, for every
+        x of positive mass in first-occurrence order, from one pass over the
+        joint law."""
+        rows: dict[Outcome, dict] = {}
+        for (x, y), p in self._mass.items():
+            rows.setdefault(x, {})[y] = p
+        laws = {}
+        for x, row in rows.items():
+            total = sum(row.values())
+            if self._den is None:
+                laws[x] = Dist({y: p / total for y, p in row.items()})
+            else:
+                laws[x] = Dist(row, denominator=total)
+        return laws
+
+
+def _float_masses(d: Dist) -> dict:
+    """The law's masses as a dict of floats; ``c / den`` on ints is the
+    correctly rounded float of the Fraction ``c/den``."""
+    if d._den is None:
+        return d._mass
+    den = d._den
+    return {x: c / den for x, c in d._mass.items()}
 
 
 def stat_distance(p: Dist, q: Dist) -> Number:
@@ -245,17 +267,9 @@ def stat_distance(p: Dist, q: Dist) -> Number:
             shared += b
             l1 += abs(a * dq - b * dp)
         return Fraction(l1 + (dq - shared) * dp, 2 * dp * dq)
-    p_at, q_at = _float_lookup(p), _float_lookup(q)
-    total = sum(abs(p_at(x) - q_at(x)) for x in set(p.support()) | set(q.support()))
+    pm, qm = _float_masses(p), _float_masses(q)
+    total = sum(abs(pm.get(x, 0.0) - qm.get(x, 0.0)) for x in set(p.support()) | set(q.support()))
     return total / 2
-
-
-def _float_lookup(d: Dist) -> Callable[[Outcome], float]:
-    """x -> float(d.prob(x)), without building a Fraction for exact laws."""
-    mass, den = d._mass, d._den
-    if den is None:
-        return lambda x: mass.get(x, 0.0)
-    return lambda x: mass.get(x, 0) / den
 
 
 def shannon_entropy(p: Dist) -> float:
@@ -263,7 +277,7 @@ def shannon_entropy(p: Dist) -> float:
     if p.exact:
         den = p._den
         return sum(c / den * -_log2_ratio(c, den) for c in p._mass.values())
-    return sum(float(px) * -log2_number(px) for _, px in p.items())
+    return sum(px * -math.log2(px) for px in p._mass.values())
 
 
 def cond_entropy(j: JointDist) -> float:
@@ -282,11 +296,12 @@ def kl_divergence(p: Dist, q: Dist) -> float:
                 return math.inf
             total += a / dp * _log2_ratio(a * dq, b * dp)
         return total
-    for x, px in p.items():
-        qx = q.prob(x)
-        if qx <= 0:
+    qm, log2 = _float_masses(q), math.log2
+    for x, px in _float_masses(p).items():
+        qx = qm.get(x)
+        if qx is None:
             return math.inf
-        total += float(px) * log2_number(float(px) / float(qx))
+        total += px * log2(px / qx)
     return total
 
 
@@ -301,9 +316,10 @@ def kl_chain_rule_check(pj: JointDist, qj: JointDist) -> tuple[float, float]:
     if math.isinf(lhs):
         return math.inf, math.inf
     p1, q1 = pj.marginal(0), qj.marginal(0)
+    p_given, q_given = pj.conditionals(), qj.conditionals()
     rhs = kl_divergence(p1, q1)
     for x, px in p1.items():
-        rhs += float(px) * kl_divergence(pj.conditional(0, x), qj.conditional(0, x))
+        rhs += float(px) * kl_divergence(p_given[x], q_given[x])
     return lhs, rhs
 
 

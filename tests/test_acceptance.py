@@ -46,6 +46,14 @@ def test_criterion_4_toolkit_identities():
     assert result.elapsed < 60
 
 
+def test_criterion_4_rows_pinned():
+    # sha256 of the newline-joined entropy_identities.csv rows as the
+    # per-outcome float path wrote them.
+    rows = acceptance.criterion_probkit_identities(SEED).rows
+    digest = "4f40b372bac4a93fe2b8af9d83b9babeb483aafcc45cfa5b8af8bfd57abcd6d8"
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == digest
+
+
 def test_criterion_5_commit_reduction():
     result = acceptance.criterion_commit_reduction(SEED, num_seeds=100)
     _check(result)

@@ -130,9 +130,11 @@ def test_col_marginal_uniform_and_fiber_conditionals():
                 marg = d.marginal(0)
                 assert all(p == Fraction(1, 2**h.n) for _, p in marg.items())
                 assert len(marg.support()) == 2**h.n
+                conds = d.conditionals()
+                assert list(conds) == list(marg.support())
                 for x1 in (0, 1, 2**h.n - 1):
                     fiber = preimage_set(h, h(x1))
-                    cond = d.conditional(0, x1)
+                    cond = conds[x1]
                     assert set(cond.support()) == set(fiber)
                     assert all(p == Fraction(1, len(fiber)) for _, p in cond.items())
 

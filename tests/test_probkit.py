@@ -13,7 +13,6 @@ from dcrlab.probkit import (
     jensen_log2_check,
     kl_chain_rule_check,
     kl_divergence,
-    log2_number,
     mixture,
     pinsker_check,
     shannon_entropy,
@@ -99,14 +98,6 @@ def test_entropy_bounds_and_max_at_uniform():
     assert shannon_entropy(Dist.uniform(range(12))) == pytest.approx(math.log2(12), abs=1e-12)
 
 
-def test_log2_number_rejects_non_positive():
-    assert log2_number(Fraction(1, 8)) == -3.0
-    assert log2_number(Fraction(4)) == 2.0
-    for x in (Fraction(0), Fraction(-1, 2), 0.0, -2.0):
-        with pytest.raises(ValueError):
-            log2_number(x)
-
-
 def test_cond_entropy_independent_equals_marginal():
     p = Dist({0: Fraction(1, 3), 1: Fraction(2, 3)})
     q = Dist.uniform(range(4))
@@ -130,8 +121,9 @@ def test_cond_entropy_matches_expectation_route():
     for _ in range(100):
         j = random_joint(rng, int(rng.integers(2, 6)), int(rng.integers(2, 6)))
         y_marg = j.marginal(1)
+        given_y = JointDist({(y, x): p for (x, y), p in j.items()}).conditionals()
         via_expectation = sum(
-            float(py) * shannon_entropy(j.conditional(1, y)) for y, py in y_marg.items()
+            float(py) * shannon_entropy(given_y[y]) for y, py in y_marg.items()
         )
         assert cond_entropy(j) == pytest.approx(via_expectation, abs=1e-9)
 
@@ -249,3 +241,26 @@ def test_invalid_masses_rejected():
         Dist({0: Fraction(1, 2)})
     with pytest.raises(ValueError):
         Dist({0: Fraction(3, 2), 1: Fraction(-1, 2)})
+
+
+def test_float_masses_validated():
+    with pytest.raises(ValueError, match="NaN mass at 1"):
+        Dist({0: 1.0, 1: float("nan")})
+    with pytest.raises(ValueError, match="NaN mass at 'b'"):
+        Dist({"a": 0.5, "b": np.float64("nan"), "c": 0.5})
+    with pytest.raises(ValueError):
+        Dist({0: 1.0, 1: math.inf})
+    with pytest.raises(ValueError, match="negative mass"):
+        Dist({0: 1.0, 1: -1e-8})
+    clipped = Dist({0: 0.5, 1: -1e-10, 2: 0.5})
+    assert clipped.support() == (0, 2)
+    dropped = Dist({0: 0.25, 1: 0.0, 2: 0.75})
+    assert dropped.support() == (0, 2)
+    assert list(dropped.items()) == [(0, 0.25), (2, 0.75)]
+
+
+def test_uniform_names_a_repeated_outcome():
+    with pytest.raises(ValueError, match="outcome 0 is repeated"):
+        Dist.uniform([0, 0])
+    with pytest.raises(ValueError, match="outcome 'b' is repeated"):
+        Dist.uniform(["a", "b", "c", "b"])

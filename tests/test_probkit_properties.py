@@ -1,14 +1,21 @@
-"""Exact laws as integer counts give exactly what Fraction-per-outcome laws give.
+"""probkit's results against direct per-outcome references.
 
-The reference below keeps one ``Fraction`` per outcome in a plain dict and
-computes each quantity the direct way.  Every exact result must equal the
-reference's: ``Fraction``s equal, floats bit for bit, and the same
-insertion order wherever floats are summed.
+Exact laws: the reference keeps one ``Fraction`` per outcome in a plain
+dict and computes each quantity the direct way.  Every exact result must
+equal the reference's: ``Fraction``s equal, floats bit for bit, and the
+same insertion order wherever floats are summed.
+
+Float and mixed exact/float pairs: the reference looks each outcome up
+with ``prob``, converts it with ``float`` and takes ``log2_number`` of it,
+and the chain rule rescans the joint law once per conditioning value.
+probkit's float path must give the same floats bit for bit.
 """
 
 import math
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,8 +24,8 @@ from dcrlab.probkit import (
     JointDist,
     _log2_ratio,
     cond_entropy,
+    kl_chain_rule_check,
     kl_divergence,
-    log2_number,
     mixture,
     shannon_entropy,
     stat_distance,
@@ -29,6 +36,20 @@ PAIRS = tuple((x, y) for x in range(3) for y in range(3))
 
 
 # ------------------------------------------------------------- the reference
+
+def log2_number(x) -> float:
+    """log2 of a positive rational or float, exact for powers of two."""
+    if x <= 0:
+        raise ValueError("log2 of non-positive value")
+    if isinstance(x, Fraction):
+        n, d = x.numerator, x.denominator
+        if n == 1 and d & (d - 1) == 0:
+            return -float(d.bit_length() - 1)
+        if d == 1 and n & (n - 1) == 0:
+            return float(n.bit_length() - 1)
+        return math.log2(n) - math.log2(d)
+    return math.log2(x)
+
 
 def ref_law(counts: dict, scale: int = 1) -> dict:
     total = sum(counts.values()) * scale
@@ -60,8 +81,8 @@ def ref_marginal(j: dict, coord: int) -> dict:
     return out
 
 
-def ref_conditional(j: dict, coord: int, value) -> dict:
-    kept = {xy[1 - coord]: p for xy, p in j.items() if xy[coord] == value}
+def ref_conditional(j: dict, value) -> dict:
+    kept = {y: p for (x, y), p in j.items() if x == value}
     total = sum(kept.values())
     return {x: p / total for x, p in kept.items()}
 
@@ -132,8 +153,10 @@ def test_joint_laws_match_reference(jc, coord):
     assert same_law(j, ref)
     marginal = ref_marginal(ref, coord)
     assert same_law(j.marginal(coord), marginal)
-    for value in marginal:
-        assert same_law(j.conditional(coord, value), ref_conditional(ref, coord, value))
+    conditionals = j.conditionals()
+    assert list(conditionals) == list(ref_marginal(ref, 0))
+    for value, law in conditionals.items():
+        assert same_law(law, ref_conditional(ref, value))
     assert cond_entropy(j) == ref_shannon(ref) - ref_shannon(ref_marginal(ref, 1))
 
 
@@ -178,3 +201,131 @@ def test_log2_ratio_matches_fraction_log_bit_for_bit(c, d, k):
     # are all drawn; the common factor k exercises the gcd reduction.
     for n, m in ((c, d), (d, c), (c * k, d * k)):
         assert _log2_ratio(n, m) == log2_number(Fraction(n, m))
+
+
+# ------------------------------------------------------- float and mixed laws
+
+def ref_float_stat_distance(p: Dist, q: Dist) -> float:
+    union = set(p.support()) | set(q.support())
+    return sum(abs(float(p.prob(x)) - float(q.prob(x))) for x in union) / 2
+
+
+def ref_float_kl(p: Dist, q: Dist) -> float:
+    total = 0.0
+    for x, px in p.items():
+        qx = q.prob(x)
+        if qx <= 0:
+            return math.inf
+        total += float(px) * log2_number(float(px) / float(qx))
+    return total
+
+
+def ref_float_shannon(p: Dist) -> float:
+    return sum(float(px) * -log2_number(px) for _, px in p.items())
+
+
+def ref_rescan_conditional(j: JointDist, value) -> Dist:
+    """Law of the second coordinate given the first == value, by one scan of
+    the whole joint law."""
+    kept = {y: p for (x, y), p in j.items() if x == value}
+    total = sum(kept.values())
+    return Dist({y: p / total for y, p in kept.items()})
+
+
+def ref_kl_of_laws(p: Dist, q: Dist) -> float:
+    if p.exact and q.exact:
+        return ref_kl(dict(p.items()), dict(q.items()))
+    return ref_float_kl(p, q)
+
+
+def ref_chain_rule(pj: JointDist, qj: JointDist) -> tuple[float, float]:
+    lhs = ref_kl_of_laws(pj, qj)
+    if math.isinf(lhs):
+        return math.inf, math.inf
+    p1, q1 = pj.marginal(0), qj.marginal(0)
+    rhs = ref_kl_of_laws(p1, q1)
+    for x, px in p1.items():
+        rhs += float(px) * ref_kl_of_laws(ref_rescan_conditional(pj, x),
+                                          ref_rescan_conditional(qj, x))
+    return lhs, rhs
+
+
+def float_masses(rng, outcomes) -> dict:
+    """Dirichlet(1) masses, left as ``np.float64``."""
+    return dict(zip(outcomes, rng.dirichlet(np.ones(len(outcomes)))))
+
+
+def exact_counts(rng, outcomes) -> dict:
+    return {x: int(c) for x, c in zip(outcomes, rng.integers(1, 50, len(outcomes)))}
+
+
+def float_law(rng, outcomes) -> Dist:
+    return Dist({x: float(p) for x, p in float_masses(rng, outcomes).items()})
+
+
+def exact_law(rng, outcomes) -> Dist:
+    return Dist.from_counts(exact_counts(rng, outcomes))
+
+
+def spread(x: int) -> int:
+    # Outcomes with scattered hashes, so set and dict orders depend on how
+    # each was built, as they do for the lab's tuple outcomes.
+    return x * 104729 % 1000003
+
+
+def random_outcomes(rng, universe: int) -> list:
+    """A random subset of the first ``universe`` spread outcomes, in random
+    insertion order."""
+    size = int(rng.integers(1, universe + 1))
+    return [spread(int(x)) for x in rng.permutation(universe)[:size]]
+
+
+def joint_law(rng, kind: str, rows: int, cols: int) -> JointDist:
+    pairs = [(i, j) for i in range(rows) for j in range(cols)]
+    if kind == "float":
+        return JointDist(float_masses(rng, pairs))
+    return JointDist.from_counts(exact_counts(rng, pairs))
+
+
+LAW_KINDS = {"float": float_law, "exact": exact_law}
+MIXES = [("float", "float"), ("exact", "float"), ("float", "exact")]
+
+
+@pytest.mark.parametrize("kinds", MIXES, ids="-".join)
+def test_float_tv_kl_entropy_match_reference_bit_for_bit(kinds):
+    make_p, make_q = (LAW_KINDS[k] for k in kinds)
+    rng = np.random.default_rng(2026)
+    for _ in range(400):
+        universe = int(rng.integers(1, 25))
+        p = make_p(rng, random_outcomes(rng, universe))
+        q = make_q(rng, random_outcomes(rng, universe))
+        assert stat_distance(p, q) == ref_float_stat_distance(p, q)
+        assert stat_distance(q, p) == ref_float_stat_distance(q, p)
+        assert kl_divergence(p, q) == ref_float_kl(p, q)
+        assert kl_divergence(q, p) == ref_float_kl(q, p)
+        if not p.exact:
+            assert shannon_entropy(p) == ref_float_shannon(p)
+        # Over a common support the divergence is finite.
+        full = make_q(rng, [spread(x) for x in range(universe)])
+        assert kl_divergence(p, full) == ref_float_kl(p, full) < math.inf
+
+
+@pytest.mark.parametrize("kinds", [*MIXES, ("exact", "exact")], ids="-".join)
+def test_chain_rule_matches_rescan_reference_bit_for_bit(kinds):
+    rng = np.random.default_rng(2027)
+    for _ in range(150):
+        rows, cols = (int(v) for v in rng.integers(1, 6, size=2))
+        pj, qj = (joint_law(rng, kind, rows, cols) for kind in kinds)
+        got = kl_chain_rule_check(pj, qj)
+        assert got == ref_chain_rule(pj, qj)
+        assert math.isfinite(got[0])
+
+
+def test_float_kl_and_chain_rule_are_inf_off_support():
+    p = Dist({0: 0.25, 1: 0.75})
+    q = Dist({1: 0.5, 2: 0.5})
+    for a, b in ((p, q), (p, Dist.from_counts({1: 1, 2: 1})), (Dist.from_counts({0: 1, 1: 3}), q)):
+        assert kl_divergence(a, b) == ref_float_kl(a, b) == math.inf
+    pj = JointDist({(0, 0): 0.5, (0, 1): 0.5})
+    qj = JointDist({(0, 0): 0.5, (1, 1): 0.5})
+    assert kl_chain_rule_check(pj, qj) == ref_chain_rule(pj, qj) == (math.inf, math.inf)
