@@ -3,9 +3,9 @@
 the hiding ledger, and the binding-to-decider story.
 """
 
+from dcrlab.hashfam import HashFunction
 from dcrlab.szkcommit import (
     EquivocatingSenderAttack,
-    Instance,
     ProtocolSession,
     TablePromiseProblem,
     decider_advantage,
@@ -36,8 +36,8 @@ opening = session.open_phase()
 print(f"\nhonest session verified plaintext: {session.verify_opening(opening)};"
       f" {len(session.transcript)} messages:")
 for phase, index, payload in session.transcript:
-    if isinstance(payload, Instance):
-        payload = f"{problem.classify(payload)} table, {payload.out_bits}-bit outputs"
+    if isinstance(payload, HashFunction):
+        payload = f"{problem.classify(payload)} table, {payload.m}-bit outputs"
     print(f"  {phase:>12s} {index:2d}  {payload}")
 
 # Hiding: enumerate every sender coin share, condition on the preamble.

@@ -244,7 +244,7 @@ def criterion_protocol_completeness(seed: int = 0) -> CriterionResult:
         inst = problem.sample(coins_val, n)
         for b in (0, 1):
             for r in range(2**problem.k):
-                if not szk.idc_verify(inst, inst.commit(b, r), b, r):
+                if not szk.idc_verify(inst, szk.idc_commit(inst, b, r), b, r):
                     failures.append(f"idc replay fails on coins {coins_val}")
     # Coin-toss and share-reconstruction factors.
     for rho_v in range(2**n):

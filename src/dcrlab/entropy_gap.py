@@ -277,20 +277,17 @@ def _second_block_kl(adv: RewindingAdversary, gap: float) -> float:
     via_entropy = 0.0
     for h in family:
         joint = adv.exact_distribution(h)
-        rows: dict[int, dict[int, int]] = {}
-        for (x1, x2), c in joint.counts.items():
-            rows.setdefault(x1, {})[x2] = c
+        marg = joint.marginal(0)
+        weights, den = marg.counts, marg.denominator
         contribution = 0.0
         log_fiber = 0.0
-        for x1, row in rows.items():
-            row_mass = sum(row.values())
+        for x1, cond in joint.conditionals().items():
             fiber = preimage_set(h, h(x1))
-            cond = Dist(row, denominator=row_mass)
-            weight = row_mass / joint.denominator
+            weight = weights[x1] / den
             contribution += weight * kl_divergence(cond, Dist.uniform(fiber))
             log_fiber += weight * math.log2(len(fiber))
         total += contribution / len(family)
-        cond_h = shannon_entropy(joint) - shannon_entropy(joint.marginal(0))
+        cond_h = shannon_entropy(joint) - shannon_entropy(marg)
         via_entropy += (log_fiber - cond_h) / len(family)
     if abs(total - via_entropy) > TOL:
         raise AssertionError(f"second-block KL routes disagree: {total} vs {via_entropy}")

@@ -24,6 +24,7 @@ from dcrlab.probkit import Dist, JointDist, mixture, stat_distance
 ENUM_CAP_DEFAULT = 14   # largest n enumerated without protest
 ENUM_CAP_HARD = 20      # absolute ceiling on 2^n enumeration
 TAPE_CAP_BITS = 24      # largest adversary tape space enumerated exactly
+ENUM_THRESHOLD = 2**16  # tape spaces above this use an analytic law when given
 
 
 class EnumerationCap(RuntimeError):
@@ -55,6 +56,15 @@ class HashFunction:
 
     def __call__(self, x: int) -> int:
         return self.table[x]
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash of the fields, taken once per object rather
+        than over the whole table on every cache lookup."""
+        return hash((self.n, self.m, self.table, self.key))
 
     @cached_property
     def fibers(self) -> dict[int, tuple[int, ...]]:
@@ -309,13 +319,12 @@ def adversary_distribution(
     mode: str = "exact",
     samples: int = 0,
     rng: np.random.Generator | None = None,
-    enum_threshold: int = 2**16,
 ) -> JointDist:
     """The adversary's output law on h.
 
     Exact mode counts the whole tape space through ``a.tape_counts(h)``;
     strategies with an analytic law use it once the tape space passes
-    ``enum_threshold`` (the two routes are interchangeable and are
+    ``ENUM_THRESHOLD`` (the two routes are interchangeable and are
     cross-checked in the test suite).
     Monte-Carlo mode returns the empirical distribution of ``samples``
     tapes.  Tape spaces up to 2^63 draw all tapes in one ``rng.integers``
@@ -328,7 +337,7 @@ def adversary_distribution(
     check_pair_cap(h.n)
     if mode == "exact":
         space = a.tape_space(h)
-        if space > enum_threshold:
+        if space > ENUM_THRESHOLD:
             exact = a.exact_distribution(h)
             if exact is not None:
                 return exact

@@ -45,7 +45,7 @@ class SupportError(ValueError):
 def _log2_reduced(n: int, d: int) -> float:
     if n == 1 and d & (d - 1) == 0:
         return -float(d.bit_length() - 1)
-    if d == 1 and n & (n - 1) == 0:
+    if d == 1 and n > 0 and n & (n - 1) == 0:
         return float(n.bit_length() - 1)
     return math.log2(n) - math.log2(d)
 

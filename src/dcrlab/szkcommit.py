@@ -3,13 +3,17 @@ with its hiding and binding arguments checked by exhaustive enumeration.
 
 Ingredients (all desk-scale):
 
-* a promise problem over function tables: YES instances are lossy tables
-  (every occupied output has a fiber of size >= 2 containing both
-  plaintext bits, with a measured plaintext imbalance), NO instances are
-  injective tables; the sampler derives an instance deterministically from
-  an n-bit coin string;
-* an instance-dependent commitment: commit(b; r) = g_x(b || r), perfectly
-  binding on NO instances, hiding to a measured epsilon on YES instances;
+* a promise problem over function tables: an instance is a
+  ``hashfam.HashFunction`` g_x on 1 + k input bits, the type the
+  collision reduction hashes with.  YES instances are lossy tables (every
+  occupied output has a fiber of size >= 2 containing both plaintext
+  bits, with a measured plaintext imbalance), NO instances are injective
+  tables; the sampler derives an instance deterministically from an
+  n-bit coin string;
+* an instance-dependent commitment: commit(b; r) = g_x(b || r), with the
+  plaintext bit as the top input bit, perfectly binding on NO instances,
+  hiding to a measured epsilon on YES instances; its helpers read the
+  instance's cached fibers and the two halves of its table;
 * an ideal statement-verdict proof for the preamble consistency claim, and
   an ideal ledger for the receiver's coin shares, so the binding hybrids
   bridge their stages with zero slack.
@@ -50,11 +54,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from dcrlab.hashfam import HashFunction
 from dcrlab.probkit import Dist, stat_distance
 
 YES, NO, OUTSIDE = "yes", "no", "outside"
@@ -68,63 +73,36 @@ class ProtocolError(RuntimeError):
 
 # ------------------------------------------------------------- promise problem
 
-@dataclass(frozen=True)
-class Instance:
-    """A total function g : {0,1}^(1+k) -> {0,1}^out_bits as a table."""
-
-    k: int
-    out_bits: int
-    table: tuple[int, ...]
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        """The table is hashed once per object, not on every cache lookup."""
-        return hash((self.k, self.out_bits, self.table))
-
-    def commit(self, bit: int, coins: int) -> int:
-        return self.table[(bit << self.k) | coins]
-
-    def fibers(self) -> dict[int, list[tuple[int, int]]]:
-        """output value -> list of (bit, coins) preimages."""
-        out: dict[int, list[tuple[int, int]]] = {}
-        for idx, value in enumerate(self.table):
-            out.setdefault(value, []).append((idx >> self.k, idx & (2**self.k - 1)))
-        return out
+def idc_commit(h: HashFunction, bit: int, coins: int) -> int:
+    """The instance-dependent commitment g_x(bit || coins): the table read
+    at the bit as the top input bit above the k coin bits."""
+    return h((bit << (h.n - 1)) | coins)
 
 
 @lru_cache(maxsize=None)
-def idc_epsilon(inst: Instance) -> Fraction:
+def idc_epsilon(h: HashFunction) -> Fraction:
     """Exact hiding distance of the instance-dependent commitment:
-    TV between g(0 || uniform) and g(1 || uniform)."""
-    zero = Dist.from_counts(_count_values(inst, 0))
-    one = Dist.from_counts(_count_values(inst, 1))
-    return stat_distance(zero, one)
+    TV between g(0 || uniform) and g(1 || uniform), the value laws of the
+    two halves of the table."""
+    half = len(h.table) // 2
+    return stat_distance(Dist.from_counts(Counter(h.table[:half])),
+                         Dist.from_counts(Counter(h.table[half:])))
 
 
-def _count_values(inst: Instance, bit: int) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for r in range(2**inst.k):
-        v = inst.commit(bit, r)
-        counts[v] = counts.get(v, 0) + 1
-    return counts
-
-
-def idc_verify(inst: Instance, commit_value: int, bit: int, coins: int) -> bool:
+def idc_verify(h: HashFunction, commit_value: int, bit: int, coins: int) -> bool:
     """Canonical verification: replay the commit computation."""
-    if not (0 <= bit <= 1 and 0 <= coins < 2**inst.k):
+    if not (0 <= bit <= 1 and 0 <= coins < 2 ** (h.n - 1)):
         return False
-    return inst.commit(bit, coins) == commit_value
+    return idc_commit(h, bit, coins) == commit_value
 
 
-def idc_equivocation(inst: Instance, commit_value: int, bit: int) -> int | None:
-    """Coins opening ``commit_value`` to ``bit``, or None when impossible."""
-    for r in range(2**inst.k):
-        if inst.commit(bit, r) == commit_value:
-            return r
-    return None
+def idc_equivocation(h: HashFunction, commit_value: int, bit: int) -> int | None:
+    """The smallest coins opening ``commit_value`` to ``bit``, or None when
+    impossible: the fiber is sorted, so its first input with top bit
+    ``bit`` holds them."""
+    k = h.n - 1
+    return next((x - (bit << k) for x in h.fibers.get(commit_value, ()) if x >> k == bit),
+                None)
 
 
 class TablePromiseProblem:
@@ -153,8 +131,7 @@ class TablePromiseProblem:
         self.yes_bits = yes_bits
         self.balance_tol = Fraction(1, 4) if balance_tol is None else Fraction(balance_tol)
         self.salt = salt
-        self._cache: dict[tuple[int, int], Instance] = {}
-        self._labels: dict[Instance, str] = {}
+        self._cache: dict[tuple[int, int], HashFunction] = {}
 
     @property
     def yes_rate(self) -> Fraction:
@@ -162,27 +139,20 @@ class TablePromiseProblem:
 
     # -- classification ----------------------------------------------------
 
-    def classify(self, inst: Instance) -> str:
-        if inst in self._labels:
-            return self._labels[inst]
-        fibers = inst.fibers()
-        if all(len(members) == 1 for members in fibers.values()):
-            label = NO
-        else:
-            lossy = all(len(members) >= 2 for members in fibers.values())
-            both_bits = all(
-                {b for b, _ in members} == {0, 1} for members in fibers.values()
-            )
-            if lossy and both_bits and idc_epsilon(inst) <= self.balance_tol:
-                label = YES
-            else:
-                label = OUTSIDE
-        self._labels[inst] = label
-        return label
+    def classify(self, h: HashFunction) -> str:
+        fibers = h.fibers.values()
+        if all(len(members) == 1 for members in fibers):
+            return NO
+        k = h.n - 1
+        lossy = all(len(members) >= 2 for members in fibers)
+        both_bits = all({x >> k for x in members} == {0, 1} for members in fibers)
+        if lossy and both_bits and idc_epsilon(h) <= self.balance_tol:
+            return YES
+        return OUTSIDE
 
     # -- sampling ----------------------------------------------------------
 
-    def sample(self, coins: int, coin_bits: int) -> Instance:
+    def sample(self, coins: int, coin_bits: int) -> HashFunction:
         """Deterministic instance for one coin string."""
         if coin_bits < self.yes_bits:
             raise ValueError("coin string shorter than the class selector")
@@ -201,12 +171,12 @@ class TablePromiseProblem:
         self._cache[key] = inst
         return inst
 
-    def _build_no(self, rng) -> Instance:
+    def _build_no(self, rng) -> HashFunction:
         out_bits = int(rng.choice(self.no_choices))
         table = rng.choice(2**out_bits, size=2 ** (1 + self.k), replace=False)
-        return Instance(self.k, out_bits, tuple(int(v) for v in table))
+        return HashFunction(n=1 + self.k, m=out_bits, table=tuple(int(v) for v in table))
 
-    def _build_yes(self, rng) -> Instance:
+    def _build_yes(self, rng) -> HashFunction:
         out_bits = int(rng.choice(self.out_bits_choices))
         half = 2**self.k
         groups = int(rng.integers(1, min(2**out_bits, half) + 1))
@@ -227,7 +197,7 @@ class TablePromiseProblem:
                 table[r] = int(outputs[g])
             for r in part1[g]:
                 table[half + r] = int(outputs[g])
-        return Instance(self.k, out_bits, tuple(table))
+        return HashFunction(n=1 + self.k, m=out_bits, table=tuple(table))
 
 
 def _random_partition(rng, total: int, groups: int) -> list[list[int]]:
@@ -332,7 +302,7 @@ class ProtocolSession:
             raise ProtocolError("shares do not reconstruct the plaintext")
         self.idc_coins = idc_coins or {slot: 0 for slot in self.slots}
         for idx, slot in enumerate(self.slots):
-            value = self.instances[slot].commit(self.shares[slot], self.idc_coins[slot])
+            value = idc_commit(self.instances[slot], self.shares[slot], self.idc_coins[slot])
             self.commits[slot] = value
             self._record("commit", idx, value)
         self.phase = "open"
@@ -392,7 +362,7 @@ class ReceiverSpec:
     instance substitution map applied to what it sends."""
 
     rho: dict
-    substitute: Callable[[tuple, Instance], Instance] | None = None
+    substitute: Callable[[tuple, HashFunction], HashFunction] | None = None
 
 
 def honest_receiver(n: int, rho_seed: int = 0) -> ReceiverSpec:
@@ -547,8 +517,8 @@ def _tape_facts(s_star: SenderAttack, tape: int, n: int, problem: TablePromisePr
     shares, coins = s_star.choose_commitments(tape, slots)
     sigma, shares, coins = ([d[slot] for slot in slots] for d in (sigma, shares, coins))
 
-    def fact(j: int, inst: Instance, bound: int) -> tuple[bool, bool]:
-        commit_value = inst.commit(shares[j], coins[j])
+    def fact(j: int, inst: HashFunction, bound: int) -> tuple[bool, bool]:
+        commit_value = idc_commit(inst, shares[j], coins[j])
         return (inst == problem.sample(bound ^ sigma[j], n),
                 idc_equivocation(inst, commit_value, 1 - shares[j]) is not None)
 
@@ -632,7 +602,7 @@ def hybrid_experiment(s_star: SenderAttack, n: int, problem: TablePromiseProblem
         raise ValueError("stage must be 0..4")
     space = 2**n
 
-    def plant(s: int, rho: int, extra: int) -> tuple[Instance, int]:
+    def plant(s: int, rho: int, extra: int) -> tuple[HashFunction, int]:
         """(sent instance, bound share) at the star slot."""
         if stage == 4:
             return problem.sample(rho ^ s, n), rho

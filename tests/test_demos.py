@@ -1,5 +1,6 @@
 """Every narrated demo runs to completion against the current package."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,6 +10,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# sha256 of a demo's stdout, for demos whose every printed number is exact
+# and seed-free: 05's honest transcript, hiding ledger and binding numbers.
+STDOUT_SHA256 = {
+    "05_protocol.py": "8b31ba3e2618bf78b20d0dbb11f01e720d87d1456c34c4cadece9e116afaffe8",
+}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -17,3 +23,5 @@ def test_demo_exits_zero(demo):
     result = subprocess.run([sys.executable, str(demo)], cwd=ROOT,
                             capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
+    if demo.name in STDOUT_SHA256:
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == STDOUT_SHA256[demo.name]

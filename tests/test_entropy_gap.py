@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dcrlab import entropy_gap
+from dcrlab import entropy_gap, hashfam
 from dcrlab.entropy_gap import (
     TOL,
     ConsistencyError,
@@ -162,17 +162,19 @@ def test_lazy_generator_point_mass_per_key():
         assert len(adv.exact_distribution(h).support()) == 1
 
 
-def test_tape_enumeration_agrees_with_analytic_law():
+def test_tape_enumeration_agrees_with_analytic_law(monkeypatch):
     # The same adversary computed by brute tape walk and by law grouping.
+    monkeypatch.setattr(hashfam, "ENUM_THRESHOLD", 2**40)
     toys = [parity_family(), identity_family(3), constant_family(2, 1, num_keys=1)]
     for fam in toys + builtin_families(3, num_keys=2, seed=9):
         adv = RewindingAdversary(ideal_online(fam), fam)
         for h in fam:
-            enumerated = adversary_distribution(adv, h, enum_threshold=2**40)
+            enumerated = adversary_distribution(adv, h)
             assert enumerated == adv.exact_distribution(h), fam.name
 
 
-def test_tape_counts_match_per_tape_reference():
+def test_tape_counts_match_per_tape_reference(monkeypatch):
+    monkeypatch.setattr(hashfam, "ENUM_THRESHOLD", 2**40)
     for n in (1, 2, 3, 4):
         for seed in (0, 1):
             for fam in builtin_families(n, num_keys=2, seed=seed):
@@ -182,7 +184,7 @@ def test_tape_counts_match_per_tape_reference():
                 advs.append(RewindingAdversary(mismatched_online(fam), fam, _checked=True))
                 for adv in advs:
                     for h in fam:
-                        counted = adversary_distribution(adv, h, enum_threshold=2**40)
+                        counted = adversary_distribution(adv, h)
                         assert counted == per_tape_distribution(adv, h), (fam.name, adv.name)
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dcrlab import hashfam
 from dcrlab.entropy_gap import RewindingAdversary, consistent_suite, honest_online
 from dcrlab.hashfam import (
     Adversary,
@@ -46,6 +47,13 @@ class FunctionAdversary(Adversary):
 def parity_fn(n=2):
     table = tuple(bin(x).count("1") % 2 for x in range(2**n))
     return HashFunction(n=n, m=1, table=table, key="parity")
+
+
+def test_hash_is_the_field_tuple_hash():
+    # The hash taken once per object is the one the dataclass would take.
+    for h in [parity_fn(), *identity_family(3), *uniform_random_family(3, 2, seed=1)]:
+        assert hash(h) == hash((h.n, h.m, h.table, h.key))
+    assert len({parity_fn(), parity_fn()}) == 1
 
 
 # ---------------------------------------------------------------- preimage sets
@@ -173,7 +181,7 @@ def test_col_adversary_matches_col_distribution():
             assert stat_distance(adv, col_distribution(h)) == 0
 
 
-def test_analytic_law_built_only_beyond_enum_threshold():
+def test_analytic_law_built_only_beyond_enum_threshold(monkeypatch):
     class CountingCol(ColAdversary):
         calls = 0
 
@@ -183,9 +191,11 @@ def test_analytic_law_built_only_beyond_enum_threshold():
 
     h = identity_family(2).functions[0]  # tape space 4
     below, above = CountingCol(), CountingCol()
-    assert adversary_distribution(below, h, enum_threshold=4) == col_distribution(h)
+    monkeypatch.setattr(hashfam, "ENUM_THRESHOLD", 4)
+    assert adversary_distribution(below, h) == col_distribution(h)
     assert below.calls == 0
-    assert adversary_distribution(above, h, enum_threshold=3) == col_distribution(h)
+    monkeypatch.setattr(hashfam, "ENUM_THRESHOLD", 3)
+    assert adversary_distribution(above, h) == col_distribution(h)
     assert above.calls == 1
 
 

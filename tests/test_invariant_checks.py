@@ -34,9 +34,22 @@ def _referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return found
 
 
+def _public_definitions(tree: ast.Module):
+    """(qualified name, node) for every public module-level def or class and
+    every public method or property of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member
+
+
 def test_every_public_definition_has_a_caller():
-    # A public module-level def or class must be named somewhere in the
-    # package outside its own definition, or in the demos or the benchmark.
+    # A public module-level def or class, and a public method or property of
+    # a class, must be named somewhere in the package outside its own
+    # definition, or in the demos or the benchmark.
     modules = {path: ast.parse(path.read_text())
                for path in sorted((SRC / "dcrlab").glob("*.py"))}
     outside = set()
@@ -47,12 +60,10 @@ def test_every_public_definition_has_a_caller():
     unused = []
     for path, tree in modules.items():
         elsewhere = outside.union(*(found for other, found in names.items() if other != path))
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")
-                    and node.name not in elsewhere
+        for qualname, node in _public_definitions(tree):
+            if (node.name not in elsewhere
                     and node.name not in _referenced_names(tree, skip=node)):
-                unused.append(f"{path.stem}.{node.name}")
+                unused.append(f"{path.stem}.{qualname}")
     assert unused == []
 
 

@@ -203,6 +203,13 @@ def test_log2_ratio_matches_fraction_log_bit_for_bit(c, d, k):
         assert _log2_ratio(n, m) == log2_number(Fraction(n, m))
 
 
+@pytest.mark.parametrize("d", [1, 5, 8])
+def test_log2_ratio_of_zero_raises(d):
+    # 0/d reduces to 0/1, which must not pass for the power of two 2^-1.
+    with pytest.raises(ValueError):
+        _log2_ratio(0, d)
+
+
 # ------------------------------------------------------- float and mixed laws
 
 def ref_float_stat_distance(p: Dist, q: Dist) -> float:

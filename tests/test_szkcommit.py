@@ -10,6 +10,7 @@ from typing import NamedTuple
 import pytest
 
 from dcrlab import szkcommit
+from dcrlab.hashfam import HashFunction
 from dcrlab.szkcommit import (
     NO,
     OUTSIDE,
@@ -19,7 +20,6 @@ from dcrlab.szkcommit import (
     EquivocatingSenderAttack,
     HidingOutcome,
     HybridReport,
-    Instance,
     ProtocolError,
     ProtocolSession,
     ReceiverSpec,
@@ -31,6 +31,7 @@ from dcrlab.szkcommit import (
     hiding_experiment,
     honest_receiver,
     hybrid_sweep,
+    idc_commit,
     idc_epsilon,
     idc_equivocation,
     idc_verify,
@@ -153,9 +154,9 @@ def test_measured_yes_rate_matches_declared():
 def test_yes_instances_are_lossy_balanced():
     for coins in range(0, 8, 2):
         inst = PROBLEM.sample(coins, 3)
-        for members in inst.fibers().values():
+        for members in inst.fibers.values():
             assert len(members) >= 2
-            assert {b for b, _ in members} == {0, 1}
+            assert {x >> PROBLEM.k for x in members} == {0, 1}
         assert idc_epsilon(inst) <= PROBLEM.balance_tol
 
 
@@ -169,7 +170,7 @@ def test_no_instances_are_injective_and_clear():
 def test_outside_tables_exist_and_are_rejected():
     # Lossy but single-bit fiber: both inputs of bit 0 collide, bit 1 is
     # injective elsewhere -> neither YES nor NO.
-    inst = Instance(k=1, out_bits=2, table=(0, 0, 1, 2))
+    inst = HashFunction(n=2, m=2, table=(0, 0, 1, 2))
     assert PROBLEM.classify(inst) == OUTSIDE
 
 
@@ -179,15 +180,15 @@ def test_idc_verify_and_equivocation():
     yes = PROBLEM.sample(0, 2)
     for r in range(16):
         for b in (0, 1):
-            assert idc_verify(yes, yes.commit(b, r), b, r)
+            assert idc_verify(yes, idc_commit(yes, b, r), b, r)
     # Every YES commitment re-opens to the other bit somewhere.
     for r in range(16):
-        c = yes.commit(0, r)
+        c = idc_commit(yes, 0, r)
         assert idc_equivocation(yes, c, 1) is not None
 
     no = PROBLEM.sample(1, 2)
     for r in range(16):
-        assert idc_equivocation(no, no.commit(0, r), 1) is None
+        assert idc_equivocation(no, idc_commit(no, 0, r), 1) is None
 
 
 def test_idc_perfect_binding_on_no_exhaustive():
@@ -198,11 +199,33 @@ def test_idc_perfect_binding_on_no_exhaustive():
             inst = PROBLEM.sample(coins, n)
             if PROBLEM.classify(inst) != NO:
                 continue
-            for r0 in range(2**inst.k):
-                c = inst.commit(0, r0)
+            for r0 in range(2**PROBLEM.k):
+                c = idc_commit(inst, 0, r0)
                 for b in (0, 1):
-                    valid = [r for r in range(2**inst.k) if idc_verify(inst, c, b, r)]
+                    valid = [r for r in range(2**PROBLEM.k) if idc_verify(inst, c, b, r)]
                     assert valid == ([r0] if b == 0 else [])
+
+
+def _equivocation_by_scan(inst, k, commit_value, bit):
+    """Reference for ``idc_equivocation``: the first of the 2^k coin values
+    whose commitment to ``bit`` is ``commit_value``."""
+    for r in range(2**k):
+        if idc_commit(inst, bit, r) == commit_value:
+            return r
+    return None
+
+
+@pytest.mark.parametrize("problem", [PROBLEM, SMALL], ids=["k4", "k2"])
+def test_idc_equivocation_matches_coin_scan(problem):
+    # Every instance the sampler emits at n <= 3, both bits, every value
+    # in the output range (values off the image have no opening).
+    for n in (1, 2, 3):
+        for coins in range(2**n):
+            inst = problem.sample(coins, n)
+            for value in range(2**inst.m):
+                for bit in (0, 1):
+                    assert (idc_equivocation(inst, value, bit)
+                            == _equivocation_by_scan(inst, problem.k, value, bit))
 
 
 # -------------------------------------------------------------- session phases
@@ -275,8 +298,8 @@ def test_honest_session_transcript_pinned():
         ("coin-toss", 1, ("sbc", (0, 1))),
         ("coin-toss", 2, 1),
         ("coin-toss", 3, 1),
-        ("instance-gen", 0, Instance(k=2, out_bits=3, table=(3, 6, 3, 3, 3, 6, 3, 3))),
-        ("instance-gen", 1, Instance(k=2, out_bits=3, table=(6, 3, 7, 2, 1, 5, 4, 0))),
+        ("instance-gen", 0, HashFunction(n=3, m=3, table=(3, 6, 3, 3, 3, 6, 3, 3))),
+        ("instance-gen", 1, HashFunction(n=3, m=3, table=(6, 3, 7, 2, 1, 5, 4, 0))),
         ("instance-gen", 2, True),
         ("commit", 0, 3),
         ("commit", 1, 2),
@@ -325,7 +348,7 @@ def test_completeness_factored_n2_k4():
         inst = problem.sample(coins_val, n)
         for b in (0, 1):
             for r in range(2**problem.k):
-                assert idc_verify(inst, inst.commit(b, r), b, r)
+                assert idc_verify(inst, idc_commit(inst, b, r), b, r)
     # Factor 2: coin-toss bookkeeping over every (rho, sigma) slot pair.
     for rho_v in range(2**n):
         for sigma_v in range(2**n):
@@ -409,7 +432,7 @@ def test_conditional_view_distance_matches_enumeration():
     def law(inst, bit):
         out = {}
         for r in range(2**k):
-            v = inst.commit(bit, r)
+            v = idc_commit(inst, bit, r)
             out[v] = out.get(v, 0) + Fraction(1, 2**k)
         return out
 
@@ -862,7 +885,8 @@ def test_binding_closed_form(n, yes_num, yes_bits):
     problem = TablePromiseProblem(k=2, out_bits_choices=(2, 3), yes_num=yes_num,
                                   yes_bits=yes_bits, salt=13 * n + yes_num)
     insts = [problem.sample(c, n) for c in range(2**n)]
-    y = Fraction(sum(idc_equivocation(x, x.commit(0, 0), 1) is not None for x in insts), 2**n)
+    y = Fraction(sum(idc_equivocation(x, idc_commit(x, 0, 0), 1) is not None for x in insts),
+                 2**n)
     eps_star = 1 - (1 - y) ** (2 * n)
     report = hybrid_sweep(EquivocatingSenderAttack(), n, problem)
     assert report.eps_star == eps_star
