@@ -281,10 +281,15 @@ def _second_block_kl(adv: RewindingAdversary, gap: float) -> float:
         weights, den = marg.counts, marg.denominator
         contribution = 0.0
         log_fiber = 0.0
+        uniforms: dict[int, Dist] = {}  # one uniform law per fiber of h
         for x1, cond in joint.conditionals().items():
-            fiber = preimage_set(h, h(x1))
+            y = h(x1)
+            fiber = preimage_set(h, y)
+            uniform = uniforms.get(y)
+            if uniform is None:
+                uniform = uniforms[y] = Dist.uniform(fiber)
             weight = weights[x1] / den
-            contribution += weight * kl_divergence(cond, Dist.uniform(fiber))
+            contribution += weight * kl_divergence(cond, uniform)
             log_fiber += weight * math.log2(len(fiber))
         total += contribution / len(family)
         cond_h = shannon_entropy(joint) - shannon_entropy(marg)

@@ -154,6 +154,7 @@ class OnlineGenerator:
         self.coin_spaces = tuple(int(v) for v in coin_spaces)
         self.block_fn = block_fn
         self.law_fn = law_fn
+        self._law_cache: dict[tuple, Dist] = {}
         if any(v < 1 for v in self.coin_spaces):
             raise GeneratorError("coin spaces must be non-empty")
 
@@ -168,15 +169,23 @@ class OnlineGenerator:
         return self.block_fn(z, tuple(coins))
 
     def block_law(self, z, r_prefix: Sequence[int]) -> Dist:
-        i = len(r_prefix)
+        """The law of block ``len(r_prefix)`` given (z, r_prefix), derived
+        once per (z, prefix) and shared by every consumer: the accessible
+        entropy, the consistency check and the rewinding adversary."""
+        prefix = tuple(r_prefix)
+        law = self._law_cache.get((z, prefix))
+        if law is None:
+            law = self._law_cache[(z, prefix)] = self._derive_law(z, prefix)
+        return law
+
+    def _derive_law(self, z, prefix: tuple) -> Dist:
         if self.law_fn is not None:
-            return self.law_fn(z, tuple(r_prefix))
-        space = self.coin_spaces[i]
+            return self.law_fn(z, prefix)
+        space = self.coin_spaces[len(prefix)]
         if space > LAW_ENUM_CAP:
             raise GeneratorError(
                 f"{self.name}: coin space {space} not enumerable; analytic law required")
         counts: dict[object, int] = {}
-        prefix = tuple(r_prefix)
         for r in range(space):
             y = self.block(z, prefix + (r,))
             counts[y] = counts.get(y, 0) + 1

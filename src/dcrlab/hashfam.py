@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from dcrlab.probkit import Dist, JointDist, mixture, stat_distance
+from dcrlab.probkit import Dist, JointDist, stat_distance
 
 ENUM_CAP_DEFAULT = 14   # largest n enumerated without protest
 ENUM_CAP_HARD = 20      # absolute ceiling on 2^n enumeration
@@ -414,34 +414,51 @@ def dcrh_distance(
 
     In exact mode the report also re-derives the same value from the joint
     law over (key, pair) — TV((h, A(h)), (h, Col(h))) — and records the
-    (zero) discrepancy between the two routes.
+    (zero) discrepancy between the two routes.  The joint value is summed
+    key by key as one integer L1 over the lcm of all the per-key law
+    denominators (``_joint_distance``), without building the joint laws.
     """
     per_h = {}
     dists = []
     for idx, h in enumerate(family):
         adv = adversary_distribution(a, h, mode=mode, samples=samples, rng=rng)
-        delta = stat_distance(adv, col_distribution(h))
+        col = col_distribution(h)
+        delta = stat_distance(adv, col)
         per_h[idx] = float(delta)
-        dists.append((idx, adv, delta))
+        dists.append((adv, col, delta))
     k = len(family)
     distance = sum(d for _, _, d in dists) / k
     if mode == "exact":
         # Second route: TV between the joint laws of (key, pair), which the
         # conditional-expectation identity says equals the per-key average.
-        w = Fraction(1, k)
-        joint_adv = mixture([(w, _tag(adv, idx)) for idx, adv, _ in dists])
-        joint_col = mixture([(w, _tag(col_distribution(h), idx)) for idx, h in enumerate(family)])
-        gap = abs(float(stat_distance(joint_adv, joint_col)) - float(distance))
+        joint = _joint_distance([(adv, col) for adv, col, _ in dists])
+        gap = abs(float(joint) - float(distance))
         report = GameReport(family.name, a.name, float(distance), per_h, "exact",
                             joint_equality_gap=gap)
         if gap > 1e-12:
             raise AssertionError(f"joint and per-key game values disagree by {gap}")
         return report
-    support_size = max(len(adv.support()) + len(col_distribution(family.functions[i]).support())
-                       for i, adv, _ in dists)
+    support_size = max(len(adv.support()) + len(col.support()) for adv, col, _ in dists)
     return GameReport(family.name, a.name, float(distance), per_h, "monte-carlo",
                       samples=samples, ci_half_width=mc_ci_half_width(samples, support_size))
 
 
-def _tag(d: Dist, idx: int) -> Dist:
-    return Dist({(idx, x): c for x, c in d.counts.items()}, denominator=d.denominator)
+def _joint_distance(laws: Sequence[tuple[Dist, Dist]]) -> Fraction:
+    """TV((i, P_i), (i, Q_i)) for a uniform key index i over the exact law
+    pairs ``laws[i] = (P_i, Q_i)``.  With D the lcm of all 2k denominators,
+    the joint law gives (i, x) the count p_ix * D / dP_i over k * D, so the
+    TV is L1 / (2 k D) for the integer L1 = sum_i sum_x |p_ix * D / dP_i -
+    q_ix * D / dQ_i| over the union of each pair's supports."""
+    den = math.lcm(*(d.denominator for pair in laws for d in pair))
+    l1 = 0
+    for p, q in laws:
+        sp, sq = den // p.denominator, den // q.denominator
+        qm = q.counts
+        shared = 0
+        for x, a in p.counts.items():
+            b = qm.get(x, 0)
+            shared += b
+            l1 += abs(a * sp - b * sq)
+        # Outcomes of Q_i outside supp(P_i) carry the rest of its count.
+        l1 += (q.denominator - shared) * sq
+    return Fraction(l1, 2 * len(laws) * den)

@@ -28,6 +28,7 @@ contained in ``supp(q)`` are applied throughout.
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping
 
@@ -50,9 +51,12 @@ def _log2_reduced(n: int, d: int) -> float:
     return math.log2(n) - math.log2(d)
 
 
+@lru_cache(maxsize=4096)
 def _log2_ratio(n: int, d: int) -> float:
     """log2(n / d) for positive ints, taken on the reduced fraction, so a
-    ratio that reduces to a power of two gives an exact integer."""
+    ratio that reduces to a power of two gives an exact integer.  Entropy
+    sums call it millions of times on a few hundred distinct arguments, so
+    each argument's log is memoized; a zero n raises and is not cached."""
     g = math.gcd(n, d)
     return _log2_reduced(n // g, d // g)
 

@@ -25,6 +25,10 @@ def test_criterion_2_gap_bound_sweep_full():
     result = acceptance.criterion_gap_sweep(SEED, ns=range(2, 9), num_keys=4)
     _check(result)
     assert result.elapsed < 600
+    # sha256 of the newline-joined n = 2..8 rows as the tagged-mixture
+    # joint route and the unmemoized logs and block laws wrote them.
+    digest = "a8aec494ce66dea95930481d79623c0b97c83fe1651f8a7b3e22758551d33e7f"
+    assert hashlib.sha256("\n".join(result.rows).encode()).hexdigest() == digest
 
 
 def test_criterion_2_rows_pinned():

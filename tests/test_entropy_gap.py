@@ -126,6 +126,16 @@ def test_suite_is_consistent_and_cheaters_are_not():
     assert not check_consistent(mismatched_online(fam), g)
 
 
+def test_consistency_check_reads_the_memoized_laws():
+    # accessible_entropy fills the generator's law memo first; the check
+    # must still find the mismatched tape from the memoized laws.
+    fam = uniform_random_family(3, 2, num_keys=2, seed=8)
+    gt = mismatched_online(fam)
+    accessible_entropy(gt)
+    assert gt._law_cache
+    assert not check_consistent(gt, build_two_block_generator(fam))
+
+
 def test_rewinding_rejects_inconsistent_generator():
     fam = parity_family()
     with pytest.raises(ConsistencyError):

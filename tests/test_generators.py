@@ -1,5 +1,7 @@
 """Entropy accounting for block and online generators."""
 
+from collections import Counter
+
 import pytest
 
 from dcrlab import generators
@@ -13,6 +15,7 @@ from dcrlab.generators import (
     online_support,
     real_entropy,
 )
+from dcrlab.probkit import Dist
 
 PARITY = (0, 1, 1, 0)  # truth table of 2-bit parity
 
@@ -157,6 +160,34 @@ def test_out_of_range_block_raises():
 
 
 def test_law_requires_enumerable_coin_space():
+    # The refusal is not memoized: every call raises.
     gt = OnlineGenerator("huge", (0,), (2**40,), lambda z, coins: 0)
-    with pytest.raises(GeneratorError):
-        gt.block_law(0, ())
+    for _ in range(2):
+        with pytest.raises(GeneratorError):
+            gt.block_law(0, ())
+
+
+# ------------------------------------------------------------------ law memo
+
+def test_block_law_is_derived_once_per_prefix():
+    # Block two is (z + r1 + r2) mod 2 over three coins: 2/3 vs 1/3 laws.
+    gt = OnlineGenerator("sum-mod-2", (0, 1), (2, 3), lambda z, coins: (z + sum(coins)) % 2)
+    for z in gt.param_space:
+        for prefix in ((), (0,), (1,)):
+            law = gt.block_law(z, prefix)
+            assert gt.block_law(z, list(prefix)) is law
+            space = gt.coin_spaces[len(prefix)]
+            fresh = Counter(gt.block(z, prefix + (r,)) for r in range(space))
+            assert law == Dist.from_counts(fresh)
+
+
+def test_analytic_block_law_is_derived_once_per_prefix():
+    calls = []
+
+    def law_fn(z, prefix):
+        calls.append((z, prefix))
+        return Dist.uniform(range(3))
+
+    gt = OnlineGenerator("analytic", (0,), (2**40,), lambda z, coins: 0, law_fn=law_fn)
+    assert gt.block_law(0, ()) is gt.block_law(0, ())
+    assert calls == [(0, ())]

@@ -26,7 +26,7 @@ from dcrlab.hashfam import (
     rng_bigint,
     uniform_random_family,
 )
-from dcrlab.probkit import JointDist, stat_distance
+from dcrlab.probkit import Dist, JointDist, mixture, stat_distance
 
 
 class FunctionAdversary(Adversary):
@@ -388,6 +388,32 @@ def test_monte_carlo_interval_coverage_over_game_grid():
 
 def test_ci_half_width_shrinks():
     assert mc_ci_half_width(40_000, 64) < mc_ci_half_width(10_000, 64)
+
+
+def ref_joint_distance(laws) -> Fraction:
+    """The joint route as tagged mixtures: each key's laws re-keyed to
+    (key, pair) outcomes, merged by ``mixture`` at weight 1/k, then one TV
+    of the two joint laws."""
+    def tag(d, idx):
+        return Dist({(idx, x): c for x, c in d.counts.items()}, denominator=d.denominator)
+
+    w = Fraction(1, len(laws))
+    joint_p = mixture([(w, tag(p, idx)) for idx, (p, _) in enumerate(laws)])
+    joint_q = mixture([(w, tag(q, idx)) for idx, (_, q) in enumerate(laws)])
+    return stat_distance(joint_p, joint_q)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_joint_sum_matches_tagged_mixture_route(n):
+    for fam in builtin_families(n, seed=n):
+        # The fixed pair's support differs from Col's on every family.
+        advs = [ColAdversary(), DiagonalAdversary(), FixedPairAdversary((0, 1))]
+        advs += [RewindingAdversary(gt, fam) for gt in consistent_suite(fam)]
+        for a in advs:
+            laws = [(adversary_distribution(a, h), col_distribution(h)) for h in fam]
+            joint = hashfam._joint_distance(laws)
+            assert joint == ref_joint_distance(laws), (fam.name, a.name)
+            assert joint == sum(stat_distance(p, q) for p, q in laws) / len(laws)
 
 
 def test_per_key_values_average_to_distance():

@@ -78,19 +78,19 @@ def test_package_has_no_assert_statements():
 
 
 def test_joint_route_check_raises_under_optimize():
-    # Swap the key tags of the Col laws so the joint route disagrees with the
-    # per-key route; the check must fire even with assert statements stripped.
+    # Swap the two keys' Col laws before they reach the joint sum, so the
+    # joint route disagrees with the per-key route; the check must fire even
+    # with assert statements stripped.
     script = textwrap.dedent("""
-        import itertools
         import sys
 
         from dcrlab import hashfam
 
         if not sys.flags.optimize:
             sys.exit("not running under -O")
-        tag = hashfam._tag
-        calls = itertools.count()
-        hashfam._tag = lambda d, idx: tag(d, idx if next(calls) < 2 else 1 - idx)
+        joint = hashfam._joint_distance
+        hashfam._joint_distance = lambda laws: joint(
+            [(laws[0][0], laws[1][1]), (laws[1][0], laws[0][1])])
         fam = hashfam.uniform_random_family(3, 2, num_keys=2, seed=1)
         hashfam.dcrh_distance(fam, hashfam.ColAdversary())
     """)

@@ -206,8 +206,20 @@ def test_log2_ratio_matches_fraction_log_bit_for_bit(c, d, k):
 @pytest.mark.parametrize("d", [1, 5, 8])
 def test_log2_ratio_of_zero_raises(d):
     # 0/d reduces to 0/1, which must not pass for the power of two 2^-1.
-    with pytest.raises(ValueError):
-        _log2_ratio(0, d)
+    # The memo caches no exception, so a repeat raises too.
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            _log2_ratio(0, d)
+
+
+def test_log2_ratio_memo_matches_the_unmemoized_log_bit_for_bit():
+    # Each argument twice: the first call may fill the memo, the second
+    # reads it.  Both must be the unmemoized float, bit for bit.
+    terms = list(range(1, 41)) + [2**k for k in (6, 20, 64, 80)] + [3 * 2**70]
+    for _ in range(2):
+        for n in terms:
+            for d in terms:
+                assert _log2_ratio(n, d).hex() == _log2_ratio.__wrapped__(n, d).hex()
 
 
 # ------------------------------------------------------- float and mixed laws
