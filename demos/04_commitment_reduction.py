@@ -14,15 +14,14 @@ from dcrlab.commitments import (
     col_equivocation_rate,
     hiding_distance,
     markov_step_check,
-    run_protocol,
     scheme_to_hash_family,
     string_variant_rate,
 )
 
 scheme = RandomFunctionCommitment(6, 3, num_seeds=6, seed=11)
-res = run_protocol(scheme, plaintext=1, sender_coins=9, receiver_seed=0)
-print(f"{scheme.name}: committed to 1, verifier returns",
-      scheme.verify(res.com, res.decom))
+first = scheme.first_message(0)  # receiver seed 0
+com = (first, scheme.commit_value(first, 1, 9))  # plaintext 1, coins 9
+print(f"{scheme.name}: committed to 1, verifier returns", scheme.verify(com, (1, 9)))
 
 print("\nper-key hiding and equivocation:")
 print(f"{'key':>4s} {'epsilon':>9s} {'Pr[b != b2]':>12s} {'1/2 - 2 sqrt(eps)':>18s}")
@@ -34,11 +33,11 @@ for h in scheme_to_hash_family(scheme):
 print("\nextremes:")
 opaque = OpaqueCommitment(4, num_seeds=1, seed=3)
 h = scheme_to_hash_family(opaque).functions[0]
-print(f"  bit-blind scheme:  eps = {hiding_distance(opaque, 0).epsilon},"
+print(f"  bit-blind scheme:  eps = {hiding_distance(opaque, 0)},"
       f" rate = {col_equivocation_rate(opaque, h).rate}")
 clear = ClearTextCommitment(4)
 h = scheme_to_hash_family(clear).functions[0]
-print(f"  clear-text scheme: eps = {hiding_distance(clear, 0).epsilon},"
+print(f"  clear-text scheme: eps = {hiding_distance(clear, 0)},"
       f" rate = {col_equivocation_rate(clear, h).rate}")
 
 strings = OpaqueCommitment(4, num_seeds=1, seed=5, ell=3)

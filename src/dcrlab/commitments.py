@@ -11,21 +11,17 @@ collision of h is exactly a pair of valid openings of one commitment.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from dcrlab.hashfam import HashFamily, HashFunction
+from dcrlab.hashfam import ENUM_CAP_HARD, HashFamily, HashFunction, _check_cap
 from dcrlab.probkit import Dist, stat_distance
 from dcrlab.reporting import csv_line
 
 TOL = 1e-9
-
-
-class RoundStructureError(ValueError):
-    """A scheme with the wrong message pattern was fed to the reduction."""
 
 
 # ----------------------------------------------------------------- scheme model
@@ -36,29 +32,31 @@ class TwoMessageCommitment:
     Concrete schemes supply ``first_message`` (receiver seed -> opaque key
     material) and ``commit_value`` (key material, plaintext, coins ->
     commit message).  Both are total and deterministic, so every game in
-    this module can be computed by enumeration.
+    this module can be computed by enumeration.  The input space x =
+    (plaintext, coins) is checked against the hard enumeration cap here,
+    before a subclass builds any table over it.
     """
 
     name = "two-message"
-    rounds = (("receiver", "first"), ("sender", "commit"))
 
     def __init__(self, ell: int, coin_bits: int, message_bits: int,
                  receiver_seeds: Sequence[int]):
+        _check_cap(ell + coin_bits, ENUM_CAP_HARD)
         self.ell = ell
         self.coin_bits = coin_bits
         self.message_bits = message_bits
         self.receiver_seeds = tuple(receiver_seeds)
-        self._hiding: dict[int, HidingResult] = {}
+        self._hiding: dict[int, float] = {}
 
     def first_message(self, seed: int):
         raise NotImplementedError
 
-    def hiding(self, seed: int) -> "HidingResult":
+    def hiding(self, seed: int) -> float:
         """``hiding_distance(self, seed)``, computed once per receiver seed."""
-        result = self._hiding.get(seed)
-        if result is None:
-            result = self._hiding[seed] = hiding_distance(self, seed)
-        return result
+        eps = self._hiding.get(seed)
+        if eps is None:
+            eps = self._hiding[seed] = hiding_distance(self, seed)
+        return eps
 
     def commit_value(self, first_msg, plaintext: int, coins: int) -> int:
         raise NotImplementedError
@@ -74,37 +72,6 @@ class TwoMessageCommitment:
         if self.commit_value(first_msg, plaintext, coins) != commit_msg:
             return None
         return plaintext
-
-
-@dataclass
-class RunResult:
-    """One protocol execution: commitment, decommitment, message trace."""
-
-    com: tuple | None
-    decom: tuple | None
-    messages: list = field(default_factory=list)
-    aborted: bool = False
-
-
-def run_protocol(scheme: TwoMessageCommitment, plaintext: int, sender_coins: int,
-                 receiver_seed: int) -> RunResult:
-    """Drives one honest commit-phase execution.
-
-    Malformed plaintext or coin values abort the protocol; the abort is
-    recorded on the transcript rather than raised.
-    """
-    result = RunResult(com=None, decom=None)
-    first = scheme.first_message(receiver_seed)
-    result.messages.append(("receiver", first))
-    if not (0 <= plaintext < 2**scheme.ell and 0 <= sender_coins < 2**scheme.coin_bits):
-        result.aborted = True
-        result.messages.append(("sender", "abort"))
-        return result
-    commit_msg = scheme.commit_value(first, plaintext, sender_coins)
-    result.messages.append(("sender", commit_msg))
-    result.com = (first, commit_msg)
-    result.decom = (plaintext, sender_coins)
-    return result
 
 
 # ----------------------------------------------------------------- toy schemes
@@ -176,14 +143,6 @@ class ClearTextCommitment(TwoMessageCommitment):
 
 # --------------------------------------------------------------------- hiding
 
-@dataclass
-class HidingResult:
-    """Exact view distance for a fixed deterministic receiver."""
-
-    epsilon: float
-    seed: int
-
-
 def view_distribution(scheme: TwoMessageCommitment, seed: int, plaintext: int) -> Dist:
     """Law of the sender's commit message over uniform coins, which is the
     whole variable part of a deterministic receiver's view."""
@@ -196,16 +155,17 @@ def view_distribution(scheme: TwoMessageCommitment, seed: int, plaintext: int) -
     return Dist(counts, denominator=k)
 
 
-def hiding_distance(scheme: TwoMessageCommitment, seed: int) -> HidingResult:
+def hiding_distance(scheme: TwoMessageCommitment, seed: int) -> float:
     """Max over plaintext pairs of the exact view distance (for ell = 1
-    this is the single distance between the two views)."""
+    this is the single distance between the two views), as the float
+    epsilon of a fixed deterministic receiver."""
     views = {b: view_distribution(scheme, seed, b) for b in range(2**scheme.ell)}
     worst = Fraction(0)
     for b0 in views:
         for b1 in views:
             if b0 < b1:
                 worst = max(worst, stat_distance(views[b0], views[b1]))
-    return HidingResult(epsilon=float(worst), seed=seed)
+    return float(worst)
 
 
 # ----------------------------------------------------- reduction to hash family
@@ -213,18 +173,12 @@ def hiding_distance(scheme: TwoMessageCommitment, seed: int) -> HidingResult:
 def scheme_to_hash_family(scheme: TwoMessageCommitment) -> HashFamily:
     """h(x) = commit message on x = (plaintext || coins); the key is the
     receiver's first message, sampled over the scheme's seed list."""
-    if tuple(speaker for speaker, _ in scheme.rounds) != ("receiver", "sender"):
-        raise RoundStructureError(
-            f"{scheme.name}: reduction needs exactly receiver-then-sender messages")
     n = scheme.ell + scheme.coin_bits
+    openings = [_split(scheme, x) for x in range(2**n)]  # shared by every key
     fns = []
     for seed in scheme.receiver_seeds:
         first = scheme.first_message(seed)
-        table = tuple(
-            scheme.commit_value(first, x >> scheme.coin_bits,
-                                x & (2**scheme.coin_bits - 1))
-            for x in range(2**n)
-        )
+        table = tuple(scheme.commit_value(first, b, r) for b, r in openings)
         fns.append(HashFunction(n=n, m=scheme.message_bits, table=table, key=seed))
     return HashFamily(f"from[{scheme.name}]", fns)
 
@@ -260,7 +214,7 @@ def col_equivocation_rate(scheme: TwoMessageCommitment, h: HashFunction) -> Equi
     rate >= 1/2 - 2 sqrt(eps) is asserted for bit plaintexts.
     """
     first = scheme.first_message(h.key)
-    eps = scheme.hiding(h.key).epsilon
+    eps = scheme.hiding(h.key)
     lcm = h.fiber_lcm
     split_count = 0
     valid = True
@@ -289,7 +243,6 @@ class MarkovStepReport:
     from uniform by sqrt(eps) or more carry at most sqrt(eps) mass."""
 
     heavy_fraction: float
-    sqrt_eps: float
     ok: bool
 
 
@@ -300,8 +253,8 @@ def markov_step_check(scheme: TwoMessageCommitment, h: HashFunction) -> MarkovSt
     B_c the posterior of b given c.  When eps is exactly zero the posterior
     must equal the prior for every commitment.
     """
-    eps = scheme.hiding(h.key).epsilon
-    sqrt_eps = math.sqrt(eps)
+    eps = scheme.hiding(h.key)
+    root_eps = math.sqrt(eps)
     n_plain = 2**scheme.ell
     first = scheme.first_message(h.key)
     by_msg: dict[int, dict[int, int]] = {}
@@ -320,11 +273,11 @@ def markov_step_check(scheme: TwoMessageCommitment, h: HashFunction) -> MarkovSt
         num = sum(abs(counts.get(b, 0) * n_plain - mass) for b in range(n_plain))
         if num != 0:
             all_uniform = False
-        if eps > 0 and num / (2 * mass * n_plain) >= sqrt_eps:
+        if eps > 0 and num / (2 * mass * n_plain) >= root_eps:
             heavy_mass += mass
     heavy = Fraction(heavy_mass, total)
-    ok = all_uniform if eps == 0 else float(heavy) <= sqrt_eps + TOL
-    return MarkovStepReport(heavy_fraction=float(heavy), sqrt_eps=sqrt_eps, ok=ok)
+    ok = all_uniform if eps == 0 else float(heavy) <= root_eps + TOL
+    return MarkovStepReport(heavy_fraction=float(heavy), ok=ok)
 
 
 @dataclass

@@ -16,6 +16,7 @@ fiber of x1), and gap = n - accessible entropy.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -212,10 +213,7 @@ class RewindingAdversary(Adversary):
         weight count / v1 each: counts over v1 * lcm(law denominators^2)."""
         check_pair_cap(h.n)
         v1 = self.gt.coin_spaces[0]
-        groups: dict[Dist, int] = {}
-        for r in range(v1):
-            law = self.gt.block_law(h, (r,))
-            groups[law] = groups.get(law, 0) + 1
+        groups = Counter(self.gt.block_law(h, (r,)) for r in range(v1))
         lcm = math.lcm(*(law.denominator**2 for law in groups))
         mass: dict[tuple, int] = {}
         for law, count in groups.items():

@@ -12,7 +12,7 @@ enumerated key space.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -382,11 +382,9 @@ class GameReport:
     family: str
     adversary: str
     distance: float
-    per_h: dict = field(default_factory=dict)
     mode: str = "exact"
     samples: int = 0
     ci_half_width: float = 0.0
-    joint_equality_gap: float = 0.0
 
 
 def mc_ci_half_width(samples: int, support_size: int) -> float:
@@ -412,20 +410,17 @@ def dcrh_distance(
 ) -> GameReport:
     """E_h TV(A(h), Col(h)) over the family's enumerated key space.
 
-    In exact mode the report also re-derives the same value from the joint
-    law over (key, pair) — TV((h, A(h)), (h, Col(h))) — and records the
-    (zero) discrepancy between the two routes.  The joint value is summed
-    key by key as one integer L1 over the lcm of all the per-key law
-    denominators (``_joint_distance``), without building the joint laws.
+    In exact mode the value is re-derived from the joint law over (key,
+    pair) — TV((h, A(h)), (h, Col(h))) — and the two routes must agree.
+    The joint value is summed key by key as one integer L1 over the lcm of
+    all the per-key law denominators (``_joint_distance``), without
+    building the joint laws.
     """
-    per_h = {}
     dists = []
-    for idx, h in enumerate(family):
+    for h in family:
         adv = adversary_distribution(a, h, mode=mode, samples=samples, rng=rng)
         col = col_distribution(h)
-        delta = stat_distance(adv, col)
-        per_h[idx] = float(delta)
-        dists.append((adv, col, delta))
+        dists.append((adv, col, stat_distance(adv, col)))
     k = len(family)
     distance = sum(d for _, _, d in dists) / k
     if mode == "exact":
@@ -433,13 +428,11 @@ def dcrh_distance(
         # conditional-expectation identity says equals the per-key average.
         joint = _joint_distance([(adv, col) for adv, col, _ in dists])
         gap = abs(float(joint) - float(distance))
-        report = GameReport(family.name, a.name, float(distance), per_h, "exact",
-                            joint_equality_gap=gap)
         if gap > 1e-12:
             raise AssertionError(f"joint and per-key game values disagree by {gap}")
-        return report
+        return GameReport(family.name, a.name, float(distance), "exact")
     support_size = max(len(adv.support()) + len(col.support()) for adv, col, _ in dists)
-    return GameReport(family.name, a.name, float(distance), per_h, "monte-carlo",
+    return GameReport(family.name, a.name, float(distance), "monte-carlo",
                       samples=samples, ci_half_width=mc_ci_half_width(samples, support_size))
 
 

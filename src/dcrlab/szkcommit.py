@@ -59,7 +59,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from dcrlab.hashfam import HashFunction
+from dcrlab.hashfam import ENUM_CAP_HARD, HashFunction, _check_cap
 from dcrlab.probkit import Dist, stat_distance
 
 YES, NO, OUTSIDE = "yes", "no", "outside"
@@ -120,6 +120,7 @@ class TablePromiseProblem:
     def __init__(self, k: int = 4, out_bits_choices: Sequence[int] = (2, 3, 4, 5, 6),
                  yes_num: int = 1, yes_bits: int = 1,
                  balance_tol: Fraction | None = None, salt: int = 0):
+        _check_cap(1 + k, ENUM_CAP_HARD)  # before any 2^(1 + k)-entry table
         self.k = k
         self.out_bits_choices = tuple(out_bits_choices)
         self.no_choices = tuple(m for m in self.out_bits_choices if 2**m >= 2 ** (1 + k))
@@ -373,19 +374,6 @@ def honest_receiver(n: int, rho_seed: int = 0) -> ReceiverSpec:
     return ReceiverSpec(rho=rho)
 
 
-def view_distance_product(terms: Iterable[int]) -> int:
-    """The product form of the conditional view distance, on integers.
-
-    With XOR shares, writing S_j and D_j for the sum and difference of the
-    two per-slot commit laws, the constrained share mixture collapses to
-    (tensor S +/- tensor D) / 2^(2n), so the distance is the product of the
-    per-slot hiding distances:  TV = prod_j eps_j.  Applied to the
-    numerators and to the denominators of the eps_j, it gives the two
-    halves of that product.
-    """
-    return math.prod(terms)
-
-
 @dataclass
 class HidingOutcome:
     """Everything measured by one hiding experiment."""
@@ -450,7 +438,12 @@ def hiding_experiment(r_spec: ReceiverSpec, n: int, problem: TablePromiseProblem
         if not is_admissible(wi_verdict, labels):
             inadmissible += weight
         elif wi_verdict:
-            dist = view_distance_product(eps)
+            # With XOR shares, writing S_j and D_j for the sum and difference
+            # of the two per-slot commit laws, the constrained share mixture
+            # collapses to (tensor S +/- tensor D) / 2^(2n), so the view
+            # distance is the product of the per-slot hiding distances,
+            # TV = prod_j eps_j: here, of their numerators over L.
+            dist = math.prod(eps)
             worst = max(worst, dist)
             yes_eps = max(e for label, e in zip(labels, eps) if label == YES)
             if dist / scale > yes_eps / lcm + TOL:

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import resource
 import subprocess
 import sys
 
@@ -99,6 +100,26 @@ def test_dcrh_game_monte_carlo_rows_pinned(tmp_path):
     assert code == 0
     digest = hashlib.sha256((tmp_path / "dcrh_game.csv").read_bytes()).hexdigest()
     assert digest == "140adbc6808501bb0153d1024e106f51e5975495d195ac50136ba8343779632a"
+
+
+def _limit_address_space():
+    # Runs in the child between fork and exec: the limit binds it alone.
+    limit = 512 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_commit_reduce_cap_checked_before_tables(tmp_path):
+    # At k = 20 each receiver's table has 2^21 entries, about 16 MiB; the
+    # default 100 seeds would need some 1.6 GiB before the cap fired.  The
+    # cap is checked first, so the run fits in 512 MiB of address space.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run(
+        [sys.executable, "-m", "dcrlab", "commit-reduce", "--k", "20", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, preexec_fn=_limit_address_space)
+    assert result.returncode == 2
+    assert "error: n=21 exceeds enumeration cap 20" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "commit_reduce.csv").exists()
 
 
 def test_commit_reduce(tmp_path):

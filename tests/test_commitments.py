@@ -12,17 +12,14 @@ from dcrlab.commitments import (
     TOL,
     ClearTextCommitment,
     EquivocationReport,
-    HidingResult,
     MarkovStepReport,
     OpaqueCommitment,
     RandomFunctionCommitment,
-    RoundStructureError,
     TwoMessageCommitment,
     col_equivocation_rate,
     commit_reduction_rows,
     hiding_distance,
     markov_step_check,
-    run_protocol,
     scheme_to_hash_family,
     string_variant_rate,
     view_distribution,
@@ -64,14 +61,20 @@ ALL_SCHEMES = [
 
 # ---------------------------------------------------------------- completeness
 
+def _honest_commitment(scheme, seed, b, r):
+    """The receiver's first message and the sender's commit message on
+    plaintext b and coins r."""
+    first = scheme.first_message(seed)
+    return first, scheme.commit_value(first, b, r)
+
+
 def test_honest_runs_verify_exhaustively():
     for scheme in ALL_SCHEMES:
         for seed in scheme.receiver_seeds:
             for b in range(2**scheme.ell):
                 for r in range(2**scheme.coin_bits):
-                    res = run_protocol(scheme, b, r, seed)
-                    assert not res.aborted
-                    assert scheme.verify(res.com, res.decom) == b
+                    com = _honest_commitment(scheme, seed, b, r)
+                    assert scheme.verify(com, (b, r)) == b
 
 
 def test_random_honest_runs_all_verify():
@@ -81,15 +84,14 @@ def test_random_honest_runs_all_verify():
         seed = scheme.receiver_seeds[int(rng.integers(len(scheme.receiver_seeds)))]
         b = int(rng.integers(2**scheme.ell))
         r = int(rng.integers(2**scheme.coin_bits))
-        res = run_protocol(scheme, b, r, seed)
-        assert scheme.verify(res.com, res.decom) == b
+        com = _honest_commitment(scheme, seed, b, r)
+        assert scheme.verify(com, (b, r)) == b
 
 
-def test_malformed_input_aborts_on_transcript():
+def test_malformed_opening_does_not_verify():
     scheme = OpaqueCommitment(2)
-    res = run_protocol(scheme, plaintext=5, sender_coins=0, receiver_seed=0)
-    assert res.aborted and res.com is None
-    assert ("sender", "abort") in res.messages
+    com = _honest_commitment(scheme, 0, 0, 0)
+    assert scheme.verify(com, (5, 0)) is None
 
 
 def test_injective_scheme_distinct_commit_messages():
@@ -104,12 +106,12 @@ def test_injective_scheme_distinct_commit_messages():
 def test_hiding_opaque_is_exactly_zero():
     scheme = OpaqueCommitment(4, num_seeds=2, seed=9)
     for seed in scheme.receiver_seeds:
-        assert hiding_distance(scheme, seed).epsilon == 0.0
+        assert hiding_distance(scheme, seed) == 0.0
 
 
 def test_hiding_clear_text_is_one():
     scheme = ClearTextCommitment(3)
-    assert hiding_distance(scheme, 0).epsilon == 1.0
+    assert hiding_distance(scheme, 0) == 1.0
 
 
 def test_hiding_shrinks_with_extra_coin_bits():
@@ -118,7 +120,7 @@ def test_hiding_shrinks_with_extra_coin_bits():
     means = []
     for m in (5, 4, 3, 2):  # k - m = 1, 2, 3, 4
         scheme = RandomFunctionCommitment(k, m, num_seeds=24, seed=40 + m)
-        eps = [hiding_distance(scheme, s).epsilon for s in scheme.receiver_seeds]
+        eps = [hiding_distance(scheme, s) for s in scheme.receiver_seeds]
         means.append(sum(eps) / len(eps))
     assert means[0] > means[1] > means[2] > means[3]
 
@@ -150,21 +152,13 @@ def test_injective_scheme_gives_diagonal_col():
         assert all(x1 == x2 for (x1, x2) in col_distribution(h).support())
 
 
-def test_round_structure_enforced():
-    class ThreeRound(OpaqueCommitment):
-        rounds = (("receiver", "first"), ("sender", "commit"), ("receiver", "ack"))
-
-    with pytest.raises(RoundStructureError):
-        scheme_to_hash_family(ThreeRound(2))
-
-
 def _pairwise_equivocation_rate(scheme, h):
     """The pair-by-pair loop over the Col(h) law, kept as the reference for
     the per-fiber count: one commit and two verifies per Col-supported pair.
     Returns the report the checks would raise on, without raising, and
     whether every pair re-opened."""
     first = scheme.first_message(h.key)
-    eps = scheme.hiding(h.key).epsilon
+    eps = scheme.hiding(h.key)
     col = col_distribution(h)
     split_count = 0
     valid = True
@@ -185,8 +179,8 @@ def _dist_markov_step(scheme, h):
     """The averaging step with one posterior ``Dist`` per commit message and
     ``stat_distance`` to the uniform plaintext, kept as the reference for
     the integer distance."""
-    eps = scheme.hiding(h.key).epsilon
-    sqrt_eps = math.sqrt(eps)
+    eps = scheme.hiding(h.key)
+    root_eps = math.sqrt(eps)
     n_plain = 2**scheme.ell
     first = scheme.first_message(h.key)
     by_msg = {}
@@ -201,10 +195,10 @@ def _dist_markov_step(scheme, h):
         d = stat_distance(Dist.from_counts(counts),
                           Dist.uniform(range(n_plain)))
         all_uniform = all_uniform and d == 0
-        if eps > 0 and float(d) >= sqrt_eps:
+        if eps > 0 and float(d) >= root_eps:
             heavy += Fraction(sum(counts.values()), total)
-    ok = all_uniform if eps == 0 else float(heavy) <= sqrt_eps + TOL
-    return MarkovStepReport(heavy_fraction=float(heavy), sqrt_eps=sqrt_eps, ok=ok)
+    ok = all_uniform if eps == 0 else float(heavy) <= root_eps + TOL
+    return MarkovStepReport(heavy_fraction=float(heavy), ok=ok)
 
 
 REFERENCE_SCHEMES = [
@@ -245,7 +239,7 @@ def test_equivocation_bound_fires_when_hiding_overstated(monkeypatch):
     # Clear text never equivocates (rate 0); claiming perfect hiding makes
     # the bound 1/2, which the rate misses.
     scheme = ClearTextCommitment(3)
-    monkeypatch.setattr(scheme, "hiding", lambda seed: HidingResult(epsilon=0.0, seed=seed))
+    monkeypatch.setattr(scheme, "hiding", lambda seed: 0.0)
     h = scheme_to_hash_family(scheme).functions[0]
     with pytest.raises(AssertionError, match=r"below 1/2 - 2 sqrt\(eps\)"):
         col_equivocation_rate(scheme, h)

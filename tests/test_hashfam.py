@@ -307,7 +307,6 @@ def test_game_value_ideal_adversary_is_zero():
     for fam in builtin_families(3, seed=1):
         rep = dcrh_distance(fam, ColAdversary())
         assert rep.distance == 0
-        assert all(v == 0 for v in rep.per_h.values())
 
 
 def test_game_value_fixed_pair_on_identity():
@@ -414,13 +413,6 @@ def test_joint_sum_matches_tagged_mixture_route(n):
             joint = hashfam._joint_distance(laws)
             assert joint == ref_joint_distance(laws), (fam.name, a.name)
             assert joint == sum(stat_distance(p, q) for p, q in laws) / len(laws)
-
-
-def test_per_key_values_average_to_distance():
-    fam = uniform_random_family(3, 2, num_keys=4, seed=6)
-    rep = dcrh_distance(fam, DiagonalAdversary())
-    assert sum(rep.per_h.values()) / len(rep.per_h) == pytest.approx(rep.distance, abs=1e-12)
-    assert rep.joint_equality_gap <= 1e-12
 
 
 def test_non_compressing_families_allowed():

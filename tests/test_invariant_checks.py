@@ -34,22 +34,38 @@ def _referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return found
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass"
+               for d in node.decorator_list)
+
+
 def _public_definitions(tree: ast.Module):
-    """(qualified name, node) for every public module-level def or class and
-    every public method or property of a module-level class."""
+    """(qualified name, name, node) for every public module-level def or
+    class, every public method or property of a module-level class, and
+    every public annotated field of a module-level dataclass."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node.name, node
+            yield node.name, node.name, node
         if isinstance(node, ast.ClassDef):
             for member in node.body:
-                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
-                    yield f"{node.name}.{member.name}", member
+                if isinstance(member, ast.FunctionDef):
+                    name = member.name
+                elif (_is_dataclass(node) and isinstance(member, ast.AnnAssign)
+                      and isinstance(member.target, ast.Name)):
+                    name = member.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    yield f"{node.name}.{name}", name, member
 
 
 def test_every_public_definition_has_a_caller():
-    # A public module-level def or class, and a public method or property of
-    # a class, must be named somewhere in the package outside its own
-    # definition, or in the demos or the benchmark.
+    # A public module-level def or class, a public method or property of a
+    # class, and a public field of a dataclass must be named somewhere in
+    # the package outside its own definition, or in the demos or the
+    # benchmark.  A keyword argument that only sets a field does not count.
     modules = {path: ast.parse(path.read_text())
                for path in sorted((SRC / "dcrlab").glob("*.py"))}
     outside = set()
@@ -60,9 +76,8 @@ def test_every_public_definition_has_a_caller():
     unused = []
     for path, tree in modules.items():
         elsewhere = outside.union(*(found for other, found in names.items() if other != path))
-        for qualname, node in _public_definitions(tree):
-            if (node.name not in elsewhere
-                    and node.name not in _referenced_names(tree, skip=node)):
+        for qualname, name, node in _public_definitions(tree):
+            if name not in elsewhere and name not in _referenced_names(tree, skip=node):
                 unused.append(f"{path.stem}.{qualname}")
     assert unused == []
 

@@ -10,7 +10,7 @@ from typing import NamedTuple
 import pytest
 
 from dcrlab import szkcommit
-from dcrlab.hashfam import HashFunction
+from dcrlab.hashfam import EnumerationCap, HashFunction
 from dcrlab.szkcommit import (
     NO,
     OUTSIDE,
@@ -37,7 +37,6 @@ from dcrlab.szkcommit import (
     idc_verify,
     is_admissible,
     slot_list,
-    view_distance_product,
     xor_all,
 )
 
@@ -122,14 +121,19 @@ def admissible_preamble(session):
 
 def conditional_view_distance(instances):
     """Exact TV between the commit-phase views under m = 0 and m = 1,
-    conditioned on a fixed preamble that sent these instances: the
-    ``view_distance_product`` of the per-slot hiding distances."""
+    conditioned on a fixed preamble that sent these instances: with XOR
+    shares it is the product of the per-slot hiding distances."""
     eps = [idc_epsilon(inst) for inst in instances]
-    return Fraction(view_distance_product(e.numerator for e in eps),
-                    view_distance_product(e.denominator for e in eps))
+    return Fraction(math.prod(e.numerator for e in eps),
+                    math.prod(e.denominator for e in eps))
 
 
 # -------------------------------------------------------------- promise problem
+
+def test_instance_width_capped_before_tables():
+    with pytest.raises(EnumerationCap, match="n=21 exceeds enumeration cap 20"):
+        TablePromiseProblem(k=20, out_bits_choices=(21,))
+
 
 def test_sampler_support_inside_promise():
     for n in (1, 2, 3):
@@ -550,7 +554,7 @@ def _per_preamble_hiding(r_spec, n, problem):
     for entries in itertools.product(*rows):
         labels, eps, matches, yes_eps = zip(*entries)
         wi_verdict = szkcommit.wi_statement_true(matches)
-        dist = view_distance_product(eps) if wi_verdict else 0
+        dist = math.prod(eps) if wi_verdict else 0
         if is_admissible(wi_verdict, labels):
             worst = max(worst, dist)
             if wi_verdict and dist / scale > max(yes_eps) / lcm + TOL:
