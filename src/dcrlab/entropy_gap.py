@@ -178,30 +178,10 @@ class RewindingAdversary(Adversary):
         x2 = self.gt.block(h, (r, r2))
         return x1, x2
 
-    def tape_counts(self, h: HashFunction) -> dict[tuple[int, int], int]:
-        """The tapes (r, r1, r2) counted one first-block coin r at a time:
-        block two over the v2 coins gives a row {x: coins}, and the v2^2
-        tapes under r emit each pair of row entries c1 * c2 times.  That is
-        v1 * v2 calls of ``block`` instead of 2 * v1 * v2^2 through ``run``."""
-        v1, v2 = self.gt.coin_spaces
-        block = self.gt.block
-        counts: dict[tuple[int, int], int] = {}
-        for r in range(v1):
-            row: dict[int, int] = {}
-            for c in range(v2):
-                x = block(h, (r, c))
-                row[x] = row.get(x, 0) + 1
-            entries = row.items()
-            for x1, c1 in entries:
-                for x2, c2 in entries:
-                    key = (x1, x2)
-                    counts[key] = counts.get(key, 0) + c1 * c2
-        return counts
-
     def exact_distribution(self, h: HashFunction) -> JointDist:
         """The output law on h, computed once per key and shared by every
-        consumer: the first- and second-block divergences and the game's
-        analytic route."""
+        consumer: the first- and second-block divergences and the
+        collision game."""
         law = self._laws.get(h)
         if law is None:
             law = self._laws[h] = self._rewound_law(h)

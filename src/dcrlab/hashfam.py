@@ -8,7 +8,8 @@ distributions are all exact objects.
 Col(h) samples x1 uniformly, then x2 uniformly from the preimage set
 h^-1(h(x1)) (x1 = x2 is allowed).  The game value against an adversary A
 is E_h  TV(A(h), Col(h)), computed as an exact average over the family's
-enumerated key space.
+enumerated key space.  A(h) is the adversary's own exact law when it
+supplies one, and otherwise the count of its outputs over every tape.
 """
 
 import math
@@ -24,7 +25,6 @@ from dcrlab.probkit import Dist, JointDist, stat_distance
 ENUM_CAP_DEFAULT = 14   # largest n enumerated without protest
 ENUM_CAP_HARD = 20      # absolute ceiling on 2^n enumeration
 TAPE_CAP_BITS = 24      # largest adversary tape space enumerated exactly
-ENUM_THRESHOLD = 2**16  # tape spaces above this use an analytic law when given
 
 
 class EnumerationCap(RuntimeError):
@@ -241,10 +241,10 @@ class Adversary:
     """A deterministic collision-search strategy driven by a finite tape.
 
     ``tape_space(h)`` is the size of the uniform tape space (it may depend
-    on h so strategies like the Col sampler can index fibers exactly);
-    ``run`` maps (h, tape index) to an output pair, and ``tape_counts``
-    counts the tapes behind each pair.  Strategies whose tape space is too
-    large to enumerate may provide ``exact_distribution``.
+    on h so strategies like the Col sampler can index fibers exactly), and
+    ``run`` maps (h, tape index) to an output pair.  A strategy that knows
+    its own output law returns it from ``exact_distribution``; the exact
+    game then reads that law instead of counting tapes.
     """
 
     name = "adversary"
@@ -254,16 +254,6 @@ class Adversary:
 
     def run(self, h: HashFunction, tape: int) -> tuple[int, int]:
         raise NotImplementedError
-
-    def tape_counts(self, h: HashFunction) -> dict[tuple[int, int], int]:
-        """Output pair -> number of tapes in ``range(tape_space(h))`` that
-        emit it; strategies with structured tapes may count faster than
-        this run-per-tape walk."""
-        counts: dict[tuple[int, int], int] = {}
-        for t in range(self.tape_space(h)):
-            out = self.run(h, t)
-            counts[out] = counts.get(out, 0) + 1
-        return counts
 
     def exact_distribution(self, h: HashFunction) -> JointDist | None:
         return None
@@ -322,10 +312,10 @@ def adversary_distribution(
 ) -> JointDist:
     """The adversary's output law on h.
 
-    Exact mode counts the whole tape space through ``a.tape_counts(h)``;
-    strategies with an analytic law use it once the tape space passes
-    ``ENUM_THRESHOLD`` (the two routes are interchangeable and are
-    cross-checked in the test suite).
+    Exact mode returns ``a.exact_distribution(h)`` when the adversary
+    supplies one, at any tape space; the test suite checks each such law
+    against one ``run`` per tape.  Otherwise it runs every tape once, up
+    to 2^TAPE_CAP_BITS tapes.
     Monte-Carlo mode returns the empirical distribution of ``samples``
     tapes.  Tape spaces up to 2^63 draw all tapes in one ``rng.integers``
     call and run each distinct tape once, in order of first draw, weighted
@@ -336,14 +326,17 @@ def adversary_distribution(
     """
     check_pair_cap(h.n)
     if mode == "exact":
+        law = a.exact_distribution(h)
+        if law is not None:
+            return law
         space = a.tape_space(h)
-        if space > ENUM_THRESHOLD:
-            exact = a.exact_distribution(h)
-            if exact is not None:
-                return exact
-        if space <= 2**TAPE_CAP_BITS:
-            return _check_pair_range(JointDist(a.tape_counts(h), denominator=space), h.n)
-        raise EnumerationCap(f"tape space {space} exceeds 2^{TAPE_CAP_BITS} and no analytic law given")
+        if space > 2**TAPE_CAP_BITS:
+            raise EnumerationCap(f"tape space {space} exceeds 2^{TAPE_CAP_BITS} and no analytic law given")
+        counts: dict[tuple[int, int], int] = {}
+        for t in range(space):
+            out = a.run(h, t)
+            counts[out] = counts.get(out, 0) + 1
+        return _check_pair_range(JointDist(counts, denominator=space), h.n)
     if mode == "monte-carlo":
         if rng is None or samples <= 0:
             raise ValueError("monte-carlo mode needs rng and samples")
@@ -416,22 +409,23 @@ def dcrh_distance(
     all the per-key law denominators (``_joint_distance``), without
     building the joint laws.
     """
-    dists = []
+    laws = []
+    distance = 0  # added key by key, left to right, on every Python version
     for h in family:
         adv = adversary_distribution(a, h, mode=mode, samples=samples, rng=rng)
         col = col_distribution(h)
-        dists.append((adv, col, stat_distance(adv, col)))
-    k = len(family)
-    distance = sum(d for _, _, d in dists) / k
+        laws.append((adv, col))
+        distance += stat_distance(adv, col)
+    distance /= len(family)
     if mode == "exact":
         # Second route: TV between the joint laws of (key, pair), which the
         # conditional-expectation identity says equals the per-key average.
-        joint = _joint_distance([(adv, col) for adv, col, _ in dists])
+        joint = _joint_distance(laws)
         gap = abs(float(joint) - float(distance))
         if gap > 1e-12:
             raise AssertionError(f"joint and per-key game values disagree by {gap}")
         return GameReport(family.name, a.name, float(distance), "exact")
-    support_size = max(len(adv.support()) + len(col.support()) for adv, col, _ in dists)
+    support_size = max(len(adv.support()) + len(col.support()) for adv, col in laws)
     return GameReport(family.name, a.name, float(distance), "monte-carlo",
                       samples=samples, ci_half_width=mc_ci_half_width(samples, support_size))
 

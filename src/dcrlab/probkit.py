@@ -14,7 +14,10 @@ over the masses: one conversion and one sum, with the per-value checks
 some mass is not positive or the sum is NaN.  When either law of a pair
 is float, the total variation distance and the divergence run over plain
 floats: the exact side becomes one dict of ``count / denominator``
-floats, and the mass dicts are read directly.
+floats, and the mass dicts are read directly.  Float totals are added
+left to right in explicit loops rather than by ``sum()``, which
+compensates its rounding from Python 3.12 on, so a report holds the same
+floats on every supported interpreter.
 
 A law's outcomes are its support: there is no separately declared
 outcome set, so the total variation distance runs over the union of the
@@ -240,7 +243,9 @@ class JointDist(Dist):
             rows.setdefault(x, {})[y] = p
         laws = {}
         for x, row in rows.items():
-            total = sum(row.values())
+            total = 0
+            for p in row.values():
+                total += p
             if self._den is None:
                 laws[x] = Dist({y: p / total for y, p in row.items()})
             else:
@@ -272,16 +277,23 @@ def stat_distance(p: Dist, q: Dist) -> Number:
             l1 += abs(a * dq - b * dp)
         return Fraction(l1 + (dq - shared) * dp, 2 * dp * dq)
     pm, qm = _float_masses(p), _float_masses(q)
-    total = sum(abs(pm.get(x, 0.0) - qm.get(x, 0.0)) for x in set(p.support()) | set(q.support()))
+    total = 0.0
+    for x in set(p.support()) | set(q.support()):
+        total += abs(pm.get(x, 0.0) - qm.get(x, 0.0))
     return total / 2
 
 
 def shannon_entropy(p: Dist) -> float:
     """H(p) = -sum p(x) log2 p(x) in bits, with 0*log(0) = 0."""
+    total = 0.0
     if p.exact:
         den = p._den
-        return sum(c / den * -_log2_ratio(c, den) for c in p._mass.values())
-    return sum(px * -math.log2(px) for px in p._mass.values())
+        for c in p._mass.values():
+            total += c / den * -_log2_ratio(c, den)
+        return total
+    for px in p._mass.values():
+        total += px * -math.log2(px)
+    return total
 
 
 def cond_entropy(j: JointDist) -> float:
@@ -346,9 +358,11 @@ def jensen_log2_check(values: Iterable[float]) -> tuple[float, float]:
     if any(v <= 0 for v in vals):
         raise ValueError("samples must be positive")
     w = 1.0 / len(vals)
-    e_log = sum(w * math.log2(v) for v in vals)
-    log_e = math.log2(sum(w * v for v in vals))
-    return e_log, log_e
+    e_log = mean = 0.0
+    for v in vals:
+        e_log += w * math.log2(v)
+        mean += w * v
+    return e_log, math.log2(mean)
 
 
 def mixture(components: Iterable[tuple[Number, Dist]]) -> Dist:

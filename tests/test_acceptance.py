@@ -2,7 +2,10 @@
 pass/fail line.  Tolerances are pinned inside dcrlab.acceptance; nothing
 is configurable from here."""
 
+import builtins
 import hashlib
+import itertools
+import math
 import subprocess
 import sys
 
@@ -34,6 +37,64 @@ def test_criterion_2_gap_bound_sweep_full():
 def test_criterion_2_rows_pinned():
     # sha256 of the newline-joined gap_sweep.csv rows as the
     # Fraction-per-outcome sample-entropy logs wrote them.
+    rows = acceptance.criterion_gap_sweep(7, ns=range(2, 7)).rows
+    digest = "9f861f78fb9d8f4d2bce57b6a7f95a840eaad358ef417f0983de480b514cbdc6"
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == digest
+
+
+def test_criterion_2_rows_pinned_at_n9():
+    # sha256 of the newline-joined n = 9 rows as the tape-counting route
+    # wrote them for the generators whose tape space was at most 2^16.
+    rows = acceptance.criterion_gap_sweep(7, ns=range(9, 10)).rows
+    digest = "89f1f9a94999722d87dc6016aa553e8cd1bc20b2169bf26d1b6413d6f5124289"
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == digest
+
+
+def compensated_sum(iterable, start=0):
+    """The builtin ``sum`` of Python 3.12 and later, written out.  Ints
+    that fit a C long add exactly.  From the first float on, floats add
+    with Neumaier's compensation and such ints add plainly, and the
+    compensation joins the total once, when the floats end, if it is
+    nonzero and finite.  Anything else, or an int overflow, falls back to
+    ``+`` for the rest of the items."""
+    items = iter(iterable)
+    total = start
+    if type(total) is int and -2**63 <= total < 2**63:
+        for x in items:
+            if type(x) in (int, bool) and -2**63 <= total + x < 2**63:
+                total += x
+            else:
+                total = total + x
+                break
+    if type(total) is float:
+        comp = 0.0
+        for x in items:
+            if type(x) is float:
+                t = total + x
+                comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+                total = t
+            elif isinstance(x, int) and -2**63 <= x < 2**63:
+                total += float(x)
+            else:
+                items = itertools.chain([x], items)
+                break
+        if comp and math.isfinite(comp):
+            total += comp
+    for x in items:
+        total = total + x
+    return total
+
+
+def test_compensated_sum_gives_python_3_12_values():
+    assert compensated_sum([0.1] * 10) == 1.0
+    assert compensated_sum([1e16, 1.0, -1e16]) == 1.0
+    assert compensated_sum([0.1, 0.2, 0.3]) == 0.6
+
+
+def test_criterion_2_rows_pinned_under_compensated_sum(monkeypatch):
+    # The float kernels add left to right themselves, so the rows hold
+    # under 3.12's compensated ``sum`` as well.
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
     rows = acceptance.criterion_gap_sweep(7, ns=range(2, 7)).rows
     digest = "9f861f78fb9d8f4d2bce57b6a7f95a840eaad358ef417f0983de480b514cbdc6"
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == digest

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dcrlab import entropy_gap, hashfam
+from dcrlab import entropy_gap
 from dcrlab.entropy_gap import (
     TOL,
     ConsistencyError,
@@ -28,12 +28,14 @@ from dcrlab.generators import (
     real_entropy,
 )
 from dcrlab.hashfam import (
+    ColAdversary,
     HashFamily,
     HashFunction,
     adversary_distribution,
     builtin_families,
     col_distribution,
     constant_family,
+    dcrh_distance,
     identity_family,
     preimage_set,
     uniform_random_family,
@@ -65,8 +67,8 @@ def lopsided_online(family: HashFamily) -> OnlineGenerator:
 
 
 def per_tape_distribution(adv, h) -> JointDist:
-    """The output law by one ``run`` per tape: the reference for the
-    row-by-row ``tape_counts``."""
+    """The output law by one ``run`` per tape: the reference every law an
+    adversary supplies is checked against."""
     counts = {}
     space = adv.tape_space(h)
     for t in range(space):
@@ -172,41 +174,30 @@ def test_lazy_generator_point_mass_per_key():
         assert len(adv.exact_distribution(h).support()) == 1
 
 
-def test_tape_enumeration_agrees_with_analytic_law(monkeypatch):
-    # The same adversary computed by brute tape walk and by law grouping.
-    monkeypatch.setattr(hashfam, "ENUM_THRESHOLD", 2**40)
+def test_exact_laws_match_per_tape_reference():
+    # The game reads each law an adversary supplies; here every such law
+    # meets one ``run`` per tape.
     toys = [parity_family(), identity_family(3), constant_family(2, 1, num_keys=1)]
-    for fam in toys + builtin_families(3, num_keys=2, seed=9):
-        adv = RewindingAdversary(ideal_online(fam), fam)
-        for h in fam:
-            enumerated = adversary_distribution(adv, h)
-            assert enumerated == adv.exact_distribution(h), fam.name
+    fams = toys + [fam for n in (1, 2, 3, 4) for seed in (0, 1)
+                   for fam in builtin_families(n, num_keys=2, seed=seed)]
+    for fam in fams:
+        gens = consistent_suite(fam) + [lopsided_online(fam)]
+        advs = [ColAdversary()] + [RewindingAdversary(gt, fam) for gt in gens]
+        # Its pairs can leave the fiber of x1.
+        advs.append(RewindingAdversary(mismatched_online(fam), fam, _checked=True))
+        for adv in advs:
+            for h in fam:
+                law = adversary_distribution(adv, h)
+                assert law == per_tape_distribution(adv, h), (fam.name, adv.name)
 
 
-def test_tape_counts_match_per_tape_reference(monkeypatch):
-    monkeypatch.setattr(hashfam, "ENUM_THRESHOLD", 2**40)
-    for n in (1, 2, 3, 4):
-        for seed in (0, 1):
-            for fam in builtin_families(n, num_keys=2, seed=seed):
-                gens = consistent_suite(fam) + [lopsided_online(fam)]
-                advs = [RewindingAdversary(gt, fam) for gt in gens]
-                # Its pairs can leave the fiber of x1.
-                advs.append(RewindingAdversary(mismatched_online(fam), fam, _checked=True))
-                for adv in advs:
-                    for h in fam:
-                        counted = adversary_distribution(adv, h)
-                        assert counted == per_tape_distribution(adv, h), (fam.name, adv.name)
-
-
-def test_tape_counts_call_block_once_per_row_coin():
-    # v1 * v2 = 16 * 30 block calls, where one run per tape makes
-    # 2 * v1 * v2^2 = 28,800.
-    fam = uniform_random_family(4, 3, num_keys=1, seed=4)
-    gt = ideal_online(fam)
+def test_game_calls_no_block_once_the_block_terms_built_the_law():
+    # _first_block_kl builds the rewound law of each key; the game then
+    # reads that law and runs no block of the generator.
+    fam = uniform_random_family(4, 3, num_keys=2, seed=4)
+    gt = honest_online(fam)
     adv = RewindingAdversary(gt, fam)
-    h = fam.functions[0]
-    v1, v2 = gt.coin_spaces
-    assert adv.tape_space(h) <= 2**16
+    _first_block_kl(adv, fam.n - accessible_entropy(gt))
     calls = 0
     block_fn = gt.block_fn
 
@@ -216,9 +207,8 @@ def test_tape_counts_call_block_once_per_row_coin():
         return block_fn(z, coins)
 
     gt.block_fn = counting_block
-    counted = adversary_distribution(adv, h)
-    assert calls <= v1 * v2
-    assert counted == adv.exact_distribution(h)
+    dcrh_distance(fam, adv)
+    assert calls == 0
 
 
 def test_collision_rate_is_one_for_consistent_suite():

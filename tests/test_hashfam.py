@@ -174,29 +174,22 @@ def test_col_sample_consistency_and_chisquare():
 
 # ----------------------------------------------------------------- adversaries
 
-def test_col_adversary_matches_col_distribution():
-    for fam in builtin_families(3, seed=7):
-        for h in fam:
-            adv = adversary_distribution(ColAdversary(), h)
-            assert stat_distance(adv, col_distribution(h)) == 0
-
-
-def test_analytic_law_built_only_beyond_enum_threshold(monkeypatch):
+def test_exact_mode_reads_a_supplied_law_once_without_runs():
     class CountingCol(ColAdversary):
-        calls = 0
+        laws = runs = 0
 
         def exact_distribution(self, h):
-            self.calls += 1
+            self.laws += 1
             return super().exact_distribution(h)
 
+        def run(self, h, tape):
+            self.runs += 1
+            return super().run(h, tape)
+
     h = identity_family(2).functions[0]  # tape space 4
-    below, above = CountingCol(), CountingCol()
-    monkeypatch.setattr(hashfam, "ENUM_THRESHOLD", 4)
-    assert adversary_distribution(below, h) == col_distribution(h)
-    assert below.calls == 0
-    monkeypatch.setattr(hashfam, "ENUM_THRESHOLD", 3)
-    assert adversary_distribution(above, h) == col_distribution(h)
-    assert above.calls == 1
+    adv = CountingCol()
+    assert adversary_distribution(adv, h) == col_distribution(h)
+    assert (adv.laws, adv.runs) == (1, 0)
 
 
 def test_col_adversary_reads_fiber_lcm_once_per_key(monkeypatch):
