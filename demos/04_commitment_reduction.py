@@ -33,11 +33,11 @@ for h in scheme_to_hash_family(scheme):
 print("\nextremes:")
 opaque = OpaqueCommitment(4, num_seeds=1, seed=3)
 h = scheme_to_hash_family(opaque).functions[0]
-print(f"  bit-blind scheme:  eps = {hiding_distance(opaque, 0)},"
+print(f"  bit-blind scheme:  eps = {float(hiding_distance(h, opaque.coin_bits))},"
       f" rate = {col_equivocation_rate(opaque, h).rate}")
 clear = ClearTextCommitment(4)
 h = scheme_to_hash_family(clear).functions[0]
-print(f"  clear-text scheme: eps = {hiding_distance(clear, 0)},"
+print(f"  clear-text scheme: eps = {float(hiding_distance(h, clear.coin_bits))},"
       f" rate = {col_equivocation_rate(clear, h).rate}")
 
 strings = OpaqueCommitment(4, num_seeds=1, seed=5, ell=3)

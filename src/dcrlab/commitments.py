@@ -8,11 +8,17 @@ verifier: the decommitment is (plaintext, coins) and verification replays
 the commit computation.  The induced hash function on x = (plaintext,
 coins) is h(x) = commit(first message, plaintext; coins), so a random
 collision of h is exactly a pair of valid openings of one commitment.
+That table is the whole commit map, so hiding and the plaintext posterior
+are read off it; the equivocation count's verifier replay on every fiber
+input is what ties the table to the scheme.
 """
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -46,17 +52,9 @@ class TwoMessageCommitment:
         self.coin_bits = coin_bits
         self.message_bits = message_bits
         self.receiver_seeds = tuple(receiver_seeds)
-        self._hiding: dict[int, float] = {}
 
     def first_message(self, seed: int):
         raise NotImplementedError
-
-    def hiding(self, seed: int) -> float:
-        """``hiding_distance(self, seed)``, computed once per receiver seed."""
-        eps = self._hiding.get(seed)
-        if eps is None:
-            eps = self._hiding[seed] = hiding_distance(self, seed)
-        return eps
 
     def commit_value(self, first_msg, plaintext: int, coins: int) -> int:
         raise NotImplementedError
@@ -143,29 +141,18 @@ class ClearTextCommitment(TwoMessageCommitment):
 
 # --------------------------------------------------------------------- hiding
 
-def view_distribution(scheme: TwoMessageCommitment, seed: int, plaintext: int) -> Dist:
-    """Law of the sender's commit message over uniform coins, which is the
-    whole variable part of a deterministic receiver's view."""
-    first = scheme.first_message(seed)
-    k = 2**scheme.coin_bits
-    counts: dict[int, int] = {}
-    for coins in range(k):
-        msg = scheme.commit_value(first, plaintext, coins)
-        counts[msg] = counts.get(msg, 0) + 1
-    return Dist(counts, denominator=k)
-
-
-def hiding_distance(scheme: TwoMessageCommitment, seed: int) -> float:
-    """Max over plaintext pairs of the exact view distance (for ell = 1
-    this is the single distance between the two views), as the float
-    epsilon of a fixed deterministic receiver."""
-    views = {b: view_distribution(scheme, seed, b) for b in range(2**scheme.ell)}
-    worst = Fraction(0)
-    for b0 in views:
-        for b1 in views:
-            if b0 < b1:
-                worst = max(worst, stat_distance(views[b0], views[b1]))
-    return float(worst)
+@lru_cache(maxsize=None)
+def hiding_distance(h: HashFunction, coin_bits: int) -> Fraction:
+    """Exact epsilon of the commitment (plaintext || coins) -> h(x), coins in
+    the low ``coin_bits``: the largest TV between two plaintexts' commit
+    laws, each the value law of its 2^coin_bits-entry slice of the table.
+    Shared by the reduction's keys and the promise problem's instances
+    (coin_bits = n - 1, the table's two halves)."""
+    size = 2**coin_bits
+    views = [Dist.from_counts(Counter(h.table[i:i + size]))
+             for i in range(0, len(h.table), size)]
+    return max((stat_distance(v0, v1) for v0, v1 in itertools.combinations(views, 2)),
+               default=Fraction(0))
 
 
 # ----------------------------------------------------- reduction to hash family
@@ -214,7 +201,7 @@ def col_equivocation_rate(scheme: TwoMessageCommitment, h: HashFunction) -> Equi
     rate >= 1/2 - 2 sqrt(eps) is asserted for bit plaintexts.
     """
     first = scheme.first_message(h.key)
-    eps = scheme.hiding(h.key)
+    eps = float(hiding_distance(h, scheme.coin_bits))
     lcm = h.fiber_lcm
     split_count = 0
     valid = True
@@ -250,27 +237,21 @@ def markov_step_check(scheme: TwoMessageCommitment, h: HashFunction) -> MarkovSt
     """Exact check of Pr_{c <- C}[ TV(B_c, B) >= sqrt(eps) ] <= sqrt(eps).
 
     B is the uniform plaintext, C the commit message on uniform (b, r),
-    B_c the posterior of b given c.  When eps is exactly zero the posterior
-    must equal the prior for every commitment.
+    B_c the posterior of b given c: the commitments are h's fibers and
+    n_b the count of plaintext b in one.  When eps is exactly zero the
+    posterior must equal the prior for every commitment.
     """
-    eps = scheme.hiding(h.key)
+    eps = float(hiding_distance(h, scheme.coin_bits))
     root_eps = math.sqrt(eps)
     n_plain = 2**scheme.ell
-    first = scheme.first_message(h.key)
-    by_msg: dict[int, dict[int, int]] = {}
-    total = 0
-    for b in range(n_plain):
-        for r in range(2**scheme.coin_bits):
-            msg = scheme.commit_value(first, b, r)
-            by_msg.setdefault(msg, {}).setdefault(b, 0)
-            by_msg[msg][b] += 1
-            total += 1
+    total = 2**h.n
     heavy_mass = 0
     all_uniform = True
-    for msg, counts in by_msg.items():
-        mass = sum(counts.values())
+    for fiber in h.fibers.values():
+        counts = Counter(x >> scheme.coin_bits for x in fiber)
+        mass = len(fiber)
         # TV(B_c, B) = 1/2 sum_b |n_b / N - 2^-ell|, on integers.
-        num = sum(abs(counts.get(b, 0) * n_plain - mass) for b in range(n_plain))
+        num = sum(abs(counts[b] * n_plain - mass) for b in range(n_plain))
         if num != 0:
             all_uniform = False
         if eps > 0 and num / (2 * mass * n_plain) >= root_eps:

@@ -165,6 +165,7 @@ class RewindingAdversary(Adversary):
         self.family = family
         self.name = f"rewind[{gt.name}]"
         self._laws: dict[HashFunction, JointDist] = {}
+        self._marginals: dict[HashFunction, Dist] = {}
 
     def tape_space(self, h: HashFunction) -> int:
         v1, v2 = self.gt.coin_spaces
@@ -186,6 +187,13 @@ class RewindingAdversary(Adversary):
         if law is None:
             law = self._laws[h] = self._rewound_law(h)
         return law
+
+    def first_marginal(self, h: HashFunction) -> Dist:
+        """X1's law under ``exact_distribution(h)``, once per key for both terms."""
+        marg = self._marginals.get(h)
+        if marg is None:
+            marg = self._marginals[h] = self.exact_distribution(h).marginal(0)
+        return marg
 
     def _rewound_law(self, h: HashFunction) -> JointDist:
         """Group first-block coins by the induced second-block law; the
@@ -231,7 +239,7 @@ def _first_block_kl(adv: RewindingAdversary, gap: float) -> float:
     direct = 0.0
     mean_entropy = 0.0
     for h in family:
-        marg = adv.exact_distribution(h).marginal(0)
+        marg = adv.first_marginal(h)
         direct += kl_divergence(marg, uniform) / len(family)
         mean_entropy += shannon_entropy(marg) / len(family)
     via_entropy = family.n - mean_entropy
@@ -255,7 +263,7 @@ def _second_block_kl(adv: RewindingAdversary, gap: float) -> float:
     via_entropy = 0.0
     for h in family:
         joint = adv.exact_distribution(h)
-        marg = joint.marginal(0)
+        marg = adv.first_marginal(h)
         weights, den = marg.counts, marg.denominator
         contribution = 0.0
         log_fiber = 0.0

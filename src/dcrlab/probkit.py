@@ -224,10 +224,6 @@ class JointDist(Dist):
                 raise ValueError("JointDist outcomes must be pairs")
         super().__init__(mass, denominator=denominator)
 
-    @classmethod
-    def product(cls, p: Dist, q: Dist) -> "JointDist":
-        return cls({(x, y): px * qy for x, px in p.items() for y, qy in q.items()})
-
     def marginal(self, coord: int) -> Dist:
         out: dict[Outcome, Number] = {}
         for xy, p in self._mass.items():

@@ -13,7 +13,8 @@ Ingredients (all desk-scale):
 * an instance-dependent commitment: commit(b; r) = g_x(b || r), with the
   plaintext bit as the top input bit, perfectly binding on NO instances,
   hiding to a measured epsilon on YES instances; its helpers read the
-  instance's cached fibers and the two halves of its table;
+  instance's cached fibers, and its epsilon is the reduction's
+  ``commitments.hiding_distance`` with the n - 1 low bits as coins;
 * an ideal statement-verdict proof for the preamble consistency claim, and
   an ideal ledger for the receiver's coin shares, so the binding hybrids
   bridge their stages with zero slack.
@@ -54,13 +55,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from dcrlab.commitments import hiding_distance
 from dcrlab.hashfam import ENUM_CAP_HARD, HashFunction, _check_cap
-from dcrlab.probkit import Dist, stat_distance
 
 YES, NO, OUTSIDE = "yes", "no", "outside"
 
@@ -77,16 +77,6 @@ def idc_commit(h: HashFunction, bit: int, coins: int) -> int:
     """The instance-dependent commitment g_x(bit || coins): the table read
     at the bit as the top input bit above the k coin bits."""
     return h((bit << (h.n - 1)) | coins)
-
-
-@lru_cache(maxsize=None)
-def idc_epsilon(h: HashFunction) -> Fraction:
-    """Exact hiding distance of the instance-dependent commitment:
-    TV between g(0 || uniform) and g(1 || uniform), the value laws of the
-    two halves of the table."""
-    half = len(h.table) // 2
-    return stat_distance(Dist.from_counts(Counter(h.table[:half])),
-                         Dist.from_counts(Counter(h.table[half:])))
 
 
 def idc_verify(h: HashFunction, commit_value: int, bit: int, coins: int) -> bool:
@@ -147,7 +137,7 @@ class TablePromiseProblem:
         k = h.n - 1
         lossy = all(len(members) >= 2 for members in fibers)
         both_bits = all({x >> k for x in members} == {0, 1} for members in fibers)
-        if lossy and both_bits and idc_epsilon(h) <= self.balance_tol:
+        if lossy and both_bits and hiding_distance(h, k) <= self.balance_tol:
             return YES
         return OUTSIDE
 
@@ -425,7 +415,7 @@ def hiding_experiment(r_spec: ReceiverSpec, n: int, problem: TablePromiseProblem
         for v in range(2**n):
             honest = problem.sample(r_spec.rho[slot] ^ v, n)
             sent = honest if r_spec.substitute is None else r_spec.substitute(slot, honest)
-            row[problem.classify(sent), idc_epsilon(sent), sent == honest] += 1
+            row[problem.classify(sent), hiding_distance(sent, sent.n - 1), sent == honest] += 1
     lcm = math.lcm(*(eps.denominator for row in facts for _, eps, _ in row))
     rows = [Counter({(label, eps.numerator * (lcm // eps.denominator), match): count
                      for (label, eps, match), count in row.items()}) for row in facts]

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import math
 from fractions import Fraction
 
@@ -22,7 +23,6 @@ from dcrlab.commitments import (
     markov_step_check,
     scheme_to_hash_family,
     string_variant_rate,
-    view_distribution,
 )
 from dcrlab.hashfam import HashFunction, col_distribution
 from dcrlab.probkit import Dist, stat_distance
@@ -103,15 +103,39 @@ def test_injective_scheme_distinct_commit_messages():
 
 # --------------------------------------------------------------------- hiding
 
+def _hiding_by_coins(scheme, seed):
+    """The hiding distance from one ``commit_value`` per coin value per
+    plaintext: the largest pairwise TV between the plaintexts' exact
+    commit-message laws.  Reference for the table-slice kernel."""
+    first = scheme.first_message(seed)
+    views = []
+    for b in range(2**scheme.ell):
+        counts = {}
+        for coins in range(2**scheme.coin_bits):
+            msg = scheme.commit_value(first, b, coins)
+            counts[msg] = counts.get(msg, 0) + 1
+        views.append(Dist(counts, denominator=2**scheme.coin_bits))
+    return max((stat_distance(v0, v1) for v0, v1 in itertools.combinations(views, 2)),
+               default=Fraction(0))
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES + [RandomFunctionCommitment(4, 3, ell=3)],
+                         ids=lambda s: s.name)
+def test_hiding_distance_matches_per_coin_views(scheme):
+    for h in scheme_to_hash_family(scheme):
+        assert hiding_distance(h, scheme.coin_bits) == _hiding_by_coins(scheme, h.key)
+
+
 def test_hiding_opaque_is_exactly_zero():
     scheme = OpaqueCommitment(4, num_seeds=2, seed=9)
-    for seed in scheme.receiver_seeds:
-        assert hiding_distance(scheme, seed) == 0.0
+    for h in scheme_to_hash_family(scheme):
+        assert hiding_distance(h, scheme.coin_bits) == 0
 
 
 def test_hiding_clear_text_is_one():
     scheme = ClearTextCommitment(3)
-    assert hiding_distance(scheme, 0) == 1.0
+    [h] = scheme_to_hash_family(scheme)
+    assert hiding_distance(h, scheme.coin_bits) == 1
 
 
 def test_hiding_shrinks_with_extra_coin_bits():
@@ -120,17 +144,9 @@ def test_hiding_shrinks_with_extra_coin_bits():
     means = []
     for m in (5, 4, 3, 2):  # k - m = 1, 2, 3, 4
         scheme = RandomFunctionCommitment(k, m, num_seeds=24, seed=40 + m)
-        eps = [hiding_distance(scheme, s) for s in scheme.receiver_seeds]
+        eps = [hiding_distance(h, k) for h in scheme_to_hash_family(scheme)]
         means.append(sum(eps) / len(eps))
     assert means[0] > means[1] > means[2] > means[3]
-
-
-def test_view_distribution_is_exact():
-    scheme = RandomFunctionCommitment(3, 2, num_seeds=1, seed=4)
-    v = view_distribution(scheme, 0, 0)
-    assert v.exact
-    assert all(p.denominator in (1, 2, 4, 8) for _, p in v.items())
-    assert sum(p for _, p in v.items()) == 1
 
 
 # ------------------------------------------------------------------- reduction
@@ -158,7 +174,7 @@ def _pairwise_equivocation_rate(scheme, h):
     Returns the report the checks would raise on, without raising, and
     whether every pair re-opened."""
     first = scheme.first_message(h.key)
-    eps = scheme.hiding(h.key)
+    eps = float(_hiding_by_coins(scheme, h.key))
     col = col_distribution(h)
     split_count = 0
     valid = True
@@ -179,7 +195,7 @@ def _dist_markov_step(scheme, h):
     """The averaging step with one posterior ``Dist`` per commit message and
     ``stat_distance`` to the uniform plaintext, kept as the reference for
     the integer distance."""
-    eps = scheme.hiding(h.key)
+    eps = float(_hiding_by_coins(scheme, h.key))
     root_eps = math.sqrt(eps)
     n_plain = 2**scheme.ell
     first = scheme.first_message(h.key)
@@ -238,8 +254,10 @@ def test_equivocation_merged_fiber_fails_to_reopen():
 def test_equivocation_bound_fires_when_hiding_overstated(monkeypatch):
     # Clear text never equivocates (rate 0); claiming perfect hiding makes
     # the bound 1/2, which the rate misses.
+    import dcrlab.commitments
+
     scheme = ClearTextCommitment(3)
-    monkeypatch.setattr(scheme, "hiding", lambda seed: 0.0)
+    monkeypatch.setattr(dcrlab.commitments, "hiding_distance", lambda h, coin_bits: Fraction(0))
     h = scheme_to_hash_family(scheme).functions[0]
     with pytest.raises(AssertionError, match=r"below 1/2 - 2 sqrt\(eps\)"):
         col_equivocation_rate(scheme, h)
@@ -279,22 +297,14 @@ def test_markov_step_exact():
         assert rep.ok and rep.heavy_fraction == 0.0
 
 
-def test_hiding_distance_computed_once_per_key(monkeypatch):
-    import dcrlab.commitments
-
-    seeds = []
-    real = dcrlab.commitments.hiding_distance
-
-    def counting(scheme, seed):
-        seeds.append(seed)
-        return real(scheme, seed)
-
-    monkeypatch.setattr(dcrlab.commitments, "hiding_distance", counting)
+def test_hiding_distance_computed_once_per_key():
     scheme = RandomFunctionCommitment(4, 2, num_seeds=3, seed=16)
-    for h in scheme_to_hash_family(scheme):
+    fam = scheme_to_hash_family(scheme)
+    hiding_distance.cache_clear()
+    for h in fam:
         col_equivocation_rate(scheme, h)
         markov_step_check(scheme, h)
-    assert seeds == [0, 1, 2]
+    assert hiding_distance.cache_info().misses == len(fam)
 
 
 def test_string_variant_exact_eighth():

@@ -211,6 +211,27 @@ def test_game_calls_no_block_once_the_block_terms_built_the_law():
     assert calls == 0
 
 
+def test_block_terms_build_each_first_marginal_once(monkeypatch):
+    # Both divergence terms read the X1 marginal of each key's rewound law;
+    # it is taken once per key, not once per term.
+    fam = uniform_random_family(3, 2, num_keys=3, seed=5)
+    gt = honest_online(fam)
+    adv = RewindingAdversary(gt, fam)
+    gap = fam.n - accessible_entropy(gt)
+    calls = 0
+    marginal = JointDist.marginal
+
+    def counting_marginal(self, coord):
+        nonlocal calls
+        calls += 1
+        return marginal(self, coord)
+
+    monkeypatch.setattr(JointDist, "marginal", counting_marginal)
+    _first_block_kl(adv, gap)
+    _second_block_kl(adv, gap)
+    assert calls == len(fam)
+
+
 def test_collision_rate_is_one_for_consistent_suite():
     fam = uniform_random_family(3, 2, num_keys=2, seed=8)
     for gt in consistent_suite(fam):

@@ -15,7 +15,12 @@ SRC = ROOT / "src"
 def _referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     """Every identifier ``tree`` mentions outside the subtree ``skip``: names,
     attributes, imported names, and the dotted parts of string constants
-    (``bench/tracing.py`` names its targets as strings)."""
+    (``bench/tracing.py`` names its targets as strings).  An attribute of a
+    name bound by ``import`` (``itertools.product``) belongs to that other
+    module, so it is not counted."""
+    modules = {alias.asname or alias.name.split(".", 1)[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
     found = set()
     stack = [tree]
     while stack:
@@ -25,7 +30,8 @@ def _referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+            if not (isinstance(node.value, ast.Name) and node.value.id in modules):
+                found.add(node.attr)
         elif isinstance(node, ast.alias):
             found.add(node.name.rsplit(".", 1)[-1])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):

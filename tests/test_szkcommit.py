@@ -3,6 +3,7 @@ security arguments, all by enumeration."""
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -10,7 +11,9 @@ from typing import NamedTuple
 import pytest
 
 from dcrlab import szkcommit
+from dcrlab.commitments import hiding_distance
 from dcrlab.hashfam import EnumerationCap, HashFunction
+from dcrlab.probkit import Dist, stat_distance
 from dcrlab.szkcommit import (
     NO,
     OUTSIDE,
@@ -32,7 +35,6 @@ from dcrlab.szkcommit import (
     honest_receiver,
     hybrid_sweep,
     idc_commit,
-    idc_epsilon,
     idc_equivocation,
     idc_verify,
     is_admissible,
@@ -123,7 +125,7 @@ def conditional_view_distance(instances):
     """Exact TV between the commit-phase views under m = 0 and m = 1,
     conditioned on a fixed preamble that sent these instances: with XOR
     shares it is the product of the per-slot hiding distances."""
-    eps = [idc_epsilon(inst) for inst in instances]
+    eps = [hiding_distance(inst, inst.n - 1) for inst in instances]
     return Fraction(math.prod(e.numerator for e in eps),
                     math.prod(e.denominator for e in eps))
 
@@ -161,14 +163,14 @@ def test_yes_instances_are_lossy_balanced():
         for members in inst.fibers.values():
             assert len(members) >= 2
             assert {x >> PROBLEM.k for x in members} == {0, 1}
-        assert idc_epsilon(inst) <= PROBLEM.balance_tol
+        assert hiding_distance(inst, inst.n - 1) <= PROBLEM.balance_tol
 
 
 def test_no_instances_are_injective_and_clear():
     for coins in range(1, 8, 2):
         inst = PROBLEM.sample(coins, 3)
         assert len(set(inst.table)) == len(inst.table)
-        assert idc_epsilon(inst) == 1
+        assert hiding_distance(inst, inst.n - 1) == 1
 
 
 def test_outside_tables_exist_and_are_rejected():
@@ -179,6 +181,22 @@ def test_outside_tables_exist_and_are_rejected():
 
 
 # ------------------------------------------------------------------ IDC basics
+
+def _epsilon_by_coins(inst):
+    """Reference for an instance's epsilon: the TV between the commitment
+    laws of the two bits, from one ``idc_commit`` per coin value."""
+    coins = range(2 ** (inst.n - 1))
+    return stat_distance(*(Dist.from_counts(Counter(idc_commit(inst, b, r) for r in coins))
+                           for b in (0, 1)))
+
+
+@pytest.mark.parametrize("problem", [PROBLEM, SMALL], ids=["k4", "k2"])
+def test_instance_epsilon_matches_per_coin_commits(problem):
+    for n in (1, 2, 3):
+        for coins in range(2**n):
+            inst = problem.sample(coins, n)
+            assert hiding_distance(inst, inst.n - 1) == _epsilon_by_coins(inst)
+
 
 def test_idc_verify_and_equivocation():
     yes = PROBLEM.sample(0, 2)
@@ -476,7 +494,7 @@ def test_hiding_rejected_wi_gives_zero_distance():
         return wrong_yes if honest != wrong_yes else PROBLEM.sample(2 % 2, n)
 
     spec = ReceiverSpec(rho={s: 0 for s in slot_list(n)}, substitute=substitute)
-    reference, records = _session_path_hiding(spec, n, PROBLEM)
+    reference, records = _hiding_by_sessions(spec, n, PROBLEM)
     assert hiding_experiment(spec, n, PROBLEM) == reference
     rejected = [rec for rec in records if not rec.wi_accepted]
     assert rejected
@@ -497,7 +515,7 @@ class Preamble(NamedTuple):
     view_distance: Fraction
 
 
-def _session_path_hiding(r_spec, n, problem, tol=TOL):
+def _hiding_by_sessions(r_spec, n, problem, tol=TOL):
     """The session-per-preamble hiding loop, kept as the reference for the
     per-slot enumeration: one ProtocolSession per sender share vector.
     Returns the outcome and the list of per-preamble records."""
@@ -516,7 +534,7 @@ def _session_path_hiding(r_spec, n, problem, tol=TOL):
         if admissible:
             worst = max(worst, dist)
             if session.wi_verdict:
-                yes_eps = max(idc_epsilon(x) for x, label in zip(sent, labels) if label == YES)
+                yes_eps = max(hiding_distance(x, x.n - 1) for x, label in zip(sent, labels) if label == YES)
                 if float(dist) > float(yes_eps) + tol:
                     raise AssertionError("conditional view distance beats the YES epsilon bound")
         else:
@@ -529,7 +547,7 @@ def _session_path_hiding(r_spec, n, problem, tol=TOL):
     return HidingOutcome(inadmissible, float(worst), union), records
 
 
-def _per_preamble_hiding(r_spec, n, problem):
+def _hiding_per_preamble(r_spec, n, problem):
     """The per-preamble loop over the uncompressed rows: one entry per
     share value in each of the 2n rows, every preamble of the product
     visited on its own, view distances as integer numerators over L^(2n)."""
@@ -542,7 +560,7 @@ def _per_preamble_hiding(r_spec, n, problem):
         matches = sampler_matches(session, r_spec.rho, sigma)
         for row, slot, match in zip(facts, session.slots, matches):
             inst = session.instances[slot]
-            row.append((problem.classify(inst), idc_epsilon(inst), match))
+            row.append((problem.classify(inst), hiding_distance(inst, inst.n - 1), match))
     lcm = math.lcm(*(eps.denominator for row in facts for _, eps, _ in row))
     # Entry: (label, eps numerator over lcm, match, YES eps numerator or -1).
     rows = [[(label, eps.numerator * (lcm // eps.denominator), match,
@@ -591,7 +609,7 @@ def test_hiding_experiment_matches_session_path(n):
     cases += [(_rejecting_receiver(n, PROBLEM), PROBLEM), (_rejecting_receiver(n, LEAKY), LEAKY)]
     verdicts = set()
     for spec, problem in cases:
-        reference, records = _session_path_hiding(spec, n, problem)
+        reference, records = _hiding_by_sessions(spec, n, problem)
         assert hiding_experiment(spec, n, problem) == reference
         verdicts |= {rec.wi_accepted for rec in records}
     assert verdicts == {True, False}
@@ -608,7 +626,7 @@ def _criterion_8_inputs(seed, n):
 def test_hiding_experiment_matches_per_preamble_loop_at_n3(seed):
     n = 3
     spec, problem = _criterion_8_inputs(seed, n)
-    assert hiding_experiment(spec, n, problem) == _per_preamble_hiding(spec, n, problem)
+    assert hiding_experiment(spec, n, problem) == _hiding_per_preamble(spec, n, problem)
 
 
 def test_hiding_walks_distinct_fact_combinations(monkeypatch):
@@ -656,12 +674,12 @@ def test_hiding_yes_epsilon_bound_fires(monkeypatch):
     # A NO epsilon of 16 makes a preamble of one YES slot (epsilon 1/16)
     # and one NO slot reach distance 1 > 1/16.
     problem = TablePromiseProblem(k=4, salt=2)
-    real = idc_epsilon
+    real = hiding_distance
 
-    def inflated(inst):
-        return Fraction(16) if len(set(inst.table)) == len(inst.table) else real(inst)
+    def inflated(inst, coin_bits):
+        return Fraction(16) if len(set(inst.table)) == len(inst.table) else real(inst, coin_bits)
 
-    monkeypatch.setattr(szkcommit, "idc_epsilon", inflated)
+    monkeypatch.setattr(szkcommit, "hiding_distance", inflated)
     with pytest.raises(AssertionError, match="YES epsilon bound"):
         hiding_experiment(honest_receiver(1, rho_seed=0), 1, problem)
 
