@@ -8,6 +8,7 @@ this file rather than configured.
 
 import time
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -125,9 +126,14 @@ def criterion_probkit_identities(seed: int = 0, trials: int = 10_000) -> Criteri
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed + 11)
+    ones = cache(np.ones)  # one Dirichlet parameter vector per size
 
     def rand_dist(size):
-        return pk.Dist({i: float(p) for i, p in enumerate(rng.dirichlet(np.ones(size)))})
+        return pk.Dist(dict(enumerate(rng.dirichlet(ones(size)).tolist())))
+
+    def rand_joint(size):
+        rows = rng.dirichlet(ones(size * size)).reshape(size, size).tolist()
+        return pk.JointDist({(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)})
 
     rows = []
     ok = True
@@ -135,10 +141,7 @@ def criterion_probkit_identities(seed: int = 0, trials: int = 10_000) -> Criteri
     worst = 0.0
     for _ in range(trials):
         size = int(rng.integers(2, 6))
-        pj = pk.JointDist({(i, j): float(v) for (i, j), v in np.ndenumerate(
-            rng.dirichlet(np.ones(size * size)).reshape(size, size))})
-        qj = pk.JointDist({(i, j): float(v) for (i, j), v in np.ndenumerate(
-            rng.dirichlet(np.ones(size * size)).reshape(size, size))})
+        pj, qj = rand_joint(size), rand_joint(size)
         lhs, rhs = pk.kl_chain_rule_check(pj, qj)
         worst = max(worst, abs(lhs - rhs))
     rows.append(csv_line(["chain-rule", trials, worst, worst <= 1e-9]))

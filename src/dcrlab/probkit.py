@@ -8,12 +8,16 @@ the constructor, validation is one integer sum, and distances and
 mixtures of exact laws are integer sums over a common denominator.
 ``prob`` and ``items`` still give ``fractions.Fraction`` values, so exact
 comparisons keep true equality.  64-bit float masses are accepted for
-large sweeps and are validated to a 1e-9 tolerance instead, in one pass
-over the masses: one conversion and one sum, with the per-value checks
-(tiny negatives clipped, NaNs and larger negatives rejected) only when
-some mass is not positive or the sum is NaN.  When either law of a pair
-is float, the total variation distance and the divergence run over plain
-floats: the exact side becomes one dict of ``count / denominator``
+large sweeps and are validated to a 1e-9 tolerance instead.  Every float
+law goes through one validating constructor: one sum, with the per-value
+checks (tiny negatives clipped, NaNs and larger negatives rejected) only
+when some mass is not positive or the sum is NaN.  ``Dist`` converts
+caller masses to Python floats first; the marginals, conditionals and
+mixtures derived from float laws already hold floats and skip only that
+conversion, never the checks.  A joint law's rows are split once, giving
+its first marginal and its conditionals together.  When either law of a
+pair is float, the total variation distance and the divergence run over
+plain floats: the exact side becomes one dict of ``count / denominator``
 floats, and the mass dicts are read directly.  Float totals are added
 left to right in explicit loops rather than by ``sum()``, which
 compensates its rounding from Python 3.12 on, so a report holds the same
@@ -32,6 +36,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping
 
@@ -65,7 +70,7 @@ def _log2_ratio(n: int, d: int) -> float:
 
 
 def _is_exact(values: Iterable[Number]) -> bool:
-    return all(isinstance(v, (Fraction, int)) for v in values)
+    return all(map(isinstance, values, repeat((Fraction, int))))
 
 
 def _common_denominator(mass: Mapping[Outcome, Number]) -> tuple[dict, int]:
@@ -89,13 +94,7 @@ class Dist:
 
     def __init__(self, mass: Mapping[Outcome, Number], denominator: int | None = None):
         if denominator is None and not _is_exact(mass.values()):
-            clean = {x: float(p) for x, p in mass.items()}
-            total = sum(clean.values())
-            if total != total or min(clean.values()) <= 0:
-                clean = _positive_floats(clean)
-                total = sum(clean.values())
-            if abs(total - 1.0) > FLOAT_TOL:
-                raise ValueError(f"masses sum to {total}, not 1 within {FLOAT_TOL}")
+            clean = _checked_floats(dict(zip(mass, map(float, mass.values()))))
         else:
             if denominator is None:
                 mass, denominator = _common_denominator(mass)
@@ -179,6 +178,27 @@ class Dist:
         return f"Dist({len(self._mass)} outcomes, {kind})"
 
 
+def _checked_floats(mass: dict) -> dict:
+    """Validate a dict of Python float masses: one sum, and the per-value
+    checks only when some mass is not positive or the sum is NaN."""
+    total = sum(mass.values())
+    if total != total or min(mass.values()) <= 0:
+        mass = _positive_floats(mass)
+        total = sum(mass.values())
+    if abs(total - 1.0) > FLOAT_TOL:
+        raise ValueError(f"masses sum to {total}, not 1 within {FLOAT_TOL}")
+    return mass
+
+
+def _float_law(mass: dict) -> Dist:
+    """A float Dist over ``mass``, whose values are already Python floats:
+    validated as ``Dist(mass)`` would be, without its type scan and copy."""
+    law = Dist.__new__(Dist)
+    law._mass = _checked_floats(mass)
+    law._den = None
+    return law
+
+
 def _positive_floats(mass: dict) -> dict:
     """Float masses without their zeros; tiny negatives are clipped to zero,
     and NaNs and larger negatives are rejected."""
@@ -219,34 +239,45 @@ class JointDist(Dist):
     """A Dist over ordered pairs, with marginal and conditional accessors."""
 
     def __init__(self, mass: Mapping[tuple, Number], denominator: int | None = None):
-        for xy in mass:
-            if not (isinstance(xy, tuple) and len(xy) == 2):
-                raise ValueError("JointDist outcomes must be pairs")
+        if not (all(map(isinstance, mass, repeat(tuple))) and {*map(len, mass)} <= {2}):
+            raise ValueError("JointDist outcomes must be pairs")
         super().__init__(mass, denominator=denominator)
 
     def marginal(self, coord: int) -> Dist:
         out: dict[Outcome, Number] = {}
         for xy, p in self._mass.items():
             out[xy[coord]] = out.get(xy[coord], 0) + p
+        if self._den is None:
+            return _float_law(out)
         return Dist(out, denominator=self._den)
 
-    def conditionals(self) -> dict[Outcome, Dist]:
-        """{x: law of the second coordinate given the first == x}, for every
-        x of positive mass in first-occurrence order, from one pass over the
-        joint law."""
+    def marginal_and_conditionals(self) -> tuple[Dist, dict[Outcome, Dist]]:
+        """(``marginal(0)``, ``conditionals()``) from one pass that splits
+        the joint law into its rows.  Each row total is added in the joint's
+        insertion order starting from 0, as ``marginal(0)`` adds it, so the
+        first law is ``marginal(0)`` bit for bit."""
         rows: dict[Outcome, dict] = {}
         for (x, y), p in self._mass.items():
             rows.setdefault(x, {})[y] = p
+        den = self._den
+        totals = {}
         laws = {}
         for x, row in rows.items():
             total = 0
             for p in row.values():
                 total += p
-            if self._den is None:
-                laws[x] = Dist({y: p / total for y, p in row.items()})
+            totals[x] = total
+            if den is None:
+                laws[x] = _float_law({y: p / total for y, p in row.items()})
             else:
                 laws[x] = Dist(row, denominator=total)
-        return laws
+        first = _float_law(totals) if den is None else Dist(totals, denominator=den)
+        return first, laws
+
+    def conditionals(self) -> dict[Outcome, Dist]:
+        """{x: law of the second coordinate given the first == x}, for every
+        x of positive mass in first-occurrence order."""
+        return self.marginal_and_conditionals()[1]
 
 
 def _float_masses(d: Dist) -> dict:
@@ -327,8 +358,8 @@ def kl_chain_rule_check(pj: JointDist, qj: JointDist) -> tuple[float, float]:
     lhs = kl_divergence(pj, qj)
     if math.isinf(lhs):
         return math.inf, math.inf
-    p1, q1 = pj.marginal(0), qj.marginal(0)
-    p_given, q_given = pj.conditionals(), qj.conditionals()
+    p1, p_given = pj.marginal_and_conditionals()
+    q1, q_given = qj.marginal_and_conditionals()
     rhs = kl_divergence(p1, q1)
     for x, px in p1.items():
         rhs += float(px) * kl_divergence(p_given[x], q_given[x])
@@ -349,9 +380,12 @@ def pinsker_check(p: Dist, q: Dist) -> tuple[float, float]:
 
 def jensen_log2_check(values: Iterable[float]) -> tuple[float, float]:
     """(E[log2 X], log2 E[X]) for positive samples, uniformly weighted;
-    concavity gives <=."""
+    concavity gives <=.  An empty input, and any sample that is not > 0
+    (NaN included), is rejected."""
     vals = [float(v) for v in values]
-    if any(v <= 0 for v in vals):
+    if not vals:
+        raise ValueError("no samples")
+    if not all(v > 0 for v in vals):
         raise ValueError("samples must be positive")
     w = 1.0 / len(vals)
     e_log = mean = 0.0
@@ -362,8 +396,13 @@ def jensen_log2_check(values: Iterable[float]) -> tuple[float, float]:
 
 
 def mixture(components: Iterable[tuple[Number, Dist]]) -> Dist:
-    """Convex combination of distributions; weights must sum to 1."""
+    """Convex combination of distributions; weights must be non-negative
+    and sum to 1.  Weights that are all ints or Fractions over exact laws
+    give an exact law; any other mixture is a float law."""
     components = list(components)
+    for w, _ in components:
+        if w < 0:
+            raise ValueError(f"negative mixture weight {w}")
     mass: dict[Outcome, Number] = {}
     if all(isinstance(w, (int, Fraction)) and d.exact for w, d in components):
         # Rational weights over exact laws: integer counts over the lcm of
@@ -377,4 +416,4 @@ def mixture(components: Iterable[tuple[Number, Dist]]) -> Dist:
     for w, d in components:
         for x, p in d.items():
             mass[x] = mass.get(x, 0) + w * p
-    return Dist(mass)
+    return _float_law(dict(zip(mass, map(float, mass.values()))))

@@ -233,12 +233,47 @@ def test_jensen_log2_on_random_positive_samples():
         assert e_log <= log_e + 1e-12
 
 
+@pytest.mark.parametrize("vals", [[1.0, math.nan], [math.nan], [2.0, 0.0], [3.0, -1.0],
+                                  [np.float64("nan"), 1.0]])
+def test_jensen_log2_rejects_samples_not_positive(vals):
+    with pytest.raises(ValueError, match="samples must be positive"):
+        jensen_log2_check(vals)
+
+
+def test_jensen_log2_rejects_empty_input():
+    with pytest.raises(ValueError, match="no samples"):
+        jensen_log2_check([])
+
+
 # ------------------------------------------------------------------- plumbing
 
 def test_mixture_of_two_points():
     p = mixture([(Fraction(1, 2), Dist.point(0)),
                  (Fraction(1, 2), Dist.point(1))])
     assert p == Dist.uniform([0, 1])
+
+
+def test_mixture_rejects_negative_weight_exact_route():
+    # Without the check, these weights give the valid law {0: 1/4, 1: 3/4}.
+    with pytest.raises(ValueError, match="negative mixture weight -1/2"):
+        mixture([(Fraction(3, 2), Dist.uniform([0, 1])), (Fraction(-1, 2), Dist.point(0))])
+
+
+def test_mixture_rejects_negative_weight_float_route():
+    with pytest.raises(ValueError, match="negative mixture weight -0.5"):
+        mixture([(1.5, Dist.uniform([0, 1])), (-0.5, Dist.point(0))])
+    with pytest.raises(ValueError, match="negative mixture weight"):
+        mixture([(1.5, Dist({0: 0.5, 1: 0.5})), (-0.5, Dist({0: 1.0}))])
+
+
+def test_float_mixture_is_validated():
+    p, q = Dist({0: 0.25, 1: 0.75}), Dist({1: 0.5, 2: 0.5})
+    with pytest.raises(ValueError, match="masses sum to"):
+        mixture([(0.5 + 1e-6, p), (0.5, q)])
+    mixed = mixture([(0.5, p), (0.5, q)])
+    assert not mixed.exact
+    assert list(mixed.items()) == [(0, 0.125), (1, 0.625), (2, 0.25)]
+    assert all(type(v) is float for _, v in mixed.items())
 
 
 def test_invalid_masses_rejected():

@@ -12,6 +12,7 @@ probkit's float path must give the same floats bit for bit.
 """
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -158,6 +159,16 @@ def test_joint_laws_match_reference(jc, coord):
     for value, law in conditionals.items():
         assert same_law(law, ref_conditional(ref, value))
     assert cond_entropy(j) == ref_shannon(ref) - ref_shannon(ref_marginal(ref, 1))
+
+
+@settings(deadline=None)
+@given(joints)
+def test_row_pass_first_law_is_the_first_marginal(jc):
+    j = JointDist.from_counts(jc)
+    first, conditionals = j.marginal_and_conditionals()
+    assert first == j.marginal(0)
+    assert same_law(first, ref_marginal(ref_law(jc), 0))
+    assert list(conditionals.items()) == list(j.conditionals().items())
 
 
 @settings(deadline=None)
@@ -340,6 +351,19 @@ def test_chain_rule_matches_rescan_reference_bit_for_bit(kinds):
         assert math.isfinite(got[0])
 
 
+def test_float_row_pass_first_law_is_the_first_marginal_bit_for_bit():
+    rng = np.random.default_rng(2028)
+    for _ in range(150):
+        rows, cols = (int(v) for v in rng.integers(1, 6, size=2))
+        j = joint_law(rng, "float", rows, cols)
+        first, conditionals = j.marginal_and_conditionals()
+        assert not first.exact
+        assert list(first.items()) == list(j.marginal(0).items())
+        assert list(first.items()) == list(ref_marginal(dict(j.items()), 0).items())
+        for x, law in conditionals.items():
+            assert list(law.items()) == list(ref_rescan_conditional(j, x).items())
+
+
 def test_float_kl_and_chain_rule_are_inf_off_support():
     p = Dist({0: 0.25, 1: 0.75})
     q = Dist({1: 0.5, 2: 0.5})
@@ -348,3 +372,65 @@ def test_float_kl_and_chain_rule_are_inf_off_support():
     pj = JointDist({(0, 0): 0.5, (0, 1): 0.5})
     qj = JointDist({(0, 0): 0.5, (1, 1): 0.5})
     assert kl_chain_rule_check(pj, qj) == ref_chain_rule(pj, qj) == (math.inf, math.inf)
+
+
+# ------------------------------------------------------------ the pair check
+
+def ref_is_pair_keyed(keys) -> bool:
+    """JointDist's per-key outcome test, one Python-level check per key."""
+    for xy in keys:
+        if not (isinstance(xy, tuple) and len(xy) == 2):
+            return False
+    return True
+
+
+Pair = namedtuple("Pair", "x y")
+Triple = namedtuple("Triple", "x y z")
+
+atoms = st.one_of(st.integers(-3, 3), st.text(max_size=3), st.none())
+keys = st.one_of(
+    atoms,
+    st.lists(atoms, max_size=3).map(tuple),
+    st.builds(Pair, atoms, atoms),
+    st.builds(Triple, atoms, atoms, atoms),
+    st.frozensets(atoms, max_size=2),
+)
+
+
+def accepts(mass) -> bool:
+    try:
+        JointDist(mass)
+    except ValueError as err:
+        assert str(err) == "JointDist outcomes must be pairs"
+        return False
+    return True
+
+
+@pytest.mark.parametrize("key", [0, (1,), (1, 2, 3), "ab", ()], ids=repr)
+def test_pair_check_rejects_non_pairs(key):
+    with pytest.raises(ValueError, match="JointDist outcomes must be pairs"):
+        JointDist({key: 1.0})
+    with pytest.raises(ValueError, match="JointDist outcomes must be pairs"):
+        JointDist({(0, 0): Fraction(1, 2), key: Fraction(1, 2)})
+
+
+def test_pair_check_rejects_one_bad_key_in_a_mixed_dict():
+    mass = {(i, j): 0.1 for i in range(3) for j in range(3)}
+    mass[7] = 0.1
+    with pytest.raises(ValueError, match="JointDist outcomes must be pairs"):
+        JointDist(mass)
+
+
+def test_pair_check_accepts_namedtuple_pairs():
+    j = JointDist({Pair(0, 0): Fraction(1, 4), Pair(0, 1): Fraction(3, 4)})
+    assert j.marginal(0) == Dist.point(0)
+    assert j.conditionals()[0] == Dist({0: Fraction(1, 4), 1: Fraction(3, 4)})
+
+
+@settings(deadline=None)
+@given(st.lists(keys, min_size=1, max_size=6, unique=True))
+def test_pair_check_matches_per_key_reference(key_list):
+    mass = {k: Fraction(1, len(key_list)) for k in key_list}
+    assert accepts(mass) == ref_is_pair_keyed(mass)
+    floats = {k: 1 / len(key_list) for k in key_list}
+    assert accepts(floats) == ref_is_pair_keyed(floats)
