@@ -13,6 +13,10 @@ Configuration precedence: command-line flags, then a flat key=value
 config file (--config), then the DCRLAB_OUT environment variable for the
 output directory, then built-in defaults.  One seed fixes every random
 choice, so identical invocations write byte-identical files.
+
+Every subcommand but dcrh-game runs criteria of the verification battery
+(``dcrlab.acceptance``) and hands their results to ``emit``, so each
+report has one producer and ``verify-all`` writes the same bytes.
 """
 
 import argparse
@@ -52,9 +56,21 @@ def load_config(path: str) -> dict[str, str]:
     return out
 
 
-def write_report(path: Path, header: str, rows: list[str]) -> None:
+def write_lines(path: Path, lines: list[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join([header, *rows]) + "\n")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def emit(results, outdir: Path) -> int:
+    """Print each criterion's line and write the rows of each one that has
+    rows and an artifact; exit code 0 iff every criterion passed."""
+    for res in results:
+        print(res.line())
+        if res.rows and res.artifact:
+            path = outdir / res.artifact
+            write_lines(path, [res.header, *res.rows])
+            print(f"wrote {path} ({len(res.rows)} rows)")
+    return 0 if all(res.passed for res in results) else 1
 
 
 def _resolve(args, config: dict, key: str, default, cast=str):
@@ -85,12 +101,7 @@ def cmd_entropy(args, config) -> int:
 
     seed = _resolve(args, config, "seed", 0, int)
     trials = _resolve(args, config, "trials", 10_000, int)
-    res = criterion_probkit_identities(seed, trials=trials)
-    out = _outdir(args, config) / "entropy_identities.csv"
-    write_report(out, res.header, res.rows)
-    print(res.line())
-    print(f"wrote {out}")
-    return 0 if res.passed else 1
+    return emit([criterion_probkit_identities(seed, trials=trials)], _outdir(args, config))
 
 
 def cmd_dcrh_game(args, config) -> int:
@@ -122,8 +133,7 @@ def cmd_dcrh_game(args, config) -> int:
                 rows.append(csv_line([fam.name, n, adv.name, rep.mode, rep.samples,
                                       rep.distance, rep.ci_half_width]))
     out = _outdir(args, config) / "dcrh_game.csv"
-    write_report(out, "family,n,adversary,mode,samples,distance,ci_half_width",
-                 sorted(rows))
+    write_lines(out, ["family,n,adversary,mode,samples,distance,ci_half_width", *sorted(rows)])
     print(f"wrote {out} ({len(rows)} rows)")
     return 0 if failures == 0 else 1
 
@@ -134,35 +144,18 @@ def cmd_gap_sweep(args, config) -> int:
     seed = _resolve(args, config, "seed", 0, int)
     ns = parse_range(_resolve(args, config, "n", "2..6"))
     num_keys = _resolve(args, config, "num_keys", 4, int)
-    res = criterion_gap_sweep(seed, ns=ns, num_keys=num_keys)
-    out = _outdir(args, config) / res.artifact
-    write_report(out, res.header, res.rows)
-    print(res.line())
-    print(f"wrote {out} ({len(res.rows)} rows)")
-    return 0 if res.passed else 1
+    return emit([criterion_gap_sweep(seed, ns=ns, num_keys=num_keys)], _outdir(args, config))
 
 
 def cmd_commit_reduce(args, config) -> int:
-    from dcrlab.commitments import (
-        COMMIT_CSV_HEADER,
-        RandomFunctionCommitment,
-        commit_reduction_rows,
-    )
+    from dcrlab.acceptance import criterion_commit_reduction
 
     seed = _resolve(args, config, "seed", 0, int)
     k = _resolve(args, config, "k", 6, int)
     m = _resolve(args, config, "m", 3, int)
     num_seeds = _resolve(args, config, "num_seeds", 100, int)
-    scheme = RandomFunctionCommitment(k, m, num_seeds=num_seeds, seed=seed + 31)
-    try:
-        rows = commit_reduction_rows(scheme)
-    except AssertionError as exc:
-        print(f"bound violation: {exc}", file=sys.stderr)
-        return 1
-    out = _outdir(args, config) / "commit_reduce.csv"
-    write_report(out, COMMIT_CSV_HEADER, sorted(rows))
-    print(f"wrote {out} ({len(rows)} rows)")
-    return 0
+    return emit([criterion_commit_reduction(seed, num_seeds=num_seeds, k=k, m=m)],
+                _outdir(args, config))
 
 
 def cmd_szk_protocol(args, config) -> int:
@@ -173,18 +166,9 @@ def cmd_szk_protocol(args, config) -> int:
     )
 
     seed = _resolve(args, config, "seed", 0, int)
-    outdir = _outdir(args, config)
-    code = 0
-    for res in (criterion_protocol_completeness(seed),
-                criterion_binding_reduction(seed),
-                criterion_hiding_analysis(seed)):
-        print(res.line())
-        if res.rows and res.artifact:
-            write_report(outdir / res.artifact, res.header, res.rows)
-            print(f"wrote {outdir / res.artifact}")
-        if not res.passed:
-            code = 1
-    return code
+    return emit([criterion_protocol_completeness(seed),
+                 criterion_binding_reduction(seed),
+                 criterion_hiding_analysis(seed)], _outdir(args, config))
 
 
 def cmd_verify_all(args, config) -> int:
@@ -195,31 +179,11 @@ def cmd_verify_all(args, config) -> int:
     inject = bool(getattr(args, "inject_fault", False))
     outdir = _outdir(args, config)
     results = run_all(seed=seed, inject_fault=inject, fast=fast)
-    lines = []
-    for res in results:
-        print(res.line())
-        lines.append(res.line())
-        if res.rows and res.artifact:
-            write_report(outdir / res.artifact, res.header, res.rows)
-
-    # Determinism self-check: render the heaviest report twice in this
-    # process and compare; byte identity across processes is a test.
-    from dcrlab.acceptance import criterion_gap_sweep
-
-    again = criterion_gap_sweep(seed, ns=range(2, 5), num_keys=2)
-    once_more = criterion_gap_sweep(seed, ns=range(2, 5), num_keys=2)
-    deterministic = again.rows == once_more.rows
-    status = "PASS" if deterministic else "FAIL"
-    lines.append(f"criterion 9 [{status}] deterministic reports: gap-sweep n=2..4 "
-                 f"rendered twice in one process {'matches' if deterministic else 'differs'}; "
-                 f"the test suite checks byte identity across processes")
-    print(lines[-1])
-
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "verify_report.txt").write_text("\n".join(lines) + "\n")
-    print(f"wrote {outdir / 'verify_report.txt'}")
-    ok = all(r.passed for r in results) and deterministic
-    return 0 if ok else 1
+    code = emit(results, outdir)
+    report = outdir / "verify_report.txt"
+    write_lines(report, [res.line() for res in results])
+    print(f"wrote {report}")
+    return code
 
 
 # ------------------------------------------------------------------ entry point

@@ -25,7 +25,6 @@ import numpy as np
 
 from dcrlab.hashfam import ENUM_CAP_HARD, HashFamily, HashFunction, _check_cap
 from dcrlab.probkit import Dist, stat_distance
-from dcrlab.reporting import csv_line
 
 TOL = 1e-9
 
@@ -278,16 +277,3 @@ def string_variant_rate(scheme: TwoMessageCommitment, h: HashFunction) -> String
     if same > upper + TOL:
         raise AssertionError(f"same-plaintext rate {same} above 2^-ell + 2 sqrt(eps) = {upper}")
     return StringRateReport(collision_rate=same, epsilon=rep.epsilon, upper_bound=upper)
-
-
-COMMIT_CSV_HEADER = "scheme,h_index,epsilon,rate,bound"
-
-
-def commit_reduction_rows(scheme: TwoMessageCommitment) -> list[str]:
-    """One CSV row per sampled key: scheme, key index, epsilon, rate, bound."""
-    fam = scheme_to_hash_family(scheme)
-    rows = []
-    for idx, h in enumerate(fam):
-        rep = col_equivocation_rate(scheme, h)
-        rows.append(csv_line([scheme.name, idx, rep.epsilon, rep.rate, rep.lower_bound]))
-    return rows

@@ -165,7 +165,7 @@ class RewindingAdversary(Adversary):
         self.family = family
         self.name = f"rewind[{gt.name}]"
         self._laws: dict[HashFunction, JointDist] = {}
-        self._marginals: dict[HashFunction, Dist] = {}
+        self._splits: dict[HashFunction, tuple[Dist, dict]] = {}
 
     def tape_space(self, h: HashFunction) -> int:
         v1, v2 = self.gt.coin_spaces
@@ -188,12 +188,13 @@ class RewindingAdversary(Adversary):
             law = self._laws[h] = self._rewound_law(h)
         return law
 
-    def first_marginal(self, h: HashFunction) -> Dist:
-        """X1's law under ``exact_distribution(h)``, once per key for both terms."""
-        marg = self._marginals.get(h)
-        if marg is None:
-            marg = self._marginals[h] = self.exact_distribution(h).marginal(0)
-        return marg
+    def marginal_and_conditionals(self, h: HashFunction) -> tuple[Dist, dict]:
+        """X1's law and X2's law given each x1 under ``exact_distribution(h)``,
+        from one row pass per key that both divergence terms read."""
+        split = self._splits.get(h)
+        if split is None:
+            split = self._splits[h] = self.exact_distribution(h).marginal_and_conditionals()
+        return split
 
     def _rewound_law(self, h: HashFunction) -> JointDist:
         """Group first-block coins by the induced second-block law; the
@@ -239,7 +240,7 @@ def _first_block_kl(adv: RewindingAdversary, gap: float) -> float:
     direct = 0.0
     mean_entropy = 0.0
     for h in family:
-        marg = adv.first_marginal(h)
+        marg = adv.marginal_and_conditionals(h)[0]
         direct += kl_divergence(marg, uniform) / len(family)
         mean_entropy += shannon_entropy(marg) / len(family)
     via_entropy = family.n - mean_entropy
@@ -263,12 +264,12 @@ def _second_block_kl(adv: RewindingAdversary, gap: float) -> float:
     via_entropy = 0.0
     for h in family:
         joint = adv.exact_distribution(h)
-        marg = adv.first_marginal(h)
+        marg, conditionals = adv.marginal_and_conditionals(h)
         weights, den = marg.counts, marg.denominator
         contribution = 0.0
         log_fiber = 0.0
         uniforms: dict[int, Dist] = {}  # one uniform law per fiber of h
-        for x1, cond in joint.conditionals().items():
+        for x1, cond in conditionals.items():
             y = h(x1)
             fiber = preimage_set(h, y)
             uniform = uniforms.get(y)

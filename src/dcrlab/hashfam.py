@@ -372,8 +372,6 @@ def rng_bigint(rng: np.random.Generator, space: int) -> int:
 class GameReport:
     """Result of the distributional-collision game for one (family, adversary)."""
 
-    family: str
-    adversary: str
     distance: float
     mode: str = "exact"
     samples: int = 0
@@ -424,9 +422,9 @@ def dcrh_distance(
         gap = abs(float(joint) - float(distance))
         if gap > 1e-12:
             raise AssertionError(f"joint and per-key game values disagree by {gap}")
-        return GameReport(family.name, a.name, float(distance), "exact")
+        return GameReport(float(distance), "exact")
     support_size = max(len(adv.support()) + len(col.support()) for adv, col in laws)
-    return GameReport(family.name, a.name, float(distance), "monte-carlo",
+    return GameReport(float(distance), "monte-carlo",
                       samples=samples, ci_half_width=mc_ci_half_width(samples, support_size))
 
 

@@ -252,10 +252,12 @@ class JointDist(Dist):
         return Dist(out, denominator=self._den)
 
     def marginal_and_conditionals(self) -> tuple[Dist, dict[Outcome, Dist]]:
-        """(``marginal(0)``, ``conditionals()``) from one pass that splits
-        the joint law into its rows.  Each row total is added in the joint's
-        insertion order starting from 0, as ``marginal(0)`` adds it, so the
-        first law is ``marginal(0)`` bit for bit."""
+        """``marginal(0)`` and {x: law of the second coordinate given the
+        first == x} for every x of positive mass, in first-occurrence order,
+        from one pass that splits the joint law into its rows.  Each row
+        total is added in the joint's insertion order starting from 0, as
+        ``marginal(0)`` adds it, so the first law is ``marginal(0)`` bit for
+        bit."""
         rows: dict[Outcome, dict] = {}
         for (x, y), p in self._mass.items():
             rows.setdefault(x, {})[y] = p
@@ -273,11 +275,6 @@ class JointDist(Dist):
                 laws[x] = Dist(row, denominator=total)
         first = _float_law(totals) if den is None else Dist(totals, denominator=den)
         return first, laws
-
-    def conditionals(self) -> dict[Outcome, Dist]:
-        """{x: law of the second coordinate given the first == x}, for every
-        x of positive mass in first-occurrence order."""
-        return self.marginal_and_conditionals()[1]
 
 
 def _float_masses(d: Dist) -> dict:

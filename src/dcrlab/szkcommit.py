@@ -107,9 +107,10 @@ class TablePromiseProblem:
     below ``balance_tol``.  NO tables are injective.
     """
 
+    balance_tol = Fraction(1, 4)
+
     def __init__(self, k: int = 4, out_bits_choices: Sequence[int] = (2, 3, 4, 5, 6),
-                 yes_num: int = 1, yes_bits: int = 1,
-                 balance_tol: Fraction | None = None, salt: int = 0):
+                 yes_num: int = 1, yes_bits: int = 1, salt: int = 0):
         _check_cap(1 + k, ENUM_CAP_HARD)  # before any 2^(1 + k)-entry table
         self.k = k
         self.out_bits_choices = tuple(out_bits_choices)
@@ -120,7 +121,6 @@ class TablePromiseProblem:
             raise ValueError("yes rate must be in (0, 1]")
         self.yes_num = yes_num
         self.yes_bits = yes_bits
-        self.balance_tol = Fraction(1, 4) if balance_tol is None else Fraction(balance_tol)
         self.salt = salt
         self._cache: dict[tuple[int, int], HashFunction] = {}
 

@@ -212,8 +212,28 @@ def test_commit_reduce_bound_violation_exits_1(tmp_path, capsys, monkeypatch):
     code = main(["commit-reduce", "--k", "4", "--m", "2", "--num-seeds", "2",
                  "--out", str(tmp_path)])
     assert code == 1
-    assert "bound violation: injected violation" in capsys.readouterr().err
+    out = capsys.readouterr().out
+    assert "criterion 5 [FAIL]" in out
+    assert "injected violation" in out
     assert not (tmp_path / "commit_reduce.csv").exists()
+
+
+def test_subcommands_write_verify_all_bytes(tmp_path):
+    # Each report subcommand runs the battery's own criterion, so its CSV
+    # is the one verify-all writes, byte for byte.
+    battery = tmp_path / "verify-all"
+    assert main(["verify-all", "--fast", "--seed", "7", "--out", str(battery)]) == 0
+    for argv, names in [
+        (["entropy", "--trials", "2000"], ["entropy_identities.csv"]),
+        (["gap-sweep", "--n", "2..5"], ["gap_sweep.csv"]),
+        (["commit-reduce", "--num-seeds", "20"], ["commit_reduce.csv"]),
+        (["szk-protocol"], ["szk_binding.csv", "szk_hiding.csv"]),
+    ]:
+        out = tmp_path / argv[0]
+        assert main([*argv, "--seed", "7", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (battery / name).read_bytes(), name
 
 
 def _cli_csv(argv, out, hash_seed):

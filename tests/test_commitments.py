@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dcrlab.acceptance import criterion_commit_reduction
 from dcrlab.commitments import (
     TOL,
     ClearTextCommitment,
@@ -18,7 +19,6 @@ from dcrlab.commitments import (
     RandomFunctionCommitment,
     TwoMessageCommitment,
     col_equivocation_rate,
-    commit_reduction_rows,
     hiding_distance,
     markov_step_check,
     scheme_to_hash_family,
@@ -334,10 +334,10 @@ def test_string_variant_clear_text_vacuous():
 # ------------------------------------------------------------------- reports
 
 def test_commit_reduction_csv_rows():
-    scheme = RandomFunctionCommitment(4, 2, num_seeds=3, seed=18)
-    rows = commit_reduction_rows(scheme)
+    # Criterion 5's rows are commit_reduce.csv: one per key, in key order.
+    rows = criterion_commit_reduction(18, num_seeds=3, k=4, m=2).rows
     assert len(rows) == 3
-    for r in rows:
+    for idx, r in enumerate(rows):
         [fields] = list(csv.reader(io.StringIO(r)))
         assert len(fields) == 5
-        assert fields[0] == scheme.name
+        assert fields[:2] == ["random-function[k=4,m=2,ell=1]", str(idx)]

@@ -212,24 +212,33 @@ def test_game_calls_no_block_once_the_block_terms_built_the_law():
 
 
 def test_block_terms_build_each_first_marginal_once(monkeypatch):
-    # Both divergence terms read the X1 marginal of each key's rewound law;
-    # it is taken once per key, not once per term.
+    # Both divergence terms read the X1 marginal and the X2 conditionals of
+    # each key's rewound law from one row pass per key, not one per term,
+    # and never take the marginal on its own.
     fam = uniform_random_family(3, 2, num_keys=3, seed=5)
     gt = honest_online(fam)
     adv = RewindingAdversary(gt, fam)
     gap = fam.n - accessible_entropy(gt)
-    calls = 0
-    marginal = JointDist.marginal
+    passes = 0
+    split = JointDist.marginal_and_conditionals
 
-    def counting_marginal(self, coord):
-        nonlocal calls
-        calls += 1
-        return marginal(self, coord)
+    def counting_split(self):
+        nonlocal passes
+        passes += 1
+        return split(self)
 
-    monkeypatch.setattr(JointDist, "marginal", counting_marginal)
+    def no_marginal(self, coord):
+        raise AssertionError("JointDist.marginal called")
+
+    monkeypatch.setattr(JointDist, "marginal_and_conditionals", counting_split)
+    monkeypatch.setattr(JointDist, "marginal", no_marginal)
     _first_block_kl(adv, gap)
     _second_block_kl(adv, gap)
-    assert calls == len(fam)
+    assert passes == len(fam)
+    monkeypatch.undo()
+    for h in fam:
+        first = adv.marginal_and_conditionals(h)[0]
+        assert list(first.counts) == list(adv.exact_distribution(h).marginal(0).counts)
 
 
 def test_collision_rate_is_one_for_consistent_suite():

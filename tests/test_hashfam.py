@@ -138,7 +138,7 @@ def test_col_marginal_uniform_and_fiber_conditionals():
                 marg = d.marginal(0)
                 assert all(p == Fraction(1, 2**h.n) for _, p in marg.items())
                 assert len(marg.support()) == 2**h.n
-                conds = d.conditionals()
+                conds = d.marginal_and_conditionals()[1]
                 assert list(conds) == list(marg.support())
                 for x1 in (0, 1, 2**h.n - 1):
                     fiber = preimage_set(h, h(x1))

@@ -126,7 +126,8 @@ def test_cond_entropy_matches_expectation_route():
     for _ in range(100):
         j = random_joint(rng, int(rng.integers(2, 6)), int(rng.integers(2, 6)))
         y_marg = j.marginal(1)
-        given_y = JointDist({(y, x): p for (x, y), p in j.items()}).conditionals()
+        flipped = JointDist({(y, x): p for (x, y), p in j.items()})
+        given_y = flipped.marginal_and_conditionals()[1]
         via_expectation = sum(
             float(py) * shannon_entropy(given_y[y]) for y, py in y_marg.items()
         )
