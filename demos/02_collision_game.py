@@ -25,7 +25,7 @@ print(f"family {fam.name} with {len(fam)} keys; first key's fibers:")
 for y, fiber in sorted(h.fibers.items()):
     print(f"  y={y}: {fiber}")
 
-print("\nCol law of that key has", len(col_distribution(h).support()), "colliding pairs")
+print("\nCol law of that key has", col_distribution(h).support_size(), "colliding pairs")
 rng = np.random.default_rng(7)
 print("three samples:", [col_sample(h, rng) for _ in range(3)])
 

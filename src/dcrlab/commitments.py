@@ -185,8 +185,9 @@ class EquivocationReport:
 def col_equivocation_rate(scheme: TwoMessageCommitment, h: HashFunction) -> EquivocationReport:
     """Exact Pr_{(x,x') <- Col(h)}[plaintext(x) != plaintext(x')].
 
-    Col(h) puts count L/|F| on every ordered pair of a fiber F, over
-    2^n * L with L = ``h.fiber_lcm`` (see ``hashfam.col_distribution``).  With
+    Col(h) puts mass 1 / (2^n |F|) on every ordered pair of a fiber F:
+    count L/|F| over 2^n * L with L = ``h.fiber_lcm`` (``hashfam.col_distribution``
+    holds it as one uniform product block per fiber).  With
     n_b(F) the number of inputs in F of plaintext b, |F|^2 - sum_b n_b(F)^2
     of those pairs split, so the rate is
     sum_F (L/|F|) (|F|^2 - sum_b n_b(F)^2) / (2^n * L), counted per fiber

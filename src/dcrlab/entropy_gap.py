@@ -36,7 +36,7 @@ from dcrlab.hashfam import (
     dcrh_distance,
     preimage_set,
 )
-from dcrlab.probkit import Dist, JointDist, kl_divergence, shannon_entropy
+from dcrlab.probkit import BlockLaw, Dist, kl_divergence, shannon_entropy
 from dcrlab.reporting import csv_line
 
 TOL = 1e-9
@@ -87,7 +87,9 @@ def ideal_online(family: HashFamily) -> OnlineGenerator:
     The second block's coin range is the lcm of every fiber size in the
     family, so indexing coins mod the fiber size is exactly uniform; its
     conditional laws are also supplied analytically, which keeps the
-    accounting exact when the lcm is too large to enumerate.
+    accounting exact when the lcm is too large to enumerate.  Every coin
+    of one fiber gets the same law object, made on first use, so grouping
+    the coins by law hashes one law per fiber.
     """
     v2 = math.lcm(*(h.fiber_lcm for h in family))
 
@@ -97,10 +99,16 @@ def ideal_online(family: HashFamily) -> OnlineGenerator:
         fiber = preimage_set(h, h(coins[0]))
         return fiber[coins[1] % len(fiber)]
 
+    uniforms: dict[tuple, Dist] = {}  # one shared law per (key, fiber)
+
     def law(h, prefix):
         if not prefix:
             return Dist({y: len(f) for y, f in h.fibers.items()}, denominator=2**h.n)
-        return Dist.uniform(preimage_set(h, h(prefix[0])))
+        y = h(prefix[0])
+        uniform = uniforms.get((h, y))
+        if uniform is None:
+            uniform = uniforms[h, y] = Dist.uniform(preimage_set(h, y))
+        return uniform
 
     return OnlineGenerator("ideal", family.functions, (2**family.n, v2), block,
                            law_fn=law)
@@ -164,8 +172,7 @@ class RewindingAdversary(Adversary):
         self.gt = gt
         self.family = family
         self.name = f"rewind[{gt.name}]"
-        self._laws: dict[HashFunction, JointDist] = {}
-        self._splits: dict[HashFunction, tuple[Dist, dict]] = {}
+        self._laws: dict[HashFunction, BlockLaw] = {}
 
     def tape_space(self, h: HashFunction) -> int:
         v1, v2 = self.gt.coin_spaces
@@ -179,7 +186,7 @@ class RewindingAdversary(Adversary):
         x2 = self.gt.block(h, (r, r2))
         return x1, x2
 
-    def exact_distribution(self, h: HashFunction) -> JointDist:
+    def exact_distribution(self, h: HashFunction) -> BlockLaw:
         """The output law on h, computed once per key and shared by every
         consumer: the first- and second-block divergences and the
         collision game."""
@@ -188,41 +195,31 @@ class RewindingAdversary(Adversary):
             law = self._laws[h] = self._rewound_law(h)
         return law
 
-    def marginal_and_conditionals(self, h: HashFunction) -> tuple[Dist, dict]:
-        """X1's law and X2's law given each x1 under ``exact_distribution(h)``,
-        from one row pass per key that both divergence terms read."""
-        split = self._splits.get(h)
-        if split is None:
-            split = self._splits[h] = self.exact_distribution(h).marginal_and_conditionals()
-        return split
-
-    def _rewound_law(self, h: HashFunction) -> JointDist:
+    def _rewound_law(self, h: HashFunction) -> BlockLaw:
         """Group first-block coins by the induced second-block law; the
-        output law is the mixture of law (x) law over the groups, with
-        weight count / v1 each: counts over v1 * lcm(law denominators^2)."""
+        output law has one product block law (x) law per group, of weight
+        count / v1."""
         check_pair_cap(h.n)
         v1 = self.gt.coin_spaces[0]
         groups = Counter(self.gt.block_law(h, (r,)) for r in range(v1))
-        lcm = math.lcm(*(law.denominator**2 for law in groups))
-        mass: dict[tuple, int] = {}
-        for law, count in groups.items():
-            scale = count * (lcm // law.denominator**2)
-            counts = law.counts.items()
-            for x1, c1 in counts:
-                w1 = scale * c1
-                for x2, c2 in counts:
-                    key = (x1, x2)
-                    mass[key] = mass.get(key, 0) + w1 * c2
-        return JointDist(mass, denominator=v1 * lcm)
+        return BlockLaw([(count, law) for law, count in groups.items()], denominator=v1)
 
 
 def collision_rate(adv: RewindingAdversary) -> Fraction:
-    """Probability (averaged over keys) that the adversary's pair collides."""
+    """Probability (averaged over keys) that the adversary's pair collides:
+    the mass of each x1 times its conditional law's mass on the fiber of
+    x1, found once per (conditional law, fiber)."""
     total = Fraction(0)
     for h in adv.family:
-        d = adv.exact_distribution(h)
-        total += Fraction(sum(c for (x1, x2), c in d.counts.items() if h(x1) == h(x2)),
-                          d.denominator)
+        marg, conditionals = adv.exact_distribution(h).marginal_and_conditionals()
+        counts = marg.counts
+        weights: dict[tuple, int] = {}
+        for x1, cond in conditionals.items():
+            key = (cond, h(x1))
+            weights[key] = weights.get(key, 0) + counts[x1]
+        for (cond, y), weight in weights.items():
+            inside = sum(c for x2, c in cond.counts.items() if h(x2) == y)
+            total += Fraction(weight * inside, marg.denominator * cond.denominator)
     return total / len(adv.family)
 
 
@@ -240,7 +237,7 @@ def _first_block_kl(adv: RewindingAdversary, gap: float) -> float:
     direct = 0.0
     mean_entropy = 0.0
     for h in family:
-        marg = adv.marginal_and_conditionals(h)[0]
+        marg = adv.exact_distribution(h).marginal_and_conditionals()[0]
         direct += kl_divergence(marg, uniform) / len(family)
         mean_entropy += shannon_entropy(marg) / len(family)
     via_entropy = family.n - mean_entropy
@@ -264,19 +261,23 @@ def _second_block_kl(adv: RewindingAdversary, gap: float) -> float:
     via_entropy = 0.0
     for h in family:
         joint = adv.exact_distribution(h)
-        marg, conditionals = adv.marginal_and_conditionals(h)
+        marg, conditionals = joint.marginal_and_conditionals()
         weights, den = marg.counts, marg.denominator
         contribution = 0.0
         log_fiber = 0.0
         uniforms: dict[int, Dist] = {}  # one uniform law per fiber of h
+        divergences: dict[tuple, float] = {}  # one per (conditional law object, fiber)
         for x1, cond in conditionals.items():
             y = h(x1)
             fiber = preimage_set(h, y)
-            uniform = uniforms.get(y)
-            if uniform is None:
-                uniform = uniforms[y] = Dist.uniform(fiber)
+            divergence = divergences.get((id(cond), y))
+            if divergence is None:
+                uniform = uniforms.get(y)
+                if uniform is None:
+                    uniform = uniforms[y] = Dist.uniform(fiber)
+                divergence = divergences[id(cond), y] = kl_divergence(cond, uniform)
             weight = weights[x1] / den
-            contribution += weight * kl_divergence(cond, uniform)
+            contribution += weight * divergence
             log_fiber += weight * math.log2(len(fiber))
         total += contribution / len(family)
         cond_h = shannon_entropy(joint) - shannon_entropy(marg)

@@ -19,9 +19,17 @@ to 1e-9, which checks the textbook identities the accounting rests on.
 
 import itertools
 import math
+from collections import Counter
 from typing import Callable, Sequence
 
-from dcrlab.probkit import Dist, JointDist, SupportError, _log2_ratio, cond_entropy
+from dcrlab.probkit import (
+    Dist,
+    JointDist,
+    SupportError,
+    _context_entropy,
+    _log2_ratio,
+    cond_entropy,
+)
 
 ROUTE_TOL = 1e-9
 LAW_ENUM_CAP = 2**20      # largest single coin space enumerated by counting
@@ -204,31 +212,25 @@ class OnlineGenerator:
 def accessible_entropy(gt: OnlineGenerator) -> float:
     """sum_i H(Y_i | Z, R_{<i}), parameters and coins uniform.
 
-    Route one conditions through the joint law of (block, context); route
-    two takes the transcript expectation of the per-block sample
-    entropies.  Agreement to 1e-9 is asserted.
+    Route one conditions through the joint law of (block, context),
+    streamed term by term; route two takes the transcript expectation of
+    the per-block sample entropies, once per distinct block law.
+    Agreement to 1e-9 is asserted.
     """
-    k = len(gt.param_space)
     via_cond = 0.0
     via_expect = 0.0
     for i in range(gt.m_blocks):
         prefix_list = list(gt.coin_prefixes(i))
-        laws = [((zi, prefix), gt.block_law(z, prefix))
-                for zi, z in enumerate(gt.param_space) for prefix in prefix_list]
-        # Every context has weight 1 / (k * prefixes): counts over one
-        # denominator k * prefixes * lcm(law denominators).
-        lcm = math.lcm(*(law.denominator for _, law in laws))
-        den = k * len(prefix_list) * lcm
-        mass: dict[tuple, int] = {}
+        laws = [gt.block_law(z, prefix) for z in gt.param_space for prefix in prefix_list]
+        via_cond += _context_entropy(laws)
         expect_i = 0.0
-        for context, law in laws:
+        for law, contexts in Counter(laws).items():
             d = law.denominator
-            for y, c in law.counts.items():
-                count = c * (lcm // d)
-                mass[(y, context)] = count
-                expect_i += count / den * -_log2_ratio(c, d)
-        via_cond += cond_entropy(JointDist(mass, denominator=den))
-        via_expect += expect_i
+            sample = 0.0
+            for c in law.counts.values():
+                sample += c / d * -_log2_ratio(c, d)
+            expect_i += contexts * sample
+        via_expect += expect_i / len(laws)
     if abs(via_cond - via_expect) > ROUTE_TOL:
         raise AssertionError(
             f"accessible-entropy routes disagree: {via_cond} vs {via_expect}")
@@ -236,13 +238,18 @@ def accessible_entropy(gt: OnlineGenerator) -> float:
 
 
 def online_support(gt: OnlineGenerator, z) -> frozenset:
-    """All output tuples the online generator can emit for a fixed z."""
+    """All output tuples the online generator can emit for a fixed z.  The
+    support of each distinct (earlier blocks, last block law object) is
+    read once, however many coin prefixes lead to it."""
     tuples: set[tuple] = set()
+    seen = set()
     for prefix in gt.coin_prefixes(gt.m_blocks - 1):
         partial = tuple(gt.block(z, prefix[: i + 1]) for i in range(len(prefix)))
         last_law = gt.block_law(z, prefix)
-        for y in last_law.support():
-            tuples.add(partial + (y,))
+        if (partial, id(last_law)) not in seen:
+            seen.add((partial, id(last_law)))
+            for y in last_law.support():
+                tuples.add(partial + (y,))
     return frozenset(tuples)
 
 

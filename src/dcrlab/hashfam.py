@@ -6,8 +6,11 @@ preimage sets, the ideal collision finder Col, and adversary output
 distributions are all exact objects.
 
 Col(h) samples x1 uniformly, then x2 uniformly from the preimage set
-h^-1(h(x1)) (x1 = x2 is allowed).  The game value against an adversary A
-is E_h  TV(A(h), Col(h)), computed as an exact average over the family's
+h^-1(h(x1)) (x1 = x2 is allowed).  Its exact law is held as product
+blocks (``probkit.BlockLaw``): one block per fiber, uniform over the fiber
+and of weight |fiber| / 2^n, so a constant function's law costs 2^n
+outcomes, not its 4^n pairs.  The game value against an adversary A is
+E_h  TV(A(h), Col(h)), computed as an exact average over the family's
 enumerated key space.  A(h) is the adversary's own exact law when it
 supplies one, and otherwise the count of its outputs over every tape.
 """
@@ -20,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from dcrlab.probkit import Dist, JointDist, stat_distance
+from dcrlab.probkit import BlockLaw, Dist, JointDist, _shared_counts, stat_distance
 
 ENUM_CAP_DEFAULT = 14   # largest n enumerated without protest
 ENUM_CAP_HARD = 20      # absolute ceiling on 2^n enumeration
@@ -214,17 +217,12 @@ def preimage_set(h: HashFunction, y: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=512)
-def col_distribution(h: HashFunction) -> JointDist:
+def col_distribution(h: HashFunction) -> BlockLaw:
     """Exact law of Col(h): P(x1, x2) = 2^-n / |h^-1(h(x1))| on collisions,
-    as counts L / |fiber| over 2^n * L with L = ``h.fiber_lcm``."""
+    as one product block per fiber, uniform over it, of weight |fiber|."""
     check_pair_cap(h.n)
-    lcm = h.fiber_lcm
-    mass = {(x1, x2): count
-            for fiber in h.fibers.values()
-            for count in (lcm // len(fiber),)
-            for x1 in fiber
-            for x2 in fiber}
-    return JointDist(mass, denominator=2**h.n * lcm)
+    return BlockLaw([(len(fiber), Dist.uniform(fiber)) for fiber in h.fibers.values()],
+                    denominator=2**h.n)
 
 
 def col_sample(h: HashFunction, rng: np.random.Generator) -> tuple[int, int]:
@@ -255,7 +253,7 @@ class Adversary:
     def run(self, h: HashFunction, tape: int) -> tuple[int, int]:
         raise NotImplementedError
 
-    def exact_distribution(self, h: HashFunction) -> JointDist | None:
+    def exact_distribution(self, h: HashFunction) -> JointDist | BlockLaw | None:
         return None
 
 
@@ -309,13 +307,14 @@ def adversary_distribution(
     mode: str = "exact",
     samples: int = 0,
     rng: np.random.Generator | None = None,
-) -> JointDist:
+) -> JointDist | BlockLaw:
     """The adversary's output law on h.
 
     Exact mode returns ``a.exact_distribution(h)`` when the adversary
-    supplies one, at any tape space; the test suite checks each such law
-    against one ``run`` per tape.  Otherwise it runs every tape once, up
-    to 2^TAPE_CAP_BITS tapes.
+    supplies one, at any tape space: a ``JointDist``, or a ``BlockLaw``
+    for Col and the rewinding adversaries.  The test suite checks each
+    such law against one ``run`` per tape.  Otherwise it runs every tape
+    once, up to 2^TAPE_CAP_BITS tapes, into a ``JointDist``.
     Monte-Carlo mode returns the empirical distribution of ``samples``
     tapes.  Tape spaces up to 2^63 draw all tapes in one ``rng.integers``
     call and run each distinct tape once, in order of first draw, weighted
@@ -403,9 +402,9 @@ def dcrh_distance(
 
     In exact mode the value is re-derived from the joint law over (key,
     pair) — TV((h, A(h)), (h, Col(h))) — and the two routes must agree.
-    The joint value is summed key by key as one integer L1 over the lcm of
-    all the per-key law denominators (``_joint_distance``), without
-    building the joint laws.
+    The joint value is 1 - sum min(P, Q) over the shared outcomes, as
+    integers over the lcm of all the per-key law denominators
+    (``_joint_distance``), without building the joint laws.
     """
     laws = []
     distance = 0  # added key by key, left to right, on every Python version
@@ -423,27 +422,23 @@ def dcrh_distance(
         if gap > 1e-12:
             raise AssertionError(f"joint and per-key game values disagree by {gap}")
         return GameReport(float(distance), "exact")
-    support_size = max(len(adv.support()) + len(col.support()) for adv, col in laws)
+    support_size = max(len(adv.support()) + col.support_size() for adv, col in laws)
     return GameReport(float(distance), "monte-carlo",
                       samples=samples, ci_half_width=mc_ci_half_width(samples, support_size))
 
 
-def _joint_distance(laws: Sequence[tuple[Dist, Dist]]) -> Fraction:
+def _joint_distance(laws: Sequence[tuple]) -> Fraction:
     """TV((i, P_i), (i, Q_i)) for a uniform key index i over the exact law
-    pairs ``laws[i] = (P_i, Q_i)``.  With D the lcm of all 2k denominators,
-    the joint law gives (i, x) the count p_ix * D / dP_i over k * D, so the
-    TV is L1 / (2 k D) for the integer L1 = sum_i sum_x |p_ix * D / dP_i -
-    q_ix * D / dQ_i| over the union of each pair's supports."""
+    pairs ``laws[i] = (P_i, Q_i)``, each P_i a ``Dist`` or a ``BlockLaw``
+    and each Q_i a ``BlockLaw`` (Col), as
+    1 - sum_(i, x) min(P_i(x), Q_i(x)) / k.  With D the lcm of all 2k
+    denominators, the joint law gives (i, x) the count p_ix * D / dP_i
+    over k * D, so the sum of minima is one integer over k * D."""
     den = math.lcm(*(d.denominator for pair in laws for d in pair))
-    l1 = 0
+    common = 0
     for p, q in laws:
         sp, sq = den // p.denominator, den // q.denominator
-        qm = q.counts
-        shared = 0
-        for x, a in p.counts.items():
-            b = qm.get(x, 0)
-            shared += b
-            l1 += abs(a * sp - b * sq)
-        # Outcomes of Q_i outside supp(P_i) carry the rest of its count.
-        l1 += (q.denominator - shared) * sq
-    return Fraction(l1, 2 * len(laws) * den)
+        for m, a, b in _shared_counts(p, q):
+            common += m * min(a * sp, b * sq)
+    total = len(laws) * den
+    return Fraction(total - common, total)

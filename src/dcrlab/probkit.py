@@ -23,6 +23,13 @@ left to right in explicit loops rather than by ``sum()``, which
 compensates its rounding from Python 3.12 on, so a report holds the same
 floats on every supported interpreter.
 
+A law over pairs that is a mixture of products law (x) law with pairwise
+disjoint supports, as Col(h) and every rewound law are, is held as those
+product blocks (``BlockLaw``): its first marginal, its conditionals, its
+entropy and its distance to another exact law are read off the blocks
+without the pairs, which are built only for blocks that share outcomes
+and for a distance to a float law.  A law hashes once and keeps its hash.
+
 A law's outcomes are its support: there is no separately declared
 outcome set, so the total variation distance runs over the union of the
 two supports and the divergence over the first law's support.
@@ -90,7 +97,7 @@ class Dist:
     built.
     """
 
-    __slots__ = ("_mass", "_den")
+    __slots__ = ("_mass", "_den", "_hash")
 
     def __init__(self, mass: Mapping[Outcome, Number], denominator: int | None = None):
         if denominator is None and not _is_exact(mass.values()):
@@ -101,6 +108,7 @@ class Dist:
             clean, denominator = _reduced_counts(mass, denominator)
         self._mass = clean
         self._den = denominator
+        self._hash = None
 
     @classmethod
     def uniform(cls, outcomes: Iterable[Outcome]) -> "Dist":
@@ -160,6 +168,13 @@ class Dist:
         return dict(self.items()) == dict(other.items())
 
     def __hash__(self):
+        """Taken on first use and kept: grouping coins by the law they
+        induce hashes one shared law once, not once per coin."""
+        if self._hash is None:
+            self._hash = self._mass_hash()
+        return self._hash
+
+    def _mass_hash(self) -> int:
         if self._den is None:
             return hash(frozenset(self._mass.items()))
         # Fraction(c, d) hashes to c * d^-1 modulo the numeric-hash prime, so
@@ -196,6 +211,7 @@ def _float_law(mass: dict) -> Dist:
     law = Dist.__new__(Dist)
     law._mass = _checked_floats(mass)
     law._den = None
+    law._hash = None
     return law
 
 
@@ -277,6 +293,184 @@ class JointDist(Dist):
         return first, laws
 
 
+class BlockLaw:
+    """An exact law over pairs held as product blocks.
+
+    Block g is a weight w_g (an int; the weights sum to ``denominator``)
+    and an exact law L_g.  It carries mass w_g / denominator spread as
+    L_g (x) L_g over supp(L_g)^2, so (x1, x2) gets w_g L_g(x1) L_g(x2) /
+    denominator from it.  When the supports are pairwise disjoint, x1 lies
+    in one block and its conditional law is that block's law, so the law is
+    read in O(sum |supp L_g|) without its sum |supp L_g|^2 pairs.  Blocks
+    that share an outcome are materialized together, and each x1 in them
+    gets its own conditional row.
+
+    Rows, masses and pairs keep the order of the materialized law: blocks
+    in order, each block's outcomes in its law's order.  So the first
+    marginal and the conditionals are, in value and in insertion order,
+    those of ``joint().marginal_and_conditionals()``.
+    """
+
+    __slots__ = ("_blocks", "_den", "_rows", "_mixed", "_marginal", "_joint")
+
+    exact = True
+
+    def __init__(self, blocks: Iterable[tuple[int, Dist]], denominator: int):
+        blocks = list(blocks)
+        if not all(isinstance(w, int) and w > 0 and law.exact for w, law in blocks):
+            raise ValueError("blocks need positive int weights and exact laws")
+        if sum(w for w, _ in blocks) != denominator:
+            raise ValueError(f"block weights do not sum to {denominator}")
+        # Pair counts s_g c(x1) c(x2) in block g over denominator * lcm(d_g^2),
+        # with the common factor of the scales s_g divided out.
+        lcm = math.lcm(*(law._den**2 for _, law in blocks))
+        scales = [w * (lcm // law._den**2) for w, law in blocks]
+        g = math.gcd(denominator * lcm, *scales)
+        self._den = denominator * lcm // g
+        self._blocks = [(s // g, law) for s, (_, law) in zip(scales, blocks)]
+        # x1 -> (pair count of the row x1, conditional law of x2 given x1).
+        rows: dict[Outcome, tuple[int, Dist]] = {}
+        shared = set()
+        for s, law in self._blocks:
+            d = law._den
+            for x1, c in law._mass.items():
+                if x1 in rows:
+                    shared.add(x1)
+                else:
+                    rows[x1] = (s * c * d, law)
+        self._mixed = [i for i, (_, law) in enumerate(self._blocks)
+                       if not shared.isdisjoint(law._mass)]
+        if self._mixed:
+            pairs = _pair_counts([self._blocks[i] for i in self._mixed])
+            total = sum(pairs.values())
+            first, conditionals = JointDist(pairs, denominator=total).marginal_and_conditionals()
+            for x1, c in first._mass.items():
+                rows[x1] = (c * (total // first._den), conditionals[x1])
+        self._rows = rows
+        self._marginal = None
+        self._joint = None
+
+    @property
+    def denominator(self) -> int:
+        """The common denominator of the pair counts (not in lowest terms)."""
+        return self._den
+
+    def marginal_and_conditionals(self) -> tuple[Dist, dict[Outcome, Dist]]:
+        """The law of x1, and {x1: law of x2 given x1}; the x1 of one
+        product block share its law object."""
+        if self._marginal is None:
+            self._marginal = Dist({x1: t for x1, (t, _) in self._rows.items()},
+                                  denominator=self._den)
+        return self._marginal, {x1: law for x1, (_, law) in self._rows.items()}
+
+    def support_size(self) -> int:
+        """The number of pairs of positive mass."""
+        return sum(len(law._mass) for _, law in self._rows.values())
+
+    def joint(self) -> JointDist:
+        """The law as one dict of pairs, built once and kept."""
+        if self._joint is None:
+            self._joint = JointDist(_pair_counts(self._blocks), denominator=self._den)
+        return self._joint
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, BlockLaw):
+            other = other.joint()
+        if not isinstance(other, Dist):
+            return NotImplemented
+        return self.joint() == other
+
+
+def _pair_counts(blocks: Iterable[tuple[int, Dist]]) -> dict:
+    """{(x1, x2): sum of s c(x1) c(x2)} over scaled blocks (s, law), in
+    block order: the one place a block law's pairs are materialized."""
+    mass: dict[tuple, int] = {}
+    for s, law in blocks:
+        counts = law._mass.items()
+        for x1, c1 in counts:
+            w1 = s * c1
+            for x2, c2 in counts:
+                key = (x1, x2)
+                mass[key] = mass.get(key, 0) + w1 * c2
+    return mass
+
+
+def _shared_counts(p, q: BlockLaw):
+    """(m, a, b) over the outcomes in both supports of an exact law ``p``,
+    a ``Dist`` or a ``BlockLaw``, and a ``BlockLaw`` ``q``: m outcomes of
+    count a over p's denominator and count b over q's.  Two block laws are
+    read row by row: the x1 whose rows hold the same two conditional law
+    objects at the same scales are taken together, and the x2 of each such
+    pair of laws are bucketed by their two counts, so the cost is the
+    number of rows plus, per pair of laws, their supports."""
+    rows = q._rows
+    if not isinstance(p, BlockLaw):
+        for (x1, x2), a in p._mass.items():
+            row = rows.get(x1)
+            if row is not None:
+                t, law = row
+                c = law._mass.get(x2)
+                if c:
+                    yield 1, a, t // law._den * c
+        return
+    groups: dict[tuple, list] = {}
+    for x1, (tp, lp) in p._rows.items():
+        row = rows.get(x1)
+        if row is not None:
+            tq, lq = row
+            key = (id(lp), id(lq), tp // lp._den, tq // lq._den)
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [1, lp, lq]
+            else:
+                group[0] += 1
+    buckets: dict[tuple, list] = {}
+    for (ip, iq, kp, kq), (count, lp, lq) in groups.items():
+        shared = buckets.get((ip, iq))
+        if shared is None:
+            qm = lq._mass
+            found: dict[tuple, int] = {}
+            for x2, u in lp._mass.items():
+                v = qm.get(x2)
+                if v:
+                    found[u, v] = found.get((u, v), 0) + 1
+            shared = buckets[ip, iq] = list(found.items())
+        for (u, v), m in shared:
+            yield count * m, kp * u, kq * v
+
+
+def _block_distance(p, q) -> Fraction:
+    """Total variation of two exact laws at least one of which is a
+    ``BlockLaw``: the integer L1 of the shared outcomes, plus each law's
+    mass outside them, over 2 * dp * dq."""
+    if not isinstance(q, BlockLaw):
+        p, q = q, p
+    dp, dq = p.denominator, q.denominator
+    l1 = in_p = in_q = 0
+    for m, a, b in _shared_counts(p, q):
+        l1 += m * abs(a * dq - b * dp)
+        in_p += m * a
+        in_q += m * b
+    return Fraction(l1 + (dp - in_p) * dq + (dq - in_q) * dp, 2 * dp * dq)
+
+
+def _block_entropy(p: BlockLaw) -> float:
+    """H(X1, X2) = H(w) + 2 sum_g w_g H(L_g) over the product blocks, plus
+    -q log2 q over the pairs of the blocks that share outcomes."""
+    den = p._den
+    total = 0.0
+    mixed = set(p._mixed)
+    for i, (s, law) in enumerate(p._blocks):
+        if i not in mixed:
+            mass = s * law._den**2
+            total += mass / den * -_log2_ratio(mass, den)
+            total += 2 * (mass / den) * shannon_entropy(law)
+    if mixed:
+        for c in _pair_counts([p._blocks[i] for i in p._mixed]).values():
+            total += c / den * -_log2_ratio(c, den)
+    return total
+
+
 def _float_masses(d: Dist) -> dict:
     """The law's masses as a dict of floats; ``c / den`` on ints is the
     correctly rounded float of the Fraction ``c/den``."""
@@ -286,9 +480,15 @@ def _float_masses(d: Dist) -> dict:
     return {x: c / den for x, c in d._mass.items()}
 
 
-def stat_distance(p: Dist, q: Dist) -> Number:
+def stat_distance(p: Dist | BlockLaw, q: Dist | BlockLaw) -> Number:
     """Total variation distance (1/2) * sum_x |p(x) - q(x)| over the union
-    of the two supports."""
+    of the two supports.  A ``BlockLaw`` is read by its blocks, against an
+    exact law, and by its pairs against a float one."""
+    if isinstance(p, BlockLaw) or isinstance(q, BlockLaw):
+        if p.exact and q.exact:
+            return _block_distance(p, q)
+        p = p.joint() if isinstance(p, BlockLaw) else p
+        q = q.joint() if isinstance(q, BlockLaw) else q
     if p.exact and q.exact:
         # (1/2) sum |a/dp - b/dq| = sum |a*dq - b*dp| / (2*dp*dq); outcomes
         # of q outside supp(p) contribute dp * (dq - mass of q on supp(p)).
@@ -307,8 +507,10 @@ def stat_distance(p: Dist, q: Dist) -> Number:
     return total / 2
 
 
-def shannon_entropy(p: Dist) -> float:
+def shannon_entropy(p: Dist | BlockLaw) -> float:
     """H(p) = -sum p(x) log2 p(x) in bits, with 0*log(0) = 0."""
+    if isinstance(p, BlockLaw):
+        return _block_entropy(p)
     total = 0.0
     if p.exact:
         den = p._den
@@ -323,6 +525,34 @@ def shannon_entropy(p: Dist) -> float:
 def cond_entropy(j: JointDist) -> float:
     """H(X | Y) = H(X, Y) - H(Y) for a joint law over (x, y) pairs."""
     return shannon_entropy(j) - shannon_entropy(j.marginal(1))
+
+
+def _context_entropy(laws: list[Dist]) -> float:
+    """H(Y | C) for a context C uniform over the positions of ``laws`` and Y
+    drawn from laws[C]: bit for bit ``cond_entropy`` of the joint law of
+    (y, C), whose count at (y, C) is c * lcm / d, streamed in that law's
+    order without building it.  Its counts share the factor g = gcd of
+    the lcm / d, and each context's reduced mass is 1 / len(laws).  The
+    terms of one law are found once and added once per context using it."""
+    contexts = len(laws)
+    lcm = math.lcm(*(law._den for law in laws))
+    g = math.gcd(*(lcm // law._den for law in laws))
+    den = contexts * (lcm // g)
+    terms: dict[int, list[float]] = {}  # by law object
+    joint = 0.0
+    for law in laws:
+        row = terms.get(id(law))
+        if row is None:
+            scale = lcm // law._den // g
+            row = terms[id(law)] = [c * scale / den * -_log2_ratio(c * scale, den)
+                                for c in law._mass.values()]
+        for term in row:
+            joint += term
+    term = 1 / contexts * -_log2_ratio(1, contexts)
+    context = 0.0
+    for _ in range(contexts):
+        context += term
+    return joint - context
 
 
 def kl_divergence(p: Dist, q: Dist) -> float:

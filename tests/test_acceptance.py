@@ -50,6 +50,15 @@ def test_criterion_2_rows_pinned_at_n9():
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == digest
 
 
+def test_criterion_2_rows_pinned_at_n10():
+    # sha256 of the newline-joined n = 10 rows (seed 7, 4 keys) as the
+    # materialized pair laws wrote them; the block laws make this size a
+    # matter of seconds.
+    rows = acceptance.criterion_gap_sweep(7, ns=range(10, 11)).rows
+    digest = "33a8ca5b7fbf28593413952f3b346a5372923ff8bea2cc3930c85ab733ff65e6"
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == digest
+
+
 def compensated_sum(iterable, start=0):
     """The builtin ``sum`` of Python 3.12 and later, written out.  Ints
     that fit a C long add exactly.  From the first float on, floats add

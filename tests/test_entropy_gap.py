@@ -37,10 +37,11 @@ from dcrlab.hashfam import (
     constant_family,
     dcrh_distance,
     identity_family,
-    preimage_set,
     uniform_random_family,
 )
-from dcrlab.probkit import JointDist, stat_distance
+from dcrlab.probkit import BlockLaw, JointDist, stat_distance
+
+from reference_laws import lopsided_online, overlapping_online, ref_rewound_law, ref_row_pass
 
 
 def parity_family(n=2) -> HashFamily:
@@ -53,17 +54,6 @@ def cheating_length_online(family: HashFamily) -> OnlineGenerator:
     def block(h, coins):
         return h(coins[0]) if len(coins) == 1 else coins[0] + 2**family.n
     return OnlineGenerator("cheating-length", family.functions, (2**family.n, 1), block)
-
-
-def lopsided_online(family: HashFamily) -> OnlineGenerator:
-    """Consistent, with block two's three coins landing on a fiber's first
-    point once and on its second point twice: rows of unequal counts."""
-    def block(h, coins):
-        if len(coins) == 1:
-            return h(coins[0])
-        fiber = preimage_set(h, h(coins[0]))
-        return fiber[min(coins[1], 1) % len(fiber)]
-    return OnlineGenerator("lopsided", family.functions, (2**family.n, 3), block)
 
 
 def per_tape_distribution(adv, h) -> JointDist:
@@ -154,6 +144,19 @@ def test_ideal_generator_matches_col_exactly():
             assert stat_distance(adv.exact_distribution(h), col_distribution(h)) == 0
 
 
+def test_ideal_generator_shares_one_law_per_fiber():
+    # Grouping the first-block coins by their law hashes one law per
+    # fiber, not one per coin.
+    fam = uniform_random_family(4, 2, num_keys=2, seed=3)
+    gt = ideal_online(fam)
+    for h in fam:
+        laws = {}
+        for r in range(2**h.n):
+            law = gt.block_law(h, (r,))
+            assert laws.setdefault(h(r), law) is law
+        assert len(laws) == len(h.fibers)
+
+
 def test_ideal_accessible_entropy_equals_n():
     # H(h(U)) + E_y log|h^-1(y)| telescopes to n, by enumeration.
     for fam in builtin_families(3, num_keys=2, seed=6):
@@ -163,7 +166,7 @@ def test_ideal_accessible_entropy_equals_n():
 def test_honest_generator_outputs_diagonal():
     fam = parity_family()
     adv = RewindingAdversary(honest_online(fam), fam)
-    d = adv.exact_distribution(fam.functions[0])
+    d = adv.exact_distribution(fam.functions[0]).joint()
     assert all(x1 == x2 for (x1, x2) in d.support())
 
 
@@ -171,7 +174,7 @@ def test_lazy_generator_point_mass_per_key():
     fam = constant_family(3, 2, num_keys=3, seed=2)
     adv = RewindingAdversary(lazy_online(fam), fam)
     for h in fam:
-        assert len(adv.exact_distribution(h).support()) == 1
+        assert adv.exact_distribution(h).support_size() == 1
 
 
 def test_exact_laws_match_per_tape_reference():
@@ -181,7 +184,7 @@ def test_exact_laws_match_per_tape_reference():
     fams = toys + [fam for n in (1, 2, 3, 4) for seed in (0, 1)
                    for fam in builtin_families(n, num_keys=2, seed=seed)]
     for fam in fams:
-        gens = consistent_suite(fam) + [lopsided_online(fam)]
+        gens = consistent_suite(fam) + [lopsided_online(fam), overlapping_online(fam)]
         advs = [ColAdversary()] + [RewindingAdversary(gt, fam) for gt in gens]
         # Its pairs can leave the fiber of x1.
         advs.append(RewindingAdversary(mismatched_online(fam), fam, _checked=True))
@@ -213,32 +216,36 @@ def test_game_calls_no_block_once_the_block_terms_built_the_law():
 
 def test_block_terms_build_each_first_marginal_once(monkeypatch):
     # Both divergence terms read the X1 marginal and the X2 conditionals of
-    # each key's rewound law from one row pass per key, not one per term,
-    # and never take the marginal on its own.
+    # each key's rewound law off its blocks: one law and one marginal per
+    # key, not one per term, and no pair of the law is materialized.
     fam = uniform_random_family(3, 2, num_keys=3, seed=5)
     gt = honest_online(fam)
     adv = RewindingAdversary(gt, fam)
     gap = fam.n - accessible_entropy(gt)
-    passes = 0
-    split = JointDist.marginal_and_conditionals
+    laws = 0
+    rewound = RewindingAdversary._rewound_law
 
-    def counting_split(self):
-        nonlocal passes
-        passes += 1
-        return split(self)
+    def counting_law(self, h):
+        nonlocal laws
+        laws += 1
+        return rewound(self, h)
 
-    def no_marginal(self, coord):
-        raise AssertionError("JointDist.marginal called")
+    def no_pairs(*args):
+        raise AssertionError("pairs materialized")
 
-    monkeypatch.setattr(JointDist, "marginal_and_conditionals", counting_split)
-    monkeypatch.setattr(JointDist, "marginal", no_marginal)
+    monkeypatch.setattr(RewindingAdversary, "_rewound_law", counting_law)
+    monkeypatch.setattr(BlockLaw, "joint", no_pairs)
+    monkeypatch.setattr(JointDist, "marginal_and_conditionals", no_pairs)
     _first_block_kl(adv, gap)
     _second_block_kl(adv, gap)
-    assert passes == len(fam)
+    assert laws == len(fam)
+    for h in fam:
+        law = adv.exact_distribution(h)
+        assert law.marginal_and_conditionals()[0] is law.marginal_and_conditionals()[0]
     monkeypatch.undo()
     for h in fam:
-        first = adv.marginal_and_conditionals(h)[0]
-        assert list(first.counts) == list(adv.exact_distribution(h).marginal(0).counts)
+        first = adv.exact_distribution(h).marginal_and_conditionals()[0]
+        assert list(first.counts) == list(ref_row_pass(ref_rewound_law(gt, h))[0].counts)
 
 
 def test_collision_rate_is_one_for_consistent_suite():
@@ -315,8 +322,8 @@ def test_gap_report_lazy_on_constant_n3():
     # is a point mass, so TV = (1/2)(|1 - 1/64| + 63/64) = 63/64.
     fam = HashFamily("const0", [HashFunction(n=3, m=3, table=(0,) * 8, key=0)])
     adv = RewindingAdversary(lazy_online(fam), fam)
-    d = adv.exact_distribution(fam.functions[0])
-    col = col_distribution(fam.functions[0])
+    d = adv.exact_distribution(fam.functions[0]).joint()
+    col = col_distribution(fam.functions[0]).joint()
     direct = sum(abs(d.prob((a, b)) - col.prob((a, b)))
                  for a in range(8) for b in range(8)) / 2
     assert direct == Fraction(63, 64)

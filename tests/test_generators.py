@@ -15,7 +15,11 @@ from dcrlab.generators import (
     online_support,
     real_entropy,
 )
+from dcrlab.entropy_gap import consistent_suite
+from dcrlab.hashfam import builtin_families
 from dcrlab.probkit import Dist
+
+from reference_laws import lopsided_online, overlapping_online, ref_accessible_entropy
 
 PARITY = (0, 1, 1, 0)  # truth table of 2-bit parity
 
@@ -100,6 +104,18 @@ def test_accessible_entropy_three_generators():
     assert accessible_entropy(silent_online(3)) == pytest.approx(0, abs=1e-12)
     assert accessible_entropy(coin_echo_online(3)) == pytest.approx(3, abs=1e-12)
     assert accessible_entropy(honest_wrap_parity()) == pytest.approx(1, abs=1e-12)
+
+
+def test_accessible_entropy_matches_the_materialized_joint_route():
+    # The conditional route streams the terms of the (block, context) joint
+    # law in that law's order, so it is cond_entropy of the stored law to
+    # the last bit.
+    gens = [silent_online(3), coin_echo_online(3), honest_wrap_parity()]
+    for n in (2, 3, 4, 5):
+        for fam in builtin_families(n, num_keys=2, seed=n):
+            gens += consistent_suite(fam) + [lopsided_online(fam), overlapping_online(fam)]
+    for gt in gens:
+        assert accessible_entropy(gt) == ref_accessible_entropy(gt), gt.name
 
 
 def test_accessible_entropy_routes_disagreeing_raise(monkeypatch):

@@ -26,7 +26,9 @@ from dcrlab.hashfam import (
     rng_bigint,
     uniform_random_family,
 )
-from dcrlab.probkit import Dist, JointDist, mixture, stat_distance
+from dcrlab.probkit import BlockLaw, JointDist, stat_distance
+
+from reference_laws import ref_joint_distance
 
 
 class FunctionAdversary(Adversary):
@@ -109,38 +111,36 @@ def test_pair_domain_cap_enforced():
 
 def test_col_identity_uniform_diagonal():
     h = identity_family(3).functions[0]
-    d = col_distribution(h)
+    d = col_distribution(h).joint()
     assert set(d.support()) == {(x, x) for x in range(8)}
     assert all(p == Fraction(1, 8) for _, p in d.items())
 
 
 def test_col_constant_uniform_pairs():
     h = HashFunction(n=2, m=1, table=(0, 0, 0, 0))
-    d = col_distribution(h)
+    d = col_distribution(h).joint()
     assert len(d.support()) == 16
     assert all(p == Fraction(1, 16) for _, p in d.items())
 
 
 def test_col_parity_eight_pairs():
-    d = col_distribution(parity_fn())
+    d = col_distribution(parity_fn()).joint()
     assert len(d.support()) == 8
     assert all(p == Fraction(1, 8) for _, p in d.items())
 
 
 def test_col_marginal_uniform_and_fiber_conditionals():
     # First coordinate uniform; given x1, second uniform on h^-1(h(x1)).
-    # Exact for every toy family up to n = 8 (spot-checking three x1 per
-    # key at the larger sizes keeps the run short without sampling).
+    # Exact for every x1 of every toy family up to n = 8, read off the
+    # blocks without the pairs.
     for n in (2, 5, 8):
         for fam in builtin_families(n, num_keys=2, seed=4):
             for h in fam:
-                d = col_distribution(h)
-                marg = d.marginal(0)
+                marg, conds = col_distribution(h).marginal_and_conditionals()
                 assert all(p == Fraction(1, 2**h.n) for _, p in marg.items())
                 assert len(marg.support()) == 2**h.n
-                conds = d.marginal_and_conditionals()[1]
                 assert list(conds) == list(marg.support())
-                for x1 in (0, 1, 2**h.n - 1):
+                for x1 in range(2**h.n):
                     fiber = preimage_set(h, h(x1))
                     cond = conds[x1]
                     assert set(cond.support()) == set(fiber)
@@ -158,7 +158,7 @@ def test_col_sample_consistency_and_chisquare():
     # uniform law over all 16 pairs; statistic stays within 3 sigma of its
     # mean (df) under the null.
     h = HashFunction(n=2, m=1, table=(1, 1, 1, 1))
-    expected = col_distribution(h)
+    expected = col_distribution(h).joint()
     counts = {}
     trials = 100_000
     for _ in range(trials):
@@ -314,7 +314,7 @@ def test_game_value_diagonal_on_parity():
     h = parity_fn()
     fam_like = [h]
     adv = adversary_distribution(DiagonalAdversary(), h)
-    col = col_distribution(h)
+    col = col_distribution(h).joint()
     direct = sum(
         abs(adv.prob((a, b)) - col.prob((a, b))) for a in range(4) for b in range(4)
     ) / 2
@@ -382,17 +382,8 @@ def test_ci_half_width_shrinks():
     assert mc_ci_half_width(40_000, 64) < mc_ci_half_width(10_000, 64)
 
 
-def ref_joint_distance(laws) -> Fraction:
-    """The joint route as tagged mixtures: each key's laws re-keyed to
-    (key, pair) outcomes, merged by ``mixture`` at weight 1/k, then one TV
-    of the two joint laws."""
-    def tag(d, idx):
-        return Dist({(idx, x): c for x, c in d.counts.items()}, denominator=d.denominator)
-
-    w = Fraction(1, len(laws))
-    joint_p = mixture([(w, tag(p, idx)) for idx, (p, _) in enumerate(laws)])
-    joint_q = mixture([(w, tag(q, idx)) for idx, (_, q) in enumerate(laws)])
-    return stat_distance(joint_p, joint_q)
+def materialized(law):
+    return law.joint() if isinstance(law, BlockLaw) else law
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -404,7 +395,8 @@ def test_joint_sum_matches_tagged_mixture_route(n):
         for a in advs:
             laws = [(adversary_distribution(a, h), col_distribution(h)) for h in fam]
             joint = hashfam._joint_distance(laws)
-            assert joint == ref_joint_distance(laws), (fam.name, a.name)
+            pairs = [(materialized(p), materialized(q)) for p, q in laws]
+            assert joint == ref_joint_distance(pairs), (fam.name, a.name)
             assert joint == sum(stat_distance(p, q) for p, q in laws) / len(laws)
 
 

@@ -2,6 +2,7 @@
 public name that only the tests reach."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -120,3 +121,19 @@ def test_joint_route_check_raises_under_optimize():
                             capture_output=True, text=True, env=env)
     assert result.returncode == 1
     assert "AssertionError: joint and per-key game values disagree" in result.stderr
+
+
+def test_bench_trace_targets_resolve():
+    # bench/tracing.py names the functions it wraps as strings and reads
+    # col_distribution's cache counters; a rename in the package would
+    # otherwise break ``bench/run.py --trace 1`` without any test failing.
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, path, _ in tracing.TARGETS:
+        module = importlib.import_module(f"dcrlab.{module_name}")
+        owner_name, _, attr = path.rpartition(".")
+        owner = getattr(module, owner_name) if owner_name else module
+        assert callable(vars(owner).get(attr)), (module_name, path)
+    hashfam = importlib.import_module("dcrlab.hashfam")
+    assert callable(hashfam.col_distribution.cache_info)

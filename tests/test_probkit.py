@@ -20,6 +20,23 @@ from dcrlab.probkit import (
 )
 
 
+def test_equal_exact_and_float_laws_hash_equal_after_the_cache():
+    # A law's hash is taken once and kept: a second hash, and the hash of
+    # an equal law of the other kind, still match the Fraction mapping's.
+    exact = Dist.from_counts({0: 1, 1: 3})
+    floats = Dist({0: 0.25, 1: 0.75})
+    first = (hash(exact), hash(floats))
+    assert exact == floats
+    assert first == (hash(exact), hash(floats))
+    assert hash(exact) == hash(floats) == hash(frozenset({0: Fraction(1, 4),
+                                                          1: Fraction(3, 4)}.items()))
+    assert {exact: "law"}[floats] == "law"
+    third = Dist.uniform(range(3))
+    assert hash(third) == hash(third) == hash(Dist({x: Fraction(1, 3) for x in range(3)}))
+    pairs = JointDist({(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)})
+    assert hash(pairs) == hash(pairs) == hash(JointDist({(0, 0): 0.5, (0, 1): 0.5}))
+
+
 def random_dist(rng, size):
     """Float-mode distribution with Dirichlet(1) masses over `size` outcomes."""
     probs = rng.dirichlet(np.ones(size))
