@@ -251,10 +251,15 @@ def criterion_protocol_completeness(seed: int = 0) -> CriterionResult:
             for r in range(2**problem.k):
                 if not szk.idc_verify(inst, szk.idc_commit(inst, b, r), b, r):
                     failures.append(f"idc replay fails on coins {coins_val}")
-    # Coin-toss and share-reconstruction factors.
+    # Coin-toss and share-reconstruction factors; at every per-slot (rho, sigma)
+    # (slot j holds rho + j) a session must fix r and its instances from rho xor sigma.
     for rho_v in range(2**n):
         for sigma_v in range(2**n):
-            if (rho_v ^ sigma_v) ^ sigma_v != rho_v:
+            rho = {s: (rho_v + j) % 2**n for j, s in enumerate(slots)}
+            sess = szk.ProtocolSession(n, problem).coin_toss_phase(
+                rho, {s: sigma_v for s in slots}).instance_gen_phase()
+            if any(sess.r[s] != rho[s] ^ sigma_v
+                   or sess.instances[s] != problem.sample(rho[s] ^ sigma_v, n) for s in slots):
                 failures.append("coin-toss xor bookkeeping broken")
     for m in (0, 1):
         for s in range(2 ** (2 * n - 1)):

@@ -11,8 +11,9 @@ verify-all     the entire verification battery; nonzero exit on failure
 
 Configuration precedence: command-line flags, then a flat key=value
 config file (--config), then the DCRLAB_OUT environment variable for the
-output directory, then built-in defaults.  One seed fixes every random
-choice, so identical invocations write byte-identical files.
+output directory, then built-in defaults.  A config key must name a value
+option of some subcommand.  One seed fixes every random choice, so
+identical invocations write byte-identical files.
 
 Every subcommand but dcrh-game runs criteria of the verification battery
 (``dcrlab.acceptance``) and hands their results to ``emit``, so each
@@ -232,6 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def config_keys(parser: argparse.ArgumentParser) -> set[str]:
+    """The keys a config file may set: every subcommand's value options."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for p in sub.choices.values() for a in p._actions
+            if a.option_strings and a.nargs != 0}
+
+
 HANDLERS = {
     "entropy": cmd_entropy,
     "dcrh-game": cmd_dcrh_game,
@@ -254,6 +262,11 @@ def main(argv=None) -> int:
             config = load_config(args.config)
         except (OSError, ValueError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        unknown = sorted(config.keys() - config_keys(parser))
+        if unknown:
+            print(f"config error: {args.config}: unknown key(s) "
+                  f"{', '.join(map(repr, unknown))}", file=sys.stderr)
             return 2
     try:
         return HANDLERS[args.command](args, config)

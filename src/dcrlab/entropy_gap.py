@@ -47,8 +47,11 @@ class ConsistencyError(ValueError):
     """An online generator was supplied where a consistent one is required."""
 
 
+@lru_cache(maxsize=64)
 def build_two_block_generator(family: HashFamily) -> BlockGenerator:
-    """G(h, x) = (h(x), x) with the family's keys as public parameters."""
+    """G(h, x) = (h(x), x) with the family's keys as public parameters,
+    one per family, so every consistency check and the real entropy share
+    its cached output laws."""
     return BlockGenerator(
         f"two-block[{family.name}]",
         family.functions,
@@ -59,16 +62,9 @@ def build_two_block_generator(family: HashFamily) -> BlockGenerator:
 
 
 @lru_cache(maxsize=64)
-def _two_block_generator(family: HashFamily) -> BlockGenerator:
-    """One two-block generator per family, so every consistency check and
-    the real entropy share its cached output laws."""
-    return build_two_block_generator(family)
-
-
-@lru_cache(maxsize=64)
 def _two_block_real_entropy(family: HashFamily) -> float:
     """H(Y | Z) of the family's two-block generator, once per family."""
-    return real_entropy(_two_block_generator(family))
+    return real_entropy(build_two_block_generator(family))
 
 
 # ---------------------------------------------------------- online generator zoo
@@ -88,8 +84,8 @@ def ideal_online(family: HashFamily) -> OnlineGenerator:
     family, so indexing coins mod the fiber size is exactly uniform; its
     conditional laws are also supplied analytically, which keeps the
     accounting exact when the lcm is too large to enumerate.  Every coin
-    of one fiber gets the same law object, made on first use, so grouping
-    the coins by law hashes one law per fiber.
+    of one fiber gets the key's own law of that fiber (``h.fiber_laws``),
+    so grouping the coins by law hashes one law per fiber.
     """
     v2 = math.lcm(*(h.fiber_lcm for h in family))
 
@@ -99,16 +95,10 @@ def ideal_online(family: HashFamily) -> OnlineGenerator:
         fiber = preimage_set(h, h(coins[0]))
         return fiber[coins[1] % len(fiber)]
 
-    uniforms: dict[tuple, Dist] = {}  # one shared law per (key, fiber)
-
     def law(h, prefix):
         if not prefix:
             return Dist({y: len(f) for y, f in h.fibers.items()}, denominator=2**h.n)
-        y = h(prefix[0])
-        uniform = uniforms.get((h, y))
-        if uniform is None:
-            uniform = uniforms[h, y] = Dist.uniform(preimage_set(h, y))
-        return uniform
+        return h.fiber_laws[h(prefix[0])]
 
     return OnlineGenerator("ideal", family.functions, (2**family.n, v2), block,
                            law_fn=law)
@@ -166,7 +156,7 @@ class RewindingAdversary(Adversary):
     """
 
     def __init__(self, gt: OnlineGenerator, family: HashFamily, *, _checked=False):
-        g = _two_block_generator(family)
+        g = build_two_block_generator(family)
         if not _checked and not check_consistent(gt, g):
             raise ConsistencyError(f"{gt.name} is not consistent with {g.name}")
         self.gt = gt
@@ -265,20 +255,15 @@ def _second_block_kl(adv: RewindingAdversary, gap: float) -> float:
         weights, den = marg.counts, marg.denominator
         contribution = 0.0
         log_fiber = 0.0
-        uniforms: dict[int, Dist] = {}  # one uniform law per fiber of h
         divergences: dict[tuple, float] = {}  # one per (conditional law object, fiber)
         for x1, cond in conditionals.items():
             y = h(x1)
-            fiber = preimage_set(h, y)
             divergence = divergences.get((id(cond), y))
             if divergence is None:
-                uniform = uniforms.get(y)
-                if uniform is None:
-                    uniform = uniforms[y] = Dist.uniform(fiber)
-                divergence = divergences[id(cond), y] = kl_divergence(cond, uniform)
+                divergence = divergences[id(cond), y] = kl_divergence(cond, h.fiber_laws[y])
             weight = weights[x1] / den
             contribution += weight * divergence
-            log_fiber += weight * math.log2(len(fiber))
+            log_fiber += weight * math.log2(len(preimage_set(h, y)))
         total += contribution / len(family)
         cond_h = shannon_entropy(joint) - shannon_entropy(marg)
         via_entropy += (log_fiber - cond_h) / len(family)

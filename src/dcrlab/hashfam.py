@@ -78,6 +78,12 @@ class HashFunction:
         return {y: tuple(xs) for y, xs in fibers.items()}
 
     @cached_property
+    def fiber_laws(self) -> dict[int, Dist]:
+        """output -> the uniform law on its fiber, the one such law that Col,
+        the ideal generator and the second-block divergence all read."""
+        return {y: Dist.uniform(fiber) for y, fiber in self.fibers.items()}
+
+    @cached_property
     def fiber_lcm(self) -> int:
         """lcm of the fiber sizes: the slot count that makes every fiber an
         exact uniform index range."""
@@ -221,7 +227,7 @@ def col_distribution(h: HashFunction) -> BlockLaw:
     """Exact law of Col(h): P(x1, x2) = 2^-n / |h^-1(h(x1))| on collisions,
     as one product block per fiber, uniform over it, of weight |fiber|."""
     check_pair_cap(h.n)
-    return BlockLaw([(len(fiber), Dist.uniform(fiber)) for fiber in h.fibers.values()],
+    return BlockLaw([(len(fiber), h.fiber_laws[y]) for y, fiber in h.fibers.items()],
                     denominator=2**h.n)
 
 
@@ -315,10 +321,10 @@ def adversary_distribution(
     for Col and the rewinding adversaries.  The test suite checks each
     such law against one ``run`` per tape.  Otherwise it runs every tape
     once, up to 2^TAPE_CAP_BITS tapes, into a ``JointDist``.
-    Monte-Carlo mode returns the empirical distribution of ``samples``
-    tapes.  Tape spaces up to 2^63 draw all tapes in one ``rng.integers``
-    call and run each distinct tape once, in order of first draw, weighted
-    by its multiplicity; larger spaces draw one tape at a time.  Either way
+    Monte-Carlo mode returns the empirical distribution of ``samples`` <=
+    2^TAPE_CAP_BITS tapes.  Tape spaces up to 2^63 draw all tapes in one
+    ``rng.integers`` call and run each distinct tape once, in order of first
+    draw, weighted by its multiplicity; larger spaces draw one at a time.  Either way
     the tapes, the rng's state afterwards and the law (its pair order
     included) are those of drawing and running one tape per sample.
     Counted and sampled output pairs outside ({0,1}^n)^2 raise ``ValueError``.
@@ -339,6 +345,8 @@ def adversary_distribution(
     if mode == "monte-carlo":
         if rng is None or samples <= 0:
             raise ValueError("monte-carlo mode needs rng and samples")
+        if samples > 2**TAPE_CAP_BITS:
+            raise EnumerationCap(f"{samples} samples exceed 2^{TAPE_CAP_BITS}")
         space = a.tape_space(h)
         if space <= 2**63:
             tapes, first, reps = np.unique(rng.integers(space, size=samples),

@@ -64,8 +64,6 @@ from dcrlab.hashfam import ENUM_CAP_HARD, HashFunction, _check_cap
 
 YES, NO, OUTSIDE = "yes", "no", "outside"
 
-TOL = 1e-9
-
 
 class ProtocolError(RuntimeError):
     """A session was driven outside its phase contract."""
@@ -436,11 +434,11 @@ def hiding_experiment(r_spec: ReceiverSpec, n: int, problem: TablePromiseProblem
             dist = math.prod(eps)
             worst = max(worst, dist)
             yes_eps = max(e for label, e in zip(labels, eps) if label == YES)
-            if dist / scale > yes_eps / lcm + TOL:
+            if dist * lcm > yes_eps * scale:  # dist / L^(2n) > yes_eps / L
                 raise AssertionError("conditional view distance beats the YES epsilon bound")
     inadmissible_prob = Fraction(inadmissible, (2**n) ** len(rows))
     union = 2 * float((1 - problem.yes_rate)) ** n
-    if float(inadmissible_prob) > union + TOL:
+    if inadmissible_prob > 2 * (1 - problem.yes_rate) ** n:
         raise AssertionError(
             f"inadmissible probability {float(inadmissible_prob)} above union bound {union}")
     return HidingOutcome(
@@ -539,7 +537,7 @@ class HybridReport:
     """Exact Pr[E] per hybrid stage and the break probability eps*.
 
     The ideal share commitment and proof leave no slack between stages, so
-    stages 1, 2 and 3 must agree to ``TOL``."""
+    all five stages must agree exactly."""
 
     pr_e: dict
     eps_star: Fraction
@@ -550,9 +548,9 @@ class HybridReport:
             raise AssertionError("stage 0 and 1 must agree exactly")
         if self.pr_e[3] != self.pr_e[4]:
             raise AssertionError("stage 3 and 4 must agree exactly")
-        if abs(float(self.pr_e[1] - self.pr_e[2])) > TOL:
+        if self.pr_e[1] != self.pr_e[2]:
             raise AssertionError("stage 1 vs 2 exceeds the share-commitment slack")
-        if abs(float(self.pr_e[2] - self.pr_e[3])) > TOL:
+        if self.pr_e[2] != self.pr_e[3]:
             raise AssertionError("stage 2 vs 3 exceeds the proof slack")
         if self.pr_e[4] < self.eps_star / (2 * self.n):
             raise AssertionError("final stage below eps*/(2n)")

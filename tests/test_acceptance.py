@@ -10,6 +10,7 @@ import subprocess
 import sys
 
 from dcrlab import acceptance
+from dcrlab import szkcommit as szk
 
 SEED = 7
 
@@ -150,6 +151,18 @@ def test_criterion_6_protocol_completeness():
     result = acceptance.criterion_protocol_completeness(SEED)
     _check(result)
     assert result.elapsed < 300
+
+
+def test_criterion_6_catches_a_coin_toss_that_drops_sigma(monkeypatch):
+    def no_xor(self, rho, sigma):
+        self.r = dict(rho)
+        self.phase = "instance-gen"
+        return self
+
+    monkeypatch.setattr(szk.ProtocolSession, "coin_toss_phase", no_xor)
+    result = acceptance.criterion_protocol_completeness(SEED)
+    assert not result.passed
+    assert "coin-toss xor bookkeeping broken" in result.detail
 
 
 def test_criterion_7_binding_reduction():

@@ -122,6 +122,19 @@ def test_commit_reduce_cap_checked_before_tables(tmp_path):
     assert not (tmp_path / "commit_reduce.csv").exists()
 
 
+def test_monte_carlo_sample_count_capped_before_drawing(tmp_path):
+    # 10^10 samples would need 80 GB of tapes; the cap fires first, so the
+    # run fits in 512 MiB of address space and exits 2, not 1.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run(
+        [sys.executable, "-m", "dcrlab", "dcrh-game", "--n", "2", "--mode", "monte-carlo",
+         "--samples", "10000000000", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, preexec_fn=_limit_address_space)
+    assert result.returncode == 2
+    assert result.stderr == "error: 10000000000 samples exceed 2^24\n"
+    assert not (tmp_path / "dcrh_game.csv").exists()
+
+
 def test_commit_reduce(tmp_path):
     code = main(["commit-reduce", "--k", "4", "--m", "2", "--num-seeds", "5",
                  "--seed", "3", "--out", str(tmp_path)])
@@ -152,6 +165,23 @@ def test_malformed_config_exits_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this is not a key value pair\n")
     assert main(["--config", str(cfg), "gap-sweep"]) == 2
+
+
+def test_misspelled_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(f"sed=4\nnum_key=1\nn=2..2\nout={tmp_path}\n")
+    assert main(["--config", str(cfg), "gap-sweep"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {cfg}: unknown key(s) 'num_key', 'sed'\n")
+    assert not (tmp_path / "gap_sweep.csv").exists()
+
+
+def test_config_shared_across_subcommands(tmp_path):
+    # trials is read by entropy, samples by dcrh-game; gap-sweep ignores both.
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text(f"trials=200\nsamples=500\nn=2..2\nnum_keys=1\nout={tmp_path}\n")
+    assert main(["--config", str(cfg), "gap-sweep"]) == 0
+    assert (tmp_path / "gap_sweep.csv").exists()
 
 
 def test_load_config_parsing(tmp_path):

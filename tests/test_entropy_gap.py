@@ -146,14 +146,14 @@ def test_ideal_generator_matches_col_exactly():
 
 def test_ideal_generator_shares_one_law_per_fiber():
     # Grouping the first-block coins by their law hashes one law per
-    # fiber, not one per coin.
+    # fiber, not one per coin: the key's own uniform law on that fiber.
     fam = uniform_random_family(4, 2, num_keys=2, seed=3)
     gt = ideal_online(fam)
     for h in fam:
         laws = {}
         for r in range(2**h.n):
             law = gt.block_law(h, (r,))
-            assert laws.setdefault(h(r), law) is law
+            assert laws.setdefault(h(r), law) is law is h.fiber_laws[h(r)]
         assert len(laws) == len(h.fibers)
 
 

@@ -121,7 +121,7 @@ def test_accessible_entropy_matches_the_materialized_joint_route():
 def test_accessible_entropy_routes_disagreeing_raise(monkeypatch):
     # With every per-block sample entropy read as 0 the expectation route
     # is 0, while the conditional route of the coin echo is 3.
-    monkeypatch.setattr(generators, "_log2_ratio", lambda c, d: 0.0)
+    monkeypatch.setattr(generators, "shannon_entropy", lambda law: 0.0)
     with pytest.raises(AssertionError, match="accessible-entropy routes disagree"):
         accessible_entropy(coin_echo_online(3))
 

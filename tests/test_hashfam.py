@@ -26,7 +26,7 @@ from dcrlab.hashfam import (
     rng_bigint,
     uniform_random_family,
 )
-from dcrlab.probkit import BlockLaw, JointDist, stat_distance
+from dcrlab.probkit import BlockLaw, Dist, JointDist, stat_distance
 
 from reference_laws import ref_joint_distance
 
@@ -85,6 +85,14 @@ def test_preimages_partition_inputs():
             for y in range(2**h.m):
                 seen.extend(preimage_set(h, y))
             assert sorted(seen) == list(range(2**h.n))
+
+
+def test_fiber_laws_made_on_first_use_and_shared_by_col():
+    h = HashFunction(n=3, m=2, table=(0, 1, 1, 2, 2, 2, 3, 0), key="fiber-laws")
+    assert "fiber_laws" not in vars(h)
+    assert h.fiber_laws == {y: Dist.uniform(fiber) for y, fiber in h.fibers.items()}
+    _, conditionals = col_distribution(h).marginal_and_conditionals()
+    assert all(conditionals[x] is h.fiber_laws[h(x)] for x in range(2**h.n))
 
 
 def test_cap_enforced():
@@ -292,6 +300,17 @@ def test_monte_carlo_runs_each_distinct_tape_once(monkeypatch):
     adversary_distribution(DiagonalAdversary(), h, mode="monte-carlo", samples=2000,
                            rng=np.random.default_rng(1))
     assert len(calls) <= 8
+
+
+def test_monte_carlo_sample_count_capped_before_drawing():
+    # 10^10 draws would need 80 GB of tapes; the cap fires before any draw.
+    h = identity_family(2).functions[0]
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(EnumerationCap, match=f"exceed 2\\^{hashfam.TAPE_CAP_BITS}"):
+        adversary_distribution(DiagonalAdversary(), h, mode="monte-carlo",
+                               samples=10**10, rng=rng)
+    assert rng.bit_generator.state == state
 
 
 # ------------------------------------------------------------------- game value

@@ -17,7 +17,6 @@ from dcrlab.probkit import Dist, stat_distance
 from dcrlab.szkcommit import (
     NO,
     OUTSIDE,
-    TOL,
     YES,
     DeciderReport,
     EquivocatingSenderAttack,
@@ -515,7 +514,7 @@ class Preamble(NamedTuple):
     view_distance: Fraction
 
 
-def _hiding_by_sessions(r_spec, n, problem, tol=TOL):
+def _hiding_by_sessions(r_spec, n, problem):
     """The session-per-preamble hiding loop, kept as the reference for the
     per-slot enumeration: one ProtocolSession per sender share vector.
     Returns the outcome and the list of per-preamble records."""
@@ -535,13 +534,13 @@ def _hiding_by_sessions(r_spec, n, problem, tol=TOL):
             worst = max(worst, dist)
             if session.wi_verdict:
                 yes_eps = max(hiding_distance(x, x.n - 1) for x, label in zip(sent, labels) if label == YES)
-                if float(dist) > float(yes_eps) + tol:
+                if dist > yes_eps:
                     raise AssertionError("conditional view distance beats the YES epsilon bound")
         else:
             inadmissible += total
         records.append(Preamble(session.wi_verdict, dist))
     union = 2 * float((1 - problem.yes_rate)) ** n
-    if float(inadmissible) > union + tol:
+    if inadmissible > 2 * (1 - problem.yes_rate) ** n:
         raise AssertionError(
             f"inadmissible probability {float(inadmissible)} above union bound {union}")
     return HidingOutcome(inadmissible, float(worst), union), records
@@ -575,13 +574,13 @@ def _hiding_per_preamble(r_spec, n, problem):
         dist = math.prod(eps) if wi_verdict else 0
         if is_admissible(wi_verdict, labels):
             worst = max(worst, dist)
-            if wi_verdict and dist / scale > max(yes_eps) / lcm + TOL:
+            if wi_verdict and dist * lcm > max(yes_eps) * scale:
                 raise AssertionError("conditional view distance beats the YES epsilon bound")
         else:
             inadmissible += 1
     inadmissible_prob = Fraction(inadmissible, (2**n) ** len(rows))
     union = 2 * float((1 - problem.yes_rate)) ** n
-    if float(inadmissible_prob) > union + TOL:
+    if inadmissible_prob > 2 * (1 - problem.yes_rate) ** n:
         raise AssertionError(
             f"inadmissible probability {float(inadmissible_prob)} above union bound {union}")
     return HidingOutcome(inadmissible_prob, worst / scale, union)
@@ -689,6 +688,19 @@ def test_hiding_union_bound_fires():
         yes_rate = Fraction(1)
 
     problem = ClaimsAllYes(k=2, out_bits_choices=(2, 3), salt=3)
+    assert measured_yes_rate(problem, 1) == Fraction(1, 2)
+    with pytest.raises(AssertionError, match="above union bound"):
+        hiding_experiment(honest_receiver(1, rho_seed=0), 1, problem)
+
+
+def test_hiding_union_bound_is_exact():
+    # Both slots are NO with probability 1/4 at the true yes rate of 1/2; a
+    # claimed rate whose union bound 2 (1 - yes_rate) sits 10^-12 below 1/4
+    # is caught, where a float tolerance of 1e-9 let it pass.
+    class ClaimsSlightlyMore(TablePromiseProblem):
+        yes_rate = Fraction(7, 8) + Fraction(1, 2 * 10**12)
+
+    problem = ClaimsSlightlyMore(k=2, out_bits_choices=(2, 3), salt=3)
     assert measured_yes_rate(problem, 1) == Fraction(1, 2)
     with pytest.raises(AssertionError, match="above union bound"):
         hiding_experiment(honest_receiver(1, rho_seed=0), 1, problem)
@@ -898,12 +910,14 @@ def test_planted_no_instance_never_equivocates_at_plant():
 
 
 @pytest.mark.parametrize("n,yes_num,yes_bits", [(1, 1, 1), (2, 1, 2), (2, 1, 1), (2, 3, 2),
-                                                (3, 1, 2), (3, 1, 1), (3, 3, 2)])
+                                                (3, 1, 2), (3, 1, 1), (3, 3, 2),
+                                                (4, 1, 2), (4, 1, 1), (4, 3, 2)])
 def test_binding_closed_form(n, yes_num, yes_bits):
     """The equivocator commits zeros and re-opens the first flippable slot,
     so with y the share of sampler coins whose instance can be re-opened,
     a break has probability 1 - (1 - y)^(2n) and E at a uniform slot that
-    probability over 2n."""
+    probability over 2n.  The honest receiver's preamble is inadmissible
+    iff all 2n instances are NO, with probability (1 - yes_rate)^(2n)."""
     problem = TablePromiseProblem(k=2, out_bits_choices=(2, 3), yes_num=yes_num,
                                   yes_bits=yes_bits, salt=13 * n + yes_num)
     insts = [problem.sample(c, n) for c in range(2**n)]
@@ -918,6 +932,8 @@ def test_binding_closed_form(n, yes_num, yes_bits):
     assert decider.pr_correct == (1 + decider.pr_e) / 2
     assert decider.pr_e_and_no == 0
     assert y == problem.yes_rate
+    hiding = hiding_experiment(honest_receiver(n, rho_seed=5), n, problem)
+    assert hiding.inadmissible_prob == (1 - problem.yes_rate) ** (2 * n)
 
 
 def test_binding_analysis_builds_no_session(monkeypatch):
@@ -931,6 +947,7 @@ def test_binding_analysis_builds_no_session(monkeypatch):
 
 HYBRID_OK = dict(pr_e={stage: Fraction(1, 8) for stage in range(5)},
                  eps_star=Fraction(1, 2), n=2)
+SLIVER = Fraction(1, 8) + Fraction(1, 10**12)
 
 
 @pytest.mark.parametrize("change,message", [
@@ -939,6 +956,9 @@ HYBRID_OK = dict(pr_e={stage: Fraction(1, 8) for stage in range(5)},
     ({0: Fraction(1, 4), 1: Fraction(1, 4)}, "stage 1 vs 2 exceeds the share-commitment slack"),
     ({3: Fraction(1, 4), 4: Fraction(1, 4)}, "stage 2 vs 3 exceeds the proof slack"),
     ({stage: Fraction(1, 16) for stage in range(5)}, r"final stage below eps\*/\(2n\)"),
+    # The checks are exact: a gap far below any float tolerance still fires.
+    ({2: SLIVER}, "stage 1 vs 2 exceeds the share-commitment slack"),
+    ({3: SLIVER, 4: SLIVER}, "stage 2 vs 3 exceeds the proof slack"),
 ])
 def test_hybrid_report_checks_fire(change, message):
     HybridReport(**HYBRID_OK).check()
