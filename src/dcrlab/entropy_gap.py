@@ -36,7 +36,15 @@ from dcrlab.hashfam import (
     dcrh_distance,
     preimage_set,
 )
-from dcrlab.probkit import BlockLaw, Dist, kl_divergence, shannon_entropy
+from dcrlab.probkit import (
+    BlockLaw,
+    Dist,
+    JointDist,
+    _pair_counts,
+    _scaled_blocks,
+    kl_divergence,
+    shannon_entropy,
+)
 from dcrlab.reporting import csv_line
 
 TOL = 1e-9
@@ -162,7 +170,7 @@ class RewindingAdversary(Adversary):
         self.gt = gt
         self.family = family
         self.name = f"rewind[{gt.name}]"
-        self._laws: dict[HashFunction, BlockLaw] = {}
+        self._laws: dict[HashFunction, BlockLaw | JointDist] = {}
 
     def tape_space(self, h: HashFunction) -> int:
         v1, v2 = self.gt.coin_spaces
@@ -176,7 +184,7 @@ class RewindingAdversary(Adversary):
         x2 = self.gt.block(h, (r, r2))
         return x1, x2
 
-    def exact_distribution(self, h: HashFunction) -> BlockLaw:
+    def exact_distribution(self, h: HashFunction) -> BlockLaw | JointDist:
         """The output law on h, computed once per key and shared by every
         consumer: the first- and second-block divergences and the
         collision game."""
@@ -185,14 +193,19 @@ class RewindingAdversary(Adversary):
             law = self._laws[h] = self._rewound_law(h)
         return law
 
-    def _rewound_law(self, h: HashFunction) -> BlockLaw:
+    def _rewound_law(self, h: HashFunction) -> BlockLaw | JointDist:
         """Group first-block coins by the induced second-block law; the
         output law has one product block law (x) law per group, of weight
-        count / v1."""
+        count / v1, or their pairs when two groups' laws share an outcome."""
         check_pair_cap(h.n)
         v1 = self.gt.coin_spaces[0]
         groups = Counter(self.gt.block_law(h, (r,)) for r in range(v1))
-        return BlockLaw([(count, law) for law, count in groups.items()], denominator=v1)
+        blocks = [(count, law) for law, count in groups.items()]
+        try:
+            return BlockLaw(blocks, denominator=v1)
+        except ValueError:  # two groups' laws share an outcome
+            scaled, den = _scaled_blocks(blocks, v1)
+            return JointDist(_pair_counts(scaled), denominator=den)
 
 
 def collision_rate(adv: RewindingAdversary) -> Fraction:

@@ -317,10 +317,10 @@ def adversary_distribution(
     """The adversary's output law on h.
 
     Exact mode returns ``a.exact_distribution(h)`` when the adversary
-    supplies one, at any tape space: a ``JointDist``, or a ``BlockLaw``
-    for Col and the rewinding adversaries.  The test suite checks each
-    such law against one ``run`` per tape.  Otherwise it runs every tape
-    once, up to 2^TAPE_CAP_BITS tapes, into a ``JointDist``.
+    supplies one, at any tape space: a ``BlockLaw`` for Col and a rewound
+    law of disjoint blocks, else a ``JointDist``.  The test suite checks
+    each such law against one ``run`` per tape.  Otherwise it runs every
+    tape once, up to 2^TAPE_CAP_BITS tapes, into a ``JointDist``.
     Monte-Carlo mode returns the empirical distribution of ``samples`` <=
     2^TAPE_CAP_BITS tapes.  Tape spaces up to 2^63 draw all tapes in one
     ``rng.integers`` call and run each distinct tape once, in order of first

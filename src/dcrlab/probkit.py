@@ -24,11 +24,12 @@ compensates its rounding from Python 3.12 on, so a report holds the same
 floats on every supported interpreter.
 
 A law over pairs that is a mixture of products law (x) law with pairwise
-disjoint supports, as Col(h) and every rewound law are, is held as those
-product blocks (``BlockLaw``): its first marginal, its conditionals, its
-entropy and its distance to another exact law are read off the blocks
-without the pairs, which are built only for blocks that share outcomes
-and for a distance to a float law.  A law hashes once and keeps its hash.
+disjoint supports, as Col(h) and every stock generator's rewound law are,
+is held as those product blocks (``BlockLaw``): its first marginal, its
+conditionals, its entropy and its distance to another exact law are read
+off the blocks without the pairs, which are built only for a distance to
+a float law.  Blocks may not share an outcome: a rewound law whose blocks
+overlap is a ``JointDist``.  A law hashes once and keeps its hash.
 
 A law's outcomes are its support: there is no separately declared
 outcome set, so the total variation distance runs over the union of the
@@ -299,11 +300,10 @@ class BlockLaw:
     Block g is a weight w_g (an int; the weights sum to ``denominator``)
     and an exact law L_g.  It carries mass w_g / denominator spread as
     L_g (x) L_g over supp(L_g)^2, so (x1, x2) gets w_g L_g(x1) L_g(x2) /
-    denominator from it.  When the supports are pairwise disjoint, x1 lies
-    in one block and its conditional law is that block's law, so the law is
-    read in O(sum |supp L_g|) without its sum |supp L_g|^2 pairs.  Blocks
-    that share an outcome are materialized together, and each x1 in them
-    gets its own conditional row.
+    denominator from it.  The supports are pairwise disjoint (blocks that
+    share an outcome are refused), so x1 lies in one block and its
+    conditional law is that block's law, and the law is read in
+    O(sum |supp L_g|) without its sum |supp L_g|^2 pairs.
 
     Rows, masses and pairs keep the order of the materialized law: blocks
     in order, each block's outcomes in its law's order.  So the first
@@ -311,44 +311,18 @@ class BlockLaw:
     those of ``joint().marginal_and_conditionals()``.
     """
 
-    __slots__ = ("_blocks", "_den", "_rows", "_mixed", "_marginal", "_joint")
+    __slots__ = ("_blocks", "_den", "_rows", "_marginal", "_joint")
 
     exact = True
 
     def __init__(self, blocks: Iterable[tuple[int, Dist]], denominator: int):
-        blocks = list(blocks)
-        if not all(isinstance(w, int) and w > 0 and law.exact for w, law in blocks):
-            raise ValueError("blocks need positive int weights and exact laws")
-        if sum(w for w, _ in blocks) != denominator:
-            raise ValueError(f"block weights do not sum to {denominator}")
-        # Pair counts s_g c(x1) c(x2) in block g over denominator * lcm(d_g^2),
-        # with the common factor of the scales s_g divided out.
-        lcm = math.lcm(*(law._den**2 for _, law in blocks))
-        scales = [w * (lcm // law._den**2) for w, law in blocks]
-        g = math.gcd(denominator * lcm, *scales)
-        self._den = denominator * lcm // g
-        self._blocks = [(s // g, law) for s, (_, law) in zip(scales, blocks)]
+        self._blocks, self._den = _scaled_blocks(blocks, denominator)
         # x1 -> (pair count of the row x1, conditional law of x2 given x1).
-        rows: dict[Outcome, tuple[int, Dist]] = {}
-        shared = set()
-        for s, law in self._blocks:
-            d = law._den
-            for x1, c in law._mass.items():
-                if x1 in rows:
-                    shared.add(x1)
-                else:
-                    rows[x1] = (s * c * d, law)
-        self._mixed = [i for i, (_, law) in enumerate(self._blocks)
-                       if not shared.isdisjoint(law._mass)]
-        if self._mixed:
-            pairs = _pair_counts([self._blocks[i] for i in self._mixed])
-            total = sum(pairs.values())
-            first, conditionals = JointDist(pairs, denominator=total).marginal_and_conditionals()
-            for x1, c in first._mass.items():
-                rows[x1] = (c * (total // first._den), conditionals[x1])
-        self._rows = rows
-        self._marginal = None
-        self._joint = None
+        self._rows = {x1: (s * c * law._den, law)
+                      for s, law in self._blocks for x1, c in law._mass.items()}
+        if len(self._rows) < sum(len(law._mass) for _, law in self._blocks):
+            raise ValueError("blocks share an outcome")
+        self._marginal = self._joint = None
 
     @property
     def denominator(self) -> int:
@@ -381,9 +355,23 @@ class BlockLaw:
         return self.joint() == other
 
 
+def _scaled_blocks(blocks: Iterable[tuple[int, Dist]], denominator: int) -> tuple[list, int]:
+    """Validated blocks (w_g, L_g) as (s_g, L_g): pair counts s_g c(x1) c(x2)
+    over denominator * lcm(d_g^2), with the scales' common factor divided out."""
+    blocks = list(blocks)
+    if not blocks or not all(isinstance(w, int) and w > 0 and law.exact for w, law in blocks):
+        raise ValueError("a block law needs blocks of positive int weights and exact laws")
+    if sum(w for w, _ in blocks) != denominator:
+        raise ValueError(f"block weights do not sum to {denominator}")
+    lcm = math.lcm(*(law._den**2 for _, law in blocks))
+    scales = [w * (lcm // law._den**2) for w, law in blocks]
+    g = math.gcd(denominator * lcm, *scales)
+    return [(s // g, law) for s, (_, law) in zip(scales, blocks)], denominator * lcm // g
+
+
 def _pair_counts(blocks: Iterable[tuple[int, Dist]]) -> dict:
     """{(x1, x2): sum of s c(x1) c(x2)} over scaled blocks (s, law), in
-    block order: the one place a block law's pairs are materialized."""
+    block order: the one place the pairs of blocks are materialized."""
     mass: dict[tuple, int] = {}
     for s, law in blocks:
         counts = law._mass.items()
@@ -455,19 +443,13 @@ def _block_distance(p, q) -> Fraction:
 
 
 def _block_entropy(p: BlockLaw) -> float:
-    """H(X1, X2) = H(w) + 2 sum_g w_g H(L_g) over the product blocks, plus
-    -q log2 q over the pairs of the blocks that share outcomes."""
+    """H(X1, X2) = H(w) + 2 sum_g w_g H(L_g) over the product blocks."""
     den = p._den
     total = 0.0
-    mixed = set(p._mixed)
-    for i, (s, law) in enumerate(p._blocks):
-        if i not in mixed:
-            mass = s * law._den**2
-            total += mass / den * -_log2_ratio(mass, den)
-            total += 2 * (mass / den) * shannon_entropy(law)
-    if mixed:
-        for c in _pair_counts([p._blocks[i] for i in p._mixed]).values():
-            total += c / den * -_log2_ratio(c, den)
+    for s, law in p._blocks:
+        mass = s * law._den**2
+        total += mass / den * -_log2_ratio(mass, den)
+        total += 2 * (mass / den) * shannon_entropy(law)
     return total
 
 

@@ -60,7 +60,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from dcrlab.commitments import hiding_distance
-from dcrlab.hashfam import ENUM_CAP_HARD, HashFunction, _check_cap
+from dcrlab.hashfam import ENUM_CAP_HARD, TAPE_CAP_BITS, EnumerationCap, HashFunction, _check_cap
 
 YES, NO, OUTSIDE = "yes", "no", "outside"
 
@@ -374,7 +374,11 @@ class HidingOutcome:
 def _fact_combinations(rows: Sequence[Counter]) -> Iterable[tuple[tuple, int]]:
     """Every choice of one fact per row, as (facts, weight): the weight is
     the product of the chosen facts' multiplicities, the number of coin
-    tuples that give exactly these facts."""
+    tuples that give exactly these facts.  More than 2^TAPE_CAP_BITS
+    combinations raise ``EnumerationCap`` before the first is made."""
+    combinations = math.prod(map(len, rows))
+    if combinations > 2**TAPE_CAP_BITS:
+        raise EnumerationCap(f"{combinations} fact combinations exceed 2^{TAPE_CAP_BITS}")
     for entries in itertools.product(*(row.items() for row in rows)):
         facts, weights = zip(*entries)
         yield facts, math.prod(weights)

@@ -1,18 +1,23 @@
 """Pair laws held as product blocks, against their materialized references.
 
-Col(h) and every rewound law are ``BlockLaw``s.  Here each one meets the
-pair-by-pair law it replaces (``reference_laws``): the same first marginal
-in the same insertion order, the same conditional rows, the same pairs,
-and the same game values by the per-key and the joint route.
+Col(h) and every rewound law of disjoint blocks are ``BlockLaw``s; a
+rewound law whose blocks overlap is a ``JointDist``.  Here each one meets
+the pair-by-pair law it replaces (``reference_laws``): the same first
+marginal in the same insertion order, the same conditional rows, the same
+pairs, and the same game values by the per-key and the joint route.
 """
+
+import hashlib
 
 import pytest
 
 from dcrlab import hashfam
 from dcrlab.entropy_gap import (
+    SWEEP_TOL,
     RewindingAdversary,
     collision_rate,
     consistent_suite,
+    gap_bound_report,
     mismatched_online,
 )
 from dcrlab.hashfam import builtin_families, col_distribution
@@ -28,7 +33,7 @@ from reference_laws import (
 )
 
 
-def assert_matches(law: BlockLaw, ref):
+def assert_matches(law: BlockLaw | JointDist, ref):
     """``law`` reads as the materialized ``ref``: marginal, rows and pairs."""
     first, conditionals = law.marginal_and_conditionals()
     ref_first, ref_conditionals = ref_row_pass(ref)
@@ -38,7 +43,8 @@ def assert_matches(law: BlockLaw, ref):
     for x1, cond in conditionals.items():
         assert cond == ref_conditionals[x1]
         assert list(cond.counts) == list(ref_conditionals[x1].counts)
-    assert law.support_size() == len(ref.support())
+    size = law.support_size() if isinstance(law, BlockLaw) else len(law.support())
+    assert size == len(ref.support())
     assert law == ref
     assert shannon_entropy(law) == pytest.approx(shannon_entropy(ref), abs=1e-12)
 
@@ -67,7 +73,7 @@ def test_block_laws_match_materialized_references(n, seed):
             laws = [adv.exact_distribution(h) for h in fam]
             refs = [ref_rewound_law(gt, h) for h in fam]
             for law, ref in zip(laws, refs):
-                assert not law._mixed, (fam.name, gt.name)
+                assert isinstance(law, BlockLaw), (fam.name, gt.name)
                 assert_matches(law, ref)
             assert_game_matches(laws, refs, cols, ref_cols)
 
@@ -76,8 +82,9 @@ def test_block_laws_match_materialized_references(n, seed):
 def test_overlapping_blocks_match_their_materialized_component(n):
     # The mismatched generator's first two coin groups share an outcome, as
     # do the overlapping generator's groups within each fiber of two or
-    # more points; the lopsided generator's rows have unequal counts.
-    mixed = 0
+    # more points, so their laws are materialized; the lopsided generator's
+    # rows have unequal counts.
+    materialized = 0
     for fam in builtin_families(n, num_keys=2, seed=n):
         cols = [col_distribution(h) for h in fam]
         ref_cols = [ref_col_distribution(h) for h in fam]
@@ -88,26 +95,35 @@ def test_overlapping_blocks_match_their_materialized_component(n):
             laws = [adv.exact_distribution(h) for h in fam]
             refs = [ref_rewound_law(adv.gt, h) for h in fam]
             for law, ref in zip(laws, refs):
-                mixed += bool(law._mixed)
+                materialized += not isinstance(law, BlockLaw)
                 assert_matches(law, ref)
             assert_game_matches(laws, refs, cols, ref_cols)
         assert collision_rate(advs[2]) == 1
-    assert mixed
+    assert materialized
 
 
-def test_shared_outcomes_get_mixed_rows():
-    # Blocks {0, 1} and {1, 2} share x1 = 1: its row mixes both laws, the
-    # rows of 0 and 2 stay their blocks' own laws, and the mass of (1, 1)
-    # is the sum of both blocks' masses there.
+def test_overlapping_rewound_numbers_pinned():
+    # The gap reports of the overlapping and lopsided generators and the
+    # mismatched generator's collision rate, n = 2..6: 75 rows whose
+    # sha256 is that of the rows when overlapping blocks were held as
+    # mixed rows of a block law.
+    rows = []
+    for n in range(2, 7):
+        for fam in builtin_families(n, num_keys=4, seed=n):
+            for gt in (overlapping_online(fam), lopsided_online(fam)):
+                rows.append(gap_bound_report(gt, fam, tol=SWEEP_TOL).csv_row())
+            adv = RewindingAdversary(mismatched_online(fam), fam, _checked=True)
+            rows.append(str(collision_rate(adv)))
+    assert len(rows) == 75
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == "740f5357c1973ccd608ae5dad24b5a117f4f74d8ae8c422b555b9aa0ef9ba2e6"
+
+
+def test_block_law_refuses_shared_outcomes():
+    # Blocks {0, 1} and {1, 2} share x1 = 1: no block law holds them.
     a, b = Dist.uniform([0, 1]), Dist.uniform([1, 2])
-    law = BlockLaw([(1, a), (3, b)], denominator=4)
-    first, conditionals = law.marginal_and_conditionals()
-    assert list(first.counts) == [0, 1, 2]
-    assert [first.prob(x) * 8 for x in (0, 1, 2)] == [1, 4, 3]
-    assert conditionals[0] == a and conditionals[2] == b
-    assert conditionals[1] == Dist({0: 1, 1: 4, 2: 3}, denominator=8)
-    assert law.joint().prob((1, 1)) == 1 / 16 + 3 / 16
-    assert law.support_size() == 7
+    with pytest.raises(ValueError, match="blocks share an outcome"):
+        BlockLaw([(1, a), (3, b)], denominator=4)
 
 
 def test_block_law_rejects_bad_weights():
@@ -118,6 +134,8 @@ def test_block_law_rejects_bad_weights():
         BlockLaw([(0, law), (2, Dist.point(5))], denominator=2)
     with pytest.raises(ValueError, match="exact laws"):
         BlockLaw([(1, Dist({0: 0.5, 1: 0.5}))], denominator=1)
+    with pytest.raises(ValueError, match="needs blocks"):
+        BlockLaw([], denominator=0)
 
 
 def test_float_route_reads_the_pairs_once():

@@ -3,6 +3,7 @@ security arguments, all by enumeration."""
 
 import itertools
 import math
+import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -645,6 +646,15 @@ def test_hiding_walks_distinct_fact_combinations(monkeypatch):
     monkeypatch.setattr(szkcommit, "wi_statement_true", counting_verdict)
     hiding_experiment(spec, n, problem)
     assert calls < 1000
+
+
+def test_hiding_walk_capped_before_the_first_combination():
+    # At n = 6 the 12 rows hold 244,140,625 fact combinations, above
+    # 2^TAPE_CAP_BITS: the walk is refused before any is evaluated.
+    start = time.perf_counter()
+    with pytest.raises(EnumerationCap, match="244140625 fact combinations exceed 2"):
+        hiding_experiment(honest_receiver(6, rho_seed=5), 6, TablePromiseProblem(k=4, salt=58))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_hiding_builds_no_session(monkeypatch):
