@@ -135,55 +135,47 @@ def criterion_probkit_identities(seed: int = 0, trials: int = 10_000) -> Criteri
         rows = rng.dirichlet(ones(size * size)).reshape(size, size).tolist()
         return pk.JointDist({(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)})
 
-    rows = []
-    ok = True
-
-    worst = 0.0
-    for _ in range(trials):
+    # Each trial draws from the shared rng and returns its violation, so
+    # the checks run in this order with the draws they always had.
+    def chain_rule():
         size = int(rng.integers(2, 6))
-        pj, qj = rand_joint(size), rand_joint(size)
-        lhs, rhs = pk.kl_chain_rule_check(pj, qj)
-        worst = max(worst, abs(lhs - rhs))
-    rows.append(csv_line(["chain-rule", trials, worst, worst <= 1e-9]))
-    ok &= worst <= 1e-9
+        lhs, rhs = pk.kl_chain_rule_check(rand_joint(size), rand_joint(size))
+        return abs(lhs - rhs)
 
-    worst = 0.0
-    for _ in range(trials):
+    def pinsker():
         size = int(rng.integers(2, 17))
-        p, q = rand_dist(size), rand_dist(size)
-        tv, bound = pk.pinsker_check(p, q)
-        worst = max(worst, tv - bound)
-    rows.append(csv_line(["pinsker", trials, worst, worst <= 1e-12]))
-    ok &= worst <= 1e-12
+        tv, bound = pk.pinsker_check(rand_dist(size), rand_dist(size))
+        return tv - bound
 
-    worst = 0.0
-    for _ in range(trials):
+    def jensen():
         vals = rng.uniform(0.01, 100.0, size=int(rng.integers(2, 10)))
         e_log, log_e = pk.jensen_log2_check(vals)
-        worst = max(worst, e_log - log_e)
-    rows.append(csv_line(["jensen", trials, worst, worst <= 1e-12]))
-    ok &= worst <= 1e-12
+        return e_log - log_e
 
-    worst = 0.0
-    for _ in range(trials):
+    def kl_nonnegative():
         size = int(rng.integers(2, 17))
-        worst = max(worst, -pk.kl_divergence(rand_dist(size), rand_dist(size)))
-    rows.append(csv_line(["kl-nonnegative", trials, worst, worst <= 1e-9]))
-    ok &= worst <= 1e-9
+        return -pk.kl_divergence(rand_dist(size), rand_dist(size))
 
-    worst = 0.0
-    for _ in range(trials):
+    def tv_metric():
         size = int(rng.integers(2, 9))
         p, q, r = rand_dist(size), rand_dist(size), rand_dist(size)
         d_pq = float(pk.stat_distance(p, q))
-        violation = max(
-            -d_pq,
-            abs(d_pq - float(pk.stat_distance(q, p))),
-            d_pq - float(pk.stat_distance(p, r)) - float(pk.stat_distance(r, q)),
-        )
-        worst = max(worst, violation)
-    rows.append(csv_line(["tv-metric", trials, worst, worst <= 1e-12]))
-    ok &= worst <= 1e-12
+        return max(-d_pq,
+                   abs(d_pq - float(pk.stat_distance(q, p))),
+                   d_pq - float(pk.stat_distance(p, r)) - float(pk.stat_distance(r, q)))
+
+    rows = []
+    ok = True
+    for name, trial, tolerance in [("chain-rule", chain_rule, 1e-9),
+                                   ("pinsker", pinsker, 1e-12),
+                                   ("jensen", jensen, 1e-12),
+                                   ("kl-nonnegative", kl_nonnegative, 1e-9),
+                                   ("tv-metric", tv_metric, 1e-12)]:
+        worst = 0.0
+        for _ in range(trials):
+            worst = max(worst, trial())
+        rows.append(csv_line([name, trials, worst, worst <= tolerance]))
+        ok &= worst <= tolerance
 
     return CriterionResult(
         4, "distribution-toolkit identities", bool(ok),

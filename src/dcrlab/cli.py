@@ -9,10 +9,13 @@ commit-reduce  two-message commitment reduction rates per sampled key
 szk-protocol   completeness / hiding / binding measurements
 verify-all     the entire verification battery; nonzero exit on failure
 
-Configuration precedence: command-line flags, then a flat key=value
-config file (--config), then the DCRLAB_OUT environment variable for the
-output directory, then built-in defaults.  A config key must name a value
-option of some subcommand.  One seed fixes every random choice, so
+Each setting is declared once, in ``build_parser``, with its default;
+``dcrlab <cmd> --help`` prints them.  Precedence: command-line flags, then
+a flat key=value config file (--config), then the DCRLAB_OUT environment
+variable for the output directory, then the built-in defaults.  A config
+key must name a value option of some subcommand, and its value becomes
+that option's default, so it is converted like the flag: a bad value exits
+2 with argparse's message.  One seed fixes every random choice, so
 identical invocations write byte-identical files.
 
 Every subcommand but dcrh-game runs criteria of the verification battery
@@ -74,114 +77,78 @@ def emit(results, outdir: Path) -> int:
     return 0 if all(res.passed for res in results) else 1
 
 
-def _resolve(args, config: dict, key: str, default, cast=str):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return cast(config[key])
-    return default
-
-
-def _outdir(args, config) -> Path:
-    flag = getattr(args, "out", None)
-    if flag is not None:
-        return Path(flag)
-    if "out" in config:
-        return Path(config["out"])
-    env = os.environ.get(OUTPUT_ENV_VAR)
-    if env:
-        return Path(env)
-    return Path("reports")
-
-
 # ------------------------------------------------------------------ subcommands
+# Each handler reads its settings off ``args`` and imports its library
+# function when it runs, so a patched module attribute is the one called.
 
-def cmd_entropy(args, config) -> int:
+def cmd_entropy(args) -> int:
     from dcrlab.acceptance import criterion_probkit_identities
 
-    seed = _resolve(args, config, "seed", 0, int)
-    trials = _resolve(args, config, "trials", 10_000, int)
-    return emit([criterion_probkit_identities(seed, trials=trials)], _outdir(args, config))
+    return emit([criterion_probkit_identities(args.seed, trials=args.trials)], args.out)
 
 
-def cmd_dcrh_game(args, config) -> int:
+def cmd_dcrh_game(args) -> int:
     from dcrlab.entropy_gap import RewindingAdversary, consistent_suite
     from dcrlab.hashfam import ColAdversary, DiagonalAdversary, builtin_families, dcrh_distance
     from dcrlab.reporting import csv_line
 
-    seed = _resolve(args, config, "seed", 0, int)
-    ns = parse_range(_resolve(args, config, "n", "2..4"))
-    mode = _resolve(args, config, "mode", "exact")
-    samples = _resolve(args, config, "samples", 10_000, int)
-    num_keys = _resolve(args, config, "num_keys", 4, int)
+    monte_carlo = args.mode == "monte-carlo"
     rows = []
     failures = 0
-    for n in ns:
-        rng = np.random.default_rng(seed + n)
-        for fam in builtin_families(n, num_keys=num_keys, seed=seed + n):
+    for n in parse_range(args.n):
+        rng = np.random.default_rng(args.seed + n)
+        for fam in builtin_families(n, num_keys=args.num_keys, seed=args.seed + n):
             adversaries = [ColAdversary(), DiagonalAdversary()]
             adversaries += [RewindingAdversary(gt, fam) for gt in consistent_suite(fam)]
             for adv in adversaries:
                 try:
-                    rep = dcrh_distance(fam, adv, mode=mode,
-                                        samples=samples if mode == "monte-carlo" else 0,
-                                        rng=rng if mode == "monte-carlo" else None)
+                    rep = dcrh_distance(fam, adv, mode=args.mode,
+                                        samples=args.samples if monte_carlo else 0,
+                                        rng=rng if monte_carlo else None)
                 except AssertionError as exc:
                     failures += 1
                     print(f"bound violation: {exc}", file=sys.stderr)
                     continue
                 rows.append(csv_line([fam.name, n, adv.name, rep.mode, rep.samples,
                                       rep.distance, rep.ci_half_width]))
-    out = _outdir(args, config) / "dcrh_game.csv"
+    out = args.out / "dcrh_game.csv"
     write_lines(out, ["family,n,adversary,mode,samples,distance,ci_half_width", *sorted(rows)])
     print(f"wrote {out} ({len(rows)} rows)")
     return 0 if failures == 0 else 1
 
 
-def cmd_gap_sweep(args, config) -> int:
+def cmd_gap_sweep(args) -> int:
     from dcrlab.acceptance import criterion_gap_sweep
 
-    seed = _resolve(args, config, "seed", 0, int)
-    ns = parse_range(_resolve(args, config, "n", "2..6"))
-    num_keys = _resolve(args, config, "num_keys", 4, int)
-    return emit([criterion_gap_sweep(seed, ns=ns, num_keys=num_keys)], _outdir(args, config))
+    return emit([criterion_gap_sweep(args.seed, ns=parse_range(args.n), num_keys=args.num_keys)],
+                args.out)
 
 
-def cmd_commit_reduce(args, config) -> int:
+def cmd_commit_reduce(args) -> int:
     from dcrlab.acceptance import criterion_commit_reduction
 
-    seed = _resolve(args, config, "seed", 0, int)
-    k = _resolve(args, config, "k", 6, int)
-    m = _resolve(args, config, "m", 3, int)
-    num_seeds = _resolve(args, config, "num_seeds", 100, int)
-    return emit([criterion_commit_reduction(seed, num_seeds=num_seeds, k=k, m=m)],
-                _outdir(args, config))
+    return emit([criterion_commit_reduction(args.seed, num_seeds=args.num_seeds,
+                                            k=args.k, m=args.m)], args.out)
 
 
-def cmd_szk_protocol(args, config) -> int:
+def cmd_szk_protocol(args) -> int:
     from dcrlab.acceptance import (
         criterion_binding_reduction,
         criterion_hiding_analysis,
         criterion_protocol_completeness,
     )
 
-    seed = _resolve(args, config, "seed", 0, int)
-    return emit([criterion_protocol_completeness(seed),
-                 criterion_binding_reduction(seed),
-                 criterion_hiding_analysis(seed)], _outdir(args, config))
+    return emit([criterion_protocol_completeness(args.seed),
+                 criterion_binding_reduction(args.seed),
+                 criterion_hiding_analysis(args.seed)], args.out)
 
 
-def cmd_verify_all(args, config) -> int:
+def cmd_verify_all(args) -> int:
     from dcrlab.acceptance import run_all
 
-    seed = _resolve(args, config, "seed", 0, int)
-    fast = bool(getattr(args, "fast", False))
-    inject = bool(getattr(args, "inject_fault", False))
-    outdir = _outdir(args, config)
-    results = run_all(seed=seed, inject_fault=inject, fast=fast)
-    code = emit(results, outdir)
-    report = outdir / "verify_report.txt"
+    results = run_all(seed=args.seed, inject_fault=args.inject_fault, fast=args.fast)
+    code = emit(results, args.out)
+    report = args.out / "verify_report.txt"
     write_lines(report, [res.line() for res in results])
     print(f"wrote {report}")
     return code
@@ -190,64 +157,61 @@ def cmd_verify_all(args, config) -> int:
 # ------------------------------------------------------------------ entry point
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every setting, its default and its handler, declared once."""
     parser = argparse.ArgumentParser(
         prog="dcrlab",
         description="exact collision-game, entropy-gap, and commitment experiments")
     parser.add_argument("--config", help="flat key=value config file")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None, help="master seed")
-        p.add_argument("--out", default=None, help=f"output directory (default ${OUTPUT_ENV_VAR} or ./reports)")
+    def command(name, handler, summary):
+        p = sub.add_parser(name, help=summary,
+                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.set_defaults(handler=handler)
+        p.add_argument("--seed", type=int, default=0, help="master seed")
+        p.add_argument("--out", type=Path, default=os.environ.get(OUTPUT_ENV_VAR) or "reports",
+                       help=f"output directory; ${OUTPUT_ENV_VAR} replaces the default")
+        return p
 
-    p = sub.add_parser("entropy", help="distribution identity battery")
-    common(p)
-    p.add_argument("--trials", type=int, default=None)
+    p = command("entropy", cmd_entropy, "distribution identity battery")
+    p.add_argument("--trials", type=int, default=10_000, help="seeded trials per identity")
 
-    p = sub.add_parser("dcrh-game", help="collision-game distances")
-    common(p)
-    p.add_argument("--n", default=None, help="input length or range, e.g. 3..6")
-    p.add_argument("--num-keys", dest="num_keys", type=int, default=None)
-    p.add_argument("--mode", choices=["exact", "monte-carlo"], default=None)
-    p.add_argument("--samples", type=int, default=None)
+    p = command("dcrh-game", cmd_dcrh_game, "collision-game distances")
+    p.add_argument("--n", default="2..4", help="input length or range, e.g. 3..6")
+    p.add_argument("--num-keys", type=int, default=4, help="keys per family")
+    p.add_argument("--mode", choices=["exact", "monte-carlo"], default="exact",
+                   help="full enumeration or sampled estimate")
+    p.add_argument("--samples", type=int, default=10_000, help="samples per monte-carlo game")
 
-    p = sub.add_parser("gap-sweep", help="distance-vs-gap grid")
-    common(p)
-    p.add_argument("--n", default=None, help="range, e.g. 3..8")
-    p.add_argument("--num-keys", dest="num_keys", type=int, default=None)
+    p = command("gap-sweep", cmd_gap_sweep, "distance-vs-gap grid")
+    p.add_argument("--n", default="2..6", help="input length or range, e.g. 3..8")
+    p.add_argument("--num-keys", type=int, default=4, help="keys per family")
 
-    p = sub.add_parser("commit-reduce", help="commitment-to-collision rates")
-    common(p)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--num-seeds", dest="num_seeds", type=int, default=None)
+    p = command("commit-reduce", cmd_commit_reduce, "commitment-to-collision rates")
+    p.add_argument("--k", type=int, default=6, help="coin bits")
+    p.add_argument("--m", type=int, default=3, help="commit-message bits")
+    p.add_argument("--num-seeds", type=int, default=100, help="receiver keys sampled")
 
-    p = sub.add_parser("szk-protocol", help="protocol completeness/hiding/binding")
-    common(p)
+    command("szk-protocol", cmd_szk_protocol, "protocol completeness/hiding/binding")
 
-    p = sub.add_parser("verify-all", help="full verification battery")
-    common(p)
+    p = command("verify-all", cmd_verify_all, "full verification battery")
     p.add_argument("--fast", action="store_true", help="reduced grid for smoke runs")
-    p.add_argument("--inject-fault", dest="inject_fault", action="store_true",
+    p.add_argument("--inject-fault", action="store_true",
                    help="negative control: force a broken generator through")
     return parser
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _value_options(parser: argparse.ArgumentParser) -> set[str]:
+    return {a.dest for a in parser._actions if a.option_strings and a.nargs != 0}
+
+
 def config_keys(parser: argparse.ArgumentParser) -> set[str]:
     """The keys a config file may set: every subcommand's value options."""
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest for p in sub.choices.values() for a in p._actions
-            if a.option_strings and a.nargs != 0}
-
-
-HANDLERS = {
-    "entropy": cmd_entropy,
-    "dcrh-game": cmd_dcrh_game,
-    "gap-sweep": cmd_gap_sweep,
-    "commit-reduce": cmd_commit_reduce,
-    "szk-protocol": cmd_szk_protocol,
-    "verify-all": cmd_verify_all,
-}
+    return set().union(*map(_value_options, _subcommands(parser).values()))
 
 
 def main(argv=None) -> int:
@@ -256,7 +220,6 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
-    config = {}
     if args.config:
         try:
             config = load_config(args.config)
@@ -268,8 +231,14 @@ def main(argv=None) -> int:
             print(f"config error: {args.config}: unknown key(s) "
                   f"{', '.join(map(repr, unknown))}", file=sys.stderr)
             return 2
+        # The chosen subcommand's config values become its defaults, so
+        # flags still win and each value is converted by its option's type.
+        chosen = _subcommands(parser)[args.command]
+        own = _value_options(chosen)
+        chosen.set_defaults(**{key: value for key, value in config.items() if key in own})
+        args = parser.parse_args(argv)
     try:
-        return HANDLERS[args.command](args, config)
+        return args.handler(args)
     except (ValueError, KeyError, EnumerationCap) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

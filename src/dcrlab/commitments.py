@@ -46,6 +46,10 @@ class TwoMessageCommitment:
 
     def __init__(self, ell: int, coin_bits: int, message_bits: int,
                  receiver_seeds: Sequence[int]):
+        if ell < 1:
+            raise ValueError(f"ell must be at least 1, got {ell}")
+        if coin_bits < 0:
+            raise ValueError(f"coin_bits must be at least 0, got {coin_bits}")
         _check_cap(ell + coin_bits, ENUM_CAP_HARD)
         self.ell = ell
         self.coin_bits = coin_bits

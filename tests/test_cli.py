@@ -2,13 +2,14 @@
 
 import hashlib
 import os
+import re
 import resource
 import subprocess
 import sys
 
 import pytest
 
-from dcrlab.cli import load_config, main, parse_range
+from dcrlab.cli import build_parser, config_keys, load_config, main, parse_range
 
 
 def run_cli(argv, env_extra=None):
@@ -282,3 +283,64 @@ def test_reports_identical_across_hash_seeds(tmp_path, argv):
     first = _cli_csv(argv, tmp_path / "hash0", "0")
     second = _cli_csv(argv, tmp_path / "hash1", "1")
     assert first and first == second
+
+
+@pytest.mark.parametrize("command, defaults", [
+    ("entropy", {"--trials": "10000"}),
+    ("dcrh-game", {"--n": "2..4", "--num-keys": "4", "--mode": "exact", "--samples": "10000"}),
+    ("gap-sweep", {"--n": "2..6", "--num-keys": "4"}),
+    ("commit-reduce", {"--k": "6", "--m": "3", "--num-seeds": "100"}),
+    ("szk-protocol", {}),
+    ("verify-all", {}),
+])
+def test_help_names_every_default(command, defaults, capsys, monkeypatch):
+    monkeypatch.delenv("DCRLAB_OUT", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    options = " ".join(capsys.readouterr().out.split("options:", 1)[1].split())
+    entries = {entry.split()[0]: entry for entry in re.split(r" (?=--)", options)}
+    del entries["-h,"], entries["--help"]
+    for flag, entry in entries.items():
+        assert "(default: " in entry, flag
+    for flag, default in {"--seed": "0", "--out": "reports", **defaults}.items():
+        assert entries[flag].endswith(f"(default: {default})"), entries[flag]
+
+
+def test_bad_config_value_exits_2_with_argparse_message(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("seed=abc\n")
+    result = run_cli(["--config", str(cfg), "gap-sweep", "--n", "2..2",
+                      "--out", str(tmp_path / "out")])
+    assert result.returncode == 2
+    assert "argument --seed: invalid int value: 'abc'" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_keys_are_the_value_options():
+    assert config_keys(build_parser()) == {
+        "seed", "out", "trials", "n", "num_keys", "mode", "samples", "k", "m", "num_seeds"}
+
+
+def test_verify_all_calls_run_all_at_call_time(tmp_path, monkeypatch):
+    # The handler looks run_all up when it runs, so a patched one is called.
+    import dcrlab.acceptance
+
+    calls = []
+
+    def fake_run_all(*args, **kwargs):
+        calls.append((args, kwargs))
+        return [dcrlab.acceptance.CriterionResult(1, "stub", True, "patched")]
+
+    monkeypatch.setattr(dcrlab.acceptance, "run_all", fake_run_all)
+    assert main(["verify-all", "--fast", "--seed", "7", "--out", str(tmp_path)]) == 0
+    assert calls == [((), {"seed": 7, "inject_fault": False, "fast": True})]
+    assert (tmp_path / "verify_report.txt").read_text() == "criterion 1 [PASS] stub: patched\n"
+
+
+def test_commit_reduce_negative_coin_bits_exits_2(tmp_path):
+    result = run_cli(["commit-reduce", "--k", "-2", "--out", str(tmp_path)])
+    assert result.returncode == 2
+    assert result.stderr == "error: coin_bits must be at least 0, got -2\n"
+    assert not (tmp_path / "commit_reduce.csv").exists()

@@ -343,3 +343,14 @@ def test_commit_reduction_csv_rows():
         [fields] = list(csv.reader(io.StringIO(r)))
         assert len(fields) == 5
         assert fields[:2] == ["random-function[k=4,m=2,ell=1]", str(idx)]
+
+
+@pytest.mark.parametrize("ell, coin_bits, message", [
+    (1, -2, "coin_bits must be at least 0, got -2"),
+    (1, -1, "coin_bits must be at least 0, got -1"),
+    (0, 3, "ell must be at least 1, got 0"),
+    (30, -2, "coin_bits must be at least 0, got -2"),  # checked before the cap
+])
+def test_commitment_refuses_negative_sizes(ell, coin_bits, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RandomFunctionCommitment(coin_bits, 2, num_seeds=1, ell=ell)
