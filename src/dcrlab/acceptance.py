@@ -14,16 +14,16 @@ import numpy as np
 
 from dcrlab import commitments as cm
 from dcrlab import entropy_gap as eg
+from dcrlab import hashfam as hf
 from dcrlab import probkit as pk
 from dcrlab import szkcommit as szk
 from dcrlab.generators import real_entropy
-from dcrlab.hashfam import builtin_families
 from dcrlab.reporting import csv_line
 
 
 @dataclass
 class CriterionResult:
-    number: int
+    number: int | None  # None for a report outside the numbered battery
     name: str
     passed: bool
     detail: str
@@ -34,6 +34,8 @@ class CriterionResult:
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
+        if self.number is None:
+            return f"{self.name} [{status}]: {self.detail}"
         return f"criterion {self.number} [{status}] {self.name}: {self.detail}"
 
 
@@ -59,7 +61,7 @@ def criterion_real_entropy(seed: int = 0) -> CriterionResult:
     worst = 0.0
     cases = 0
     for n in range(2, 11):
-        for fam in builtin_families(n, num_keys=2, seed=seed + n):
+        for fam in hf.builtin_families(n, num_keys=2, seed=seed + n):
             value = real_entropy(eg.build_two_block_generator(fam))
             worst = max(worst, abs(value - n))
             cases += 1
@@ -81,7 +83,7 @@ def criterion_gap_sweep(seed: int = 0, ns: range = range(2, 9),
     failures = []
     count = 0
     for n in ns:
-        for fam in builtin_families(n, num_keys=num_keys, seed=seed + 100 + n):
+        for fam in hf.builtin_families(n, num_keys=num_keys, seed=seed + 100 + n):
             for gt in eg.consistent_suite(fam):
                 count += 1
                 try:
@@ -107,7 +109,7 @@ def criterion_ideal_tightness(seed: int = 0, max_n: int = 8) -> CriterionResult:
     worst_gap = 0.0
     worst_dist = 0.0
     for n in range(2, max_n + 1):
-        for fam in builtin_families(n, num_keys=2, seed=seed + 200 + n):
+        for fam in hf.builtin_families(n, num_keys=2, seed=seed + 200 + n):
             rep = eg.gap_bound_report(eg.ideal_online(fam), fam)
             worst_gap = max(worst_gap, rep.gap)
             worst_dist = max(worst_dist, rep.distance)
@@ -368,6 +370,37 @@ def criterion_hiding_analysis(seed: int = 0) -> CriterionResult:
         artifact="szk_hiding.csv")
 
 
+# --------------------------------------------------------- the collision game
+
+@_timed
+def collision_game_table(seed: int, ns: range, num_keys: int, mode: str,
+                         samples: int) -> CriterionResult:
+    """E_h TV(A(h), Col(h)) of each stock family at each n in ``ns`` for Col,
+    the diagonal and the rewound ``consistent_suite`` adversaries, outside
+    the numbered battery.  Monte-Carlo games draw from one rng per n."""
+    rows = []
+    failures = []
+    for n in ns:
+        rng = np.random.default_rng(seed + n)
+        for fam in hf.builtin_families(n, num_keys=num_keys, seed=seed + n):
+            adversaries = [hf.ColAdversary(), hf.DiagonalAdversary()]
+            adversaries += [eg.RewindingAdversary(gt, fam) for gt in eg.consistent_suite(fam)]
+            for adv in adversaries:
+                try:
+                    rep = hf.dcrh_distance(fam, adv, mode=mode, samples=samples, rng=rng)
+                except AssertionError as exc:
+                    failures.append(f"{fam.name}/{adv.name}: {exc}")
+                    continue
+                rows.append(csv_line([fam.name, n, adv.name, rep.mode, rep.samples,
+                                      rep.distance, rep.ci_half_width]))
+    return CriterionResult(
+        None, "collision-game table", not failures,
+        f"{len(rows) + len(failures)} (family, adversary, n) games, {mode}"
+        + (f"; failures: {failures[:3]}" if failures else ""),
+        rows=sorted(rows), header="family,n,adversary,mode,samples,distance,ci_half_width",
+        artifact="dcrh_game.csv")
+
+
 # ------------------------------------------------------------- fault injection
 
 @_timed
@@ -376,9 +409,7 @@ def fault_control(seed: int = 0) -> CriterionResult:
     rewinding reduction with its consistency check bypassed; the
     always-collide invariant must then fail, which must surface as a
     failing line and a nonzero exit."""
-    from dcrlab.hashfam import identity_family
-
-    fam = identity_family(3)
+    fam = hf.identity_family(3)
     adv = eg.RewindingAdversary(eg.mismatched_online(fam), fam, _checked=True)
     rate = eg.collision_rate(adv)
     return CriterionResult(

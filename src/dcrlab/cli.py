@@ -18,9 +18,11 @@ that option's default, so it is converted like the flag: a bad value exits
 2 with argparse's message.  One seed fixes every random choice, so
 identical invocations write byte-identical files.
 
-Every subcommand but dcrh-game runs criteria of the verification battery
-(``dcrlab.acceptance``) and hands their results to ``emit``, so each
-report has one producer and ``verify-all`` writes the same bytes.
+Every subcommand hands its results (``dcrlab.acceptance``) to ``emit``,
+which writes no CSV for a result without rows.  All but dcrh-game run
+criteria of the verification battery, so ``verify-all`` writes the same
+bytes; dcrh-game's table is outside the battery, so its line carries no
+criterion number.
 """
 
 import argparse
@@ -28,8 +30,7 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
+from dcrlab import acceptance
 from dcrlab.hashfam import EnumerationCap
 
 OUTPUT_ENV_VAR = "DCRLAB_OUT"
@@ -37,14 +38,11 @@ OUTPUT_ENV_VAR = "DCRLAB_OUT"
 
 def parse_range(text: str) -> range:
     """'3..8' -> range(3, 9); '5' -> range(5, 6); '8..3' is an error."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        out = range(int(lo), int(hi) + 1)
-        if not out:
-            raise ValueError(f"empty range {text!r}")
-        return out
-    value = int(text)
-    return range(value, value + 1)
+    lo, sep, hi = text.partition("..")
+    out = range(int(lo), int(hi if sep else lo) + 1)
+    if not out:
+        raise ValueError(f"empty range {text!r}")
+    return out
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -78,75 +76,38 @@ def emit(results, outdir: Path) -> int:
 
 
 # ------------------------------------------------------------------ subcommands
-# Each handler reads its settings off ``args`` and imports its library
-# function when it runs, so a patched module attribute is the one called.
+# Each handler reads its settings off ``args`` and looks its battery
+# function up on ``acceptance`` when it runs, so a patched one is called.
 
 def cmd_entropy(args) -> int:
-    from dcrlab.acceptance import criterion_probkit_identities
-
-    return emit([criterion_probkit_identities(args.seed, trials=args.trials)], args.out)
+    return emit([acceptance.criterion_probkit_identities(args.seed, trials=args.trials)],
+                args.out)
 
 
 def cmd_dcrh_game(args) -> int:
-    from dcrlab.entropy_gap import RewindingAdversary, consistent_suite
-    from dcrlab.hashfam import ColAdversary, DiagonalAdversary, builtin_families, dcrh_distance
-    from dcrlab.reporting import csv_line
-
-    monte_carlo = args.mode == "monte-carlo"
-    rows = []
-    failures = 0
-    for n in parse_range(args.n):
-        rng = np.random.default_rng(args.seed + n)
-        for fam in builtin_families(n, num_keys=args.num_keys, seed=args.seed + n):
-            adversaries = [ColAdversary(), DiagonalAdversary()]
-            adversaries += [RewindingAdversary(gt, fam) for gt in consistent_suite(fam)]
-            for adv in adversaries:
-                try:
-                    rep = dcrh_distance(fam, adv, mode=args.mode,
-                                        samples=args.samples if monte_carlo else 0,
-                                        rng=rng if monte_carlo else None)
-                except AssertionError as exc:
-                    failures += 1
-                    print(f"bound violation: {exc}", file=sys.stderr)
-                    continue
-                rows.append(csv_line([fam.name, n, adv.name, rep.mode, rep.samples,
-                                      rep.distance, rep.ci_half_width]))
-    out = args.out / "dcrh_game.csv"
-    write_lines(out, ["family,n,adversary,mode,samples,distance,ci_half_width", *sorted(rows)])
-    print(f"wrote {out} ({len(rows)} rows)")
-    return 0 if failures == 0 else 1
+    return emit([acceptance.collision_game_table(args.seed, ns=args.n, num_keys=args.num_keys,
+                                                 mode=args.mode, samples=args.samples)],
+                args.out)
 
 
 def cmd_gap_sweep(args) -> int:
-    from dcrlab.acceptance import criterion_gap_sweep
-
-    return emit([criterion_gap_sweep(args.seed, ns=parse_range(args.n), num_keys=args.num_keys)],
+    return emit([acceptance.criterion_gap_sweep(args.seed, ns=args.n, num_keys=args.num_keys)],
                 args.out)
 
 
 def cmd_commit_reduce(args) -> int:
-    from dcrlab.acceptance import criterion_commit_reduction
-
-    return emit([criterion_commit_reduction(args.seed, num_seeds=args.num_seeds,
-                                            k=args.k, m=args.m)], args.out)
+    return emit([acceptance.criterion_commit_reduction(args.seed, num_seeds=args.num_seeds,
+                                                       k=args.k, m=args.m)], args.out)
 
 
 def cmd_szk_protocol(args) -> int:
-    from dcrlab.acceptance import (
-        criterion_binding_reduction,
-        criterion_hiding_analysis,
-        criterion_protocol_completeness,
-    )
-
-    return emit([criterion_protocol_completeness(args.seed),
-                 criterion_binding_reduction(args.seed),
-                 criterion_hiding_analysis(args.seed)], args.out)
+    return emit([acceptance.criterion_protocol_completeness(args.seed),
+                 acceptance.criterion_binding_reduction(args.seed),
+                 acceptance.criterion_hiding_analysis(args.seed)], args.out)
 
 
 def cmd_verify_all(args) -> int:
-    from dcrlab.acceptance import run_all
-
-    results = run_all(seed=args.seed, inject_fault=args.inject_fault, fast=args.fast)
+    results = acceptance.run_all(seed=args.seed, inject_fault=args.inject_fault, fast=args.fast)
     code = emit(results, args.out)
     report = args.out / "verify_report.txt"
     write_lines(report, [res.line() for res in results])
@@ -177,14 +138,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10_000, help="seeded trials per identity")
 
     p = command("dcrh-game", cmd_dcrh_game, "collision-game distances")
-    p.add_argument("--n", default="2..4", help="input length or range, e.g. 3..6")
+    p.add_argument("--n", type=parse_range, default="2..4",
+                   help="input length or range, e.g. 3..6")
     p.add_argument("--num-keys", type=int, default=4, help="keys per family")
     p.add_argument("--mode", choices=["exact", "monte-carlo"], default="exact",
                    help="full enumeration or sampled estimate")
     p.add_argument("--samples", type=int, default=10_000, help="samples per monte-carlo game")
 
     p = command("gap-sweep", cmd_gap_sweep, "distance-vs-gap grid")
-    p.add_argument("--n", default="2..6", help="input length or range, e.g. 3..8")
+    p.add_argument("--n", type=parse_range, default="2..6",
+                   help="input length or range, e.g. 3..8")
     p.add_argument("--num-keys", type=int, default=4, help="keys per family")
 
     p = command("commit-reduce", cmd_commit_reduce, "commitment-to-collision rates")

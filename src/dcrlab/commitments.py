@@ -50,6 +50,8 @@ class TwoMessageCommitment:
             raise ValueError(f"ell must be at least 1, got {ell}")
         if coin_bits < 0:
             raise ValueError(f"coin_bits must be at least 0, got {coin_bits}")
+        if not 1 <= message_bits <= 63:  # commit values are drawn as int64
+            raise ValueError(f"message_bits must be in 1..63, got {message_bits}")
         _check_cap(ell + coin_bits, ENUM_CAP_HARD)
         self.ell = ell
         self.coin_bits = coin_bits

@@ -127,9 +127,16 @@ def identity_family(n: int) -> HashFamily:
     return HashFamily(f"identity[n={n}]", [h])
 
 
-def constant_family(n: int, m: int, num_keys: int = 4, seed: int = 0) -> HashFamily:
+def _key_rng(n: int, num_keys: int, seed: int) -> np.random.Generator:
+    """The rng of a seeded family's keys, once n and num_keys are checked."""
     _check_cap(n)
-    rng = np.random.default_rng(seed)
+    if num_keys < 1:
+        raise ValueError(f"num_keys must be at least 1, got {num_keys}")
+    return np.random.default_rng(seed)
+
+
+def constant_family(n: int, m: int, num_keys: int = 4, seed: int = 0) -> HashFamily:
+    rng = _key_rng(n, num_keys, seed)
     count = min(num_keys, 2**m)
     values = rng.choice(2**m, size=count, replace=False)
     fns = [HashFunction(n=n, m=m, table=(int(v),) * 2**n, key=int(v)) for v in values]
@@ -138,24 +145,12 @@ def constant_family(n: int, m: int, num_keys: int = 4, seed: int = 0) -> HashFam
 
 def affine_family(n: int, m: int, num_keys: int = 4, seed: int = 0) -> HashFamily:
     """x -> Ax + b over GF(2), with (A, b) sampled per key."""
-    _check_cap(n)
-    rng = np.random.default_rng(seed)
-    xs = np.arange(2**n, dtype=np.uint64)
-    bits = ((xs[:, None] >> np.arange(n, dtype=np.uint64)) & 1).astype(np.uint8)
-    fns = []
-    for k in range(num_keys):
-        rows = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
-        b = rng.integers(0, 2, size=m, dtype=np.uint8)
-        out_bits = (bits @ rows.T + b) % 2
-        table = (out_bits.astype(np.uint64) << np.arange(m, dtype=np.uint64)).sum(axis=1)
-        fns.append(HashFunction(n=n, m=m, table=tuple(int(y) for y in table), key=k))
-    return HashFamily(f"affine[n={n},m={m}]", fns)
+    return _gf2_family("affine", n, m, num_keys, seed, quadratic=False)
 
 
 def uniform_random_family(n: int, m: int, num_keys: int = 4, seed: int = 0) -> HashFamily:
     """Each key is an independent uniformly random truth table."""
-    _check_cap(n)
-    rng = np.random.default_rng(seed)
+    rng = _key_rng(n, num_keys, seed)
     fns = []
     for k in range(num_keys):
         table = rng.integers(0, 2**m, size=2**n)
@@ -167,23 +162,27 @@ def degree2_family(n: int, m: int, num_keys: int = 4, seed: int = 0) -> HashFami
     """Random quadratic maps over GF(2): each output bit is a degree-2
     polynomial in the input bits.  Provided as a generic test subject; no
     hardness is claimed for it."""
-    _check_cap(n)
-    rng = np.random.default_rng(seed)
+    return _gf2_family("degree2", n, m, num_keys, seed, quadratic=True)
+
+
+def _gf2_family(kind: str, n: int, m: int, num_keys: int, seed: int,
+                quadratic: bool) -> HashFamily:
+    """Per key, draw the linear, the quadratic (none unless ``quadratic``)
+    and the constant terms; an empty draw uses no rng state."""
+    rng = _key_rng(n, num_keys, seed)
     xs = np.arange(2**n, dtype=np.uint64)
     bits = ((xs[:, None] >> np.arange(n, dtype=np.uint64)) & 1).astype(np.uint8)
-    pair_idx = [(j, l) for j in range(n) for l in range(j + 1, n)]
-    pair_terms = np.array(
-        [bits[:, j] & bits[:, l] for (j, l) in pair_idx], dtype=np.uint8
-    ).T if pair_idx else np.zeros((2**n, 0), dtype=np.uint8)
+    i, j = np.triu_indices(n, 1) if quadratic else ([], [])
+    pair_terms = bits[:, i] & bits[:, j]  # x_i x_j for i < j, in row-major order
     fns = []
     for k in range(num_keys):
         lin = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
-        quad = rng.integers(0, 2, size=(m, len(pair_idx)), dtype=np.uint8)
+        quad = rng.integers(0, 2, size=(m, len(i)), dtype=np.uint8)
         const = rng.integers(0, 2, size=m, dtype=np.uint8)
         out_bits = (bits @ lin.T + pair_terms @ quad.T + const) % 2
         table = (out_bits.astype(np.uint64) << np.arange(m, dtype=np.uint64)).sum(axis=1)
         fns.append(HashFunction(n=n, m=m, table=tuple(int(y) for y in table), key=k))
-    return HashFamily(f"degree2[n={n},m={m}]", fns)
+    return HashFamily(f"{kind}[n={n},m={m}]", fns)
 
 
 def builtin_families(n: int, num_keys: int = 4, seed: int = 0) -> list[HashFamily]:

@@ -46,10 +46,25 @@ def test_gap_sweep_writes_csv(tmp_path):
 
 
 def test_empty_range_exits_2_and_writes_nothing(tmp_path, capsys):
-    code = main(["gap-sweep", "--n", "8..3", "--out", str(tmp_path)])
+    # argparse converts --n, from a flag or from a config, before any
+    # handler runs.
+    cfg = tmp_path / "range.cfg"
+    cfg.write_text("n=5..3\n")
+    for argv in [["gap-sweep", "--n", "8..3"], ["dcrh-game", "--n", "5..3"],
+                 ["--config", str(cfg), "gap-sweep"], ["--config", str(cfg), "dcrh-game"]]:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2, argv
+        assert "error: argument --n: invalid parse_range value: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, keys", [("dcrh-game", "-1"), ("gap-sweep", "0")])
+def test_no_keys_exits_2_and_writes_nothing(tmp_path, capsys, command, keys):
+    code = main([command, "--n", "2", "--num-keys", keys, "--out", str(tmp_path)])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
-    assert not (tmp_path / "gap_sweep.csv").exists()
+    assert capsys.readouterr().err == f"error: num_keys must be at least 1, got {keys}\n"
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])
@@ -215,7 +230,10 @@ def test_dcrh_game_bound_violation_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(dcrlab.hashfam, "dcrh_distance", _raise_bound_violation)
     code = main(["dcrh-game", "--n", "2..2", "--num-keys", "1", "--out", str(tmp_path)])
     assert code == 1
-    assert "bound violation: injected violation" in capsys.readouterr().err
+    out = capsys.readouterr().out
+    assert "collision-game table [FAIL]" in out
+    assert "injected violation" in out
+    assert not (tmp_path / "dcrh_game.csv").exists()
 
 
 def test_gap_sweep_bound_violation_exits_1(tmp_path, capsys, monkeypatch):
@@ -344,3 +362,37 @@ def test_commit_reduce_negative_coin_bits_exits_2(tmp_path):
     assert result.returncode == 2
     assert result.stderr == "error: coin_bits must be at least 0, got -2\n"
     assert not (tmp_path / "commit_reduce.csv").exists()
+
+
+@pytest.mark.parametrize("m", ["64", "-1"])
+def test_commit_reduce_message_bits_out_of_range_exits_2(tmp_path, m):
+    result = run_cli(["commit-reduce", "--m", m, "--out", str(tmp_path)])
+    assert result.returncode == 2
+    assert result.stderr == f"error: message_bits must be in 1..63, got {m}\n"
+    assert not (tmp_path / "commit_reduce.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--trials", "10"],
+    ["dcrh-game", "--n", "2", "--num-keys", "1"],
+    ["gap-sweep", "--n", "2", "--num-keys", "1"],
+    ["commit-reduce", "--k", "2", "--m", "1", "--num-seeds", "1"],
+    ["szk-protocol"],
+    ["verify-all", "--fast"],
+], ids=lambda argv: argv[0])
+def test_report_subcommands_call_emit_once(tmp_path, monkeypatch, argv):
+    import dcrlab.acceptance
+    import dcrlab.cli
+
+    calls = []
+
+    def fake_emit(results, outdir):
+        calls.append((results, outdir))
+        return 0
+
+    monkeypatch.setattr(dcrlab.cli, "emit", fake_emit)
+    stub = [dcrlab.acceptance.CriterionResult(1, "stub", True, "patched")]
+    monkeypatch.setattr(dcrlab.acceptance, "run_all", lambda **kwargs: stub)
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    [(results, outdir)] = calls
+    assert results and outdir == tmp_path

@@ -100,6 +100,15 @@ def test_cap_enforced():
         identity_family(21)
 
 
+@pytest.mark.parametrize("make", [hashfam.constant_family, hashfam.affine_family,
+                                  hashfam.uniform_random_family, hashfam.degree2_family],
+                         ids=lambda make: make.__name__)
+@pytest.mark.parametrize("num_keys", [0, -1])
+def test_seeded_families_refuse_no_keys(make, num_keys):
+    with pytest.raises(ValueError, match=f"^num_keys must be at least 1, got {num_keys}$"):
+        make(3, 2, num_keys=num_keys)
+
+
 def test_pair_domain_cap_enforced():
     # A law over pairs of n-bit inputs has up to 2^(2n) outcomes; 2n is capped
     # at 20, and the check itself builds no pairs.
