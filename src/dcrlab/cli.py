@@ -37,11 +37,12 @@ OUTPUT_ENV_VAR = "DCRLAB_OUT"
 
 
 def parse_range(text: str) -> range:
-    """'3..8' -> range(3, 9); '5' -> range(5, 6); '8..3' is an error."""
+    """'3..8' -> range(3, 9); '5' -> range(5, 6); '8..3' and lengths below
+    1 are errors."""
     lo, sep, hi = text.partition("..")
     out = range(int(lo), int(hi if sep else lo) + 1)
-    if not out:
-        raise ValueError(f"empty range {text!r}")
+    if not out or out.start < 1:
+        raise ValueError(f"not a range of input lengths >= 1: {text!r}")
     return out
 
 

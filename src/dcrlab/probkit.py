@@ -342,12 +342,9 @@ class BlockLaw:
         return sum(len(law._mass) for _, law in self._rows.values())
 
     def joint(self) -> JointDist:
-        """The law as one dict of pairs, each written once (the blocks are
-        disjoint), built once and kept."""
+        """The law as one dict of pairs, built once and kept."""
         if self._joint is None:
-            self._joint = JointDist({(x1, x2): s * c1 * c2 for s, law in self._blocks
-                                     for x1, c1 in law._mass.items()
-                                     for x2, c2 in law._mass.items()}, denominator=self._den)
+            self._joint = JointDist(_pair_counts(self._blocks), denominator=self._den)
         return self._joint
 
     def __eq__(self, other) -> bool:
@@ -374,7 +371,7 @@ def _scaled_blocks(blocks: Iterable[tuple[int, Dist]], denominator: int) -> tupl
 
 def _pair_counts(blocks: Iterable[tuple[int, Dist]]) -> dict:
     """{(x1, x2): sum of s c(x1) c(x2)} over scaled blocks (s, law), in
-    block order: the pairs of blocks that may share outcomes."""
+    block order: the one place the pairs of blocks are materialized."""
     mass: dict[tuple, int] = {}
     for s, law in blocks:
         counts = law._mass.items()

@@ -21,14 +21,7 @@ from dcrlab.entropy_gap import (
     mismatched_online,
 )
 from dcrlab.hashfam import builtin_families, col_distribution
-from dcrlab.probkit import (
-    BlockLaw,
-    Dist,
-    JointDist,
-    _pair_counts,
-    shannon_entropy,
-    stat_distance,
-)
+from dcrlab.probkit import BlockLaw, Dist, JointDist, shannon_entropy, stat_distance
 
 from reference_laws import (
     lopsided_online,
@@ -83,20 +76,6 @@ def test_block_laws_match_materialized_references(n, seed):
                 assert isinstance(law, BlockLaw), (fam.name, gt.name)
                 assert_matches(law, ref)
             assert_game_matches(laws, refs, cols, ref_cols)
-
-
-@pytest.mark.parametrize("n", range(2, 7))
-def test_block_law_joint_writes_the_accumulated_pairs(n):
-    # joint() writes each pair once; over disjoint blocks that is the
-    # accumulating materializer's dict, item for item and in its order.
-    for fam in builtin_families(n, num_keys=2, seed=n):
-        laws = [col_distribution(h) for h in fam]
-        for gt in consistent_suite(fam):
-            adv = RewindingAdversary(gt, fam)
-            laws += [adv.exact_distribution(h) for h in fam]
-        for law in laws:
-            ref = JointDist(_pair_counts(law._blocks), denominator=law.denominator)
-            assert list(law.joint().counts.items()) == list(ref.counts.items())
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -28,6 +28,9 @@ def test_parse_range():
         parse_range("abc")
     with pytest.raises(ValueError):
         parse_range("8..3")
+    for text in ["0", "-1", "0..3"]:
+        with pytest.raises(ValueError):
+            parse_range(text)
 
 
 def test_no_command_prints_usage_and_exits_2():
@@ -47,10 +50,12 @@ def test_gap_sweep_writes_csv(tmp_path):
 
 def test_empty_range_exits_2_and_writes_nothing(tmp_path, capsys):
     # argparse converts --n, from a flag or from a config, before any
-    # handler runs.
+    # handler runs; input lengths below 1 are refused there too.
     cfg = tmp_path / "range.cfg"
     cfg.write_text("n=5..3\n")
     for argv in [["gap-sweep", "--n", "8..3"], ["dcrh-game", "--n", "5..3"],
+                 ["dcrh-game", "--n=-1", "--seed", "5"], ["gap-sweep", "--n=-1", "--seed", "5"],
+                 ["dcrh-game", "--n", "0"], ["gap-sweep", "--n", "0..2"],
                  ["--config", str(cfg), "gap-sweep"], ["--config", str(cfg), "dcrh-game"]]:
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(tmp_path / "out")])
