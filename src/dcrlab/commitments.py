@@ -8,14 +8,16 @@ verifier: the decommitment is (plaintext, coins) and verification replays
 the commit computation.  The induced hash function on x = (plaintext,
 coins) is h(x) = commit(first message, plaintext; coins), so a random
 collision of h is exactly a pair of valid openings of one commitment.
-That table is the whole commit map, so hiding and the plaintext posterior
-are read off it; the equivocation count's verifier replay on every fiber
-input is what ties the table to the scheme.
+That table is the whole commit map.  One pass over it gives the joint
+count n_b(y) of (plaintext b, commit message y) over uniform (b, r), and
+the hiding distance, the equivocation rate under Col and the averaging
+step are integer sums over those counts; the equivocation check's
+verifier replay on every fiber input is what ties the table to the
+scheme.
 """
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,7 +26,6 @@ from typing import Sequence
 import numpy as np
 
 from dcrlab.hashfam import ENUM_CAP_HARD, HashFamily, HashFunction, _check_cap
-from dcrlab.probkit import Dist, stat_distance
 
 TOL = 1e-9
 
@@ -146,18 +147,37 @@ class ClearTextCommitment(TwoMessageCommitment):
 
 # --------------------------------------------------------------------- hiding
 
+def _plaintext_counts(h: HashFunction, coin_bits: int) -> dict[int, list[int]]:
+    """The joint count of (plaintext b, commit message y) over uniform
+    (b, r), coins in the low ``coin_bits`` of x: {y: [n_b(y) for each b]},
+    row y of the table read off column x >> coin_bits in one pass.  The
+    rows are h's fibers, each split by plaintext."""
+    size = 2**coin_bits
+    slices = [h.table[i:i + size] for i in range(0, len(h.table), size)]
+    counts: dict[int, list[int]] = {}
+    for b, values in enumerate(slices):
+        for y in values:
+            row = counts.get(y)
+            if row is None:
+                row = counts[y] = [0] * len(slices)
+            row[b] += 1
+    return counts
+
+
 @lru_cache(maxsize=None)
 def hiding_distance(h: HashFunction, coin_bits: int) -> Fraction:
     """Exact epsilon of the commitment (plaintext || coins) -> h(x), coins in
     the low ``coin_bits``: the largest TV between two plaintexts' commit
-    laws, each the value law of its 2^coin_bits-entry slice of the table.
-    Shared by the reduction's keys and the promise problem's instances
-    (coin_bits = n - 1, the table's two halves)."""
-    size = 2**coin_bits
-    views = [Dist.from_counts(Counter(h.table[i:i + size]))
-             for i in range(0, len(h.table), size)]
-    return max((stat_distance(v0, v1) for v0, v1 in itertools.combinations(views, 2)),
-               default=Fraction(0))
+    laws, max over b < b' of sum_y |n_b(y) - n_b'(y)| / (2 * 2^coin_bits)
+    on the plaintext-by-commitment counts.  Shared by the reduction's keys
+    and the promise problem's instances (coin_bits = n - 1, the table's
+    two halves)."""
+    rows = list(_plaintext_counts(h, coin_bits).values())
+    plaintexts = range(len(rows[0]))
+    return Fraction(max((sum(abs(row[b0] - row[b1]) for row in rows)
+                         for b0, b1 in itertools.combinations(plaintexts, 2)),
+                        default=0),
+                    2 * 2**coin_bits)
 
 
 # ----------------------------------------------------- reduction to hash family
@@ -166,17 +186,14 @@ def scheme_to_hash_family(scheme: TwoMessageCommitment) -> HashFamily:
     """h(x) = commit message on x = (plaintext || coins); the key is the
     receiver's first message, sampled over the scheme's seed list."""
     n = scheme.ell + scheme.coin_bits
-    openings = [_split(scheme, x) for x in range(2**n)]  # shared by every key
+    k = scheme.coin_bits
+    openings = [(x >> k, x & (2**k - 1)) for x in range(2**n)]  # shared by every key
     fns = []
     for seed in scheme.receiver_seeds:
         first = scheme.first_message(seed)
         table = tuple(scheme.commit_value(first, b, r) for b, r in openings)
         fns.append(HashFunction(n=n, m=scheme.message_bits, table=table, key=seed))
     return HashFamily(f"from[{scheme.name}]", fns)
-
-
-def _split(scheme: TwoMessageCommitment, x: int) -> tuple[int, int]:
-    return x >> scheme.coin_bits, x & (2**scheme.coin_bits - 1)
 
 
 @dataclass
@@ -193,11 +210,12 @@ def col_equivocation_rate(scheme: TwoMessageCommitment, h: HashFunction) -> Equi
 
     Col(h) puts mass 1 / (2^n |F|) on every ordered pair of a fiber F:
     count L/|F| over 2^n * L with L = ``h.fiber_lcm`` (``hashfam.col_distribution``
-    holds it as one uniform product block per fiber).  With
-    n_b(F) the number of inputs in F of plaintext b, |F|^2 - sum_b n_b(F)^2
-    of those pairs split, so the rate is
-    sum_F (L/|F|) (|F|^2 - sum_b n_b(F)^2) / (2^n * L), counted per fiber
-    without building the pair law.
+    holds it as one uniform product block per fiber).  The fiber of
+    commitment y has |F_y| = sum_b n_b(y) inputs, n_b(y) of plaintext b
+    (the plaintext-by-commitment counts), and |F_y|^2 - sum_b n_b(y)^2 of
+    its pairs split, so the rate is
+    sum_y (L/|F_y|) (|F_y|^2 - sum_b n_b(y)^2) / (2^n * L), counted on
+    integers without building the pair law.
 
     Both halves of every collision must open validly under the canonical
     verifier.  Verification replays the commit computation, so that holds
@@ -208,21 +226,17 @@ def col_equivocation_rate(scheme: TwoMessageCommitment, h: HashFunction) -> Equi
     """
     first = scheme.first_message(h.key)
     eps = float(hiding_distance(h, scheme.coin_bits))
+    k = scheme.coin_bits
+    mask = 2**k - 1
+    for fiber in h.fibers.values():
+        com = (first, scheme.commit_value(first, fiber[0] >> k, fiber[0] & mask))
+        if any(scheme.verify(com, (x >> k, x & mask)) is None for x in fiber):
+            raise AssertionError("a Col-supported pair failed to re-open")
     lcm = h.fiber_lcm
     split_count = 0
-    valid = True
-    for fiber in h.fibers.values():
-        com = (first, scheme.commit_value(first, *_split(scheme, fiber[0])))
-        per_plain: dict[int, int] = {}
-        for x in fiber:
-            b, r = _split(scheme, x)
-            if scheme.verify(com, (b, r)) is None:
-                valid = False
-            per_plain[b] = per_plain.get(b, 0) + 1
-        size = len(fiber)
-        split_count += lcm // size * (size * size - sum(c * c for c in per_plain.values()))
-    if not valid:
-        raise AssertionError("a Col-supported pair failed to re-open")
+    for row in _plaintext_counts(h, k).values():
+        size = sum(row)
+        split_count += lcm // size * (size * size - sum(c * c for c in row))
     rate = Fraction(split_count, 2**h.n * lcm)
     lower = 0.5 - 2 * math.sqrt(eps)
     if scheme.ell == 1 and float(rate) < lower - TOL:
@@ -243,26 +257,25 @@ def markov_step_check(scheme: TwoMessageCommitment, h: HashFunction) -> MarkovSt
     """Exact check of Pr_{c <- C}[ TV(B_c, B) >= sqrt(eps) ] <= sqrt(eps).
 
     B is the uniform plaintext, C the commit message on uniform (b, r),
-    B_c the posterior of b given c: the commitments are h's fibers and
-    n_b the count of plaintext b in one.  When eps is exactly zero the
-    posterior must equal the prior for every commitment.
+    B_c the posterior of b given c: commitment y has mass |F_y| = sum_b
+    n_b(y) and posterior n_b(y) / |F_y| on the plaintext-by-commitment
+    counts.  When eps is exactly zero the posterior must equal the prior
+    for every commitment.
     """
     eps = float(hiding_distance(h, scheme.coin_bits))
     root_eps = math.sqrt(eps)
     n_plain = 2**scheme.ell
-    total = 2**h.n
     heavy_mass = 0
     all_uniform = True
-    for fiber in h.fibers.values():
-        counts = Counter(x >> scheme.coin_bits for x in fiber)
-        mass = len(fiber)
+    for row in _plaintext_counts(h, scheme.coin_bits).values():
+        mass = sum(row)
         # TV(B_c, B) = 1/2 sum_b |n_b / N - 2^-ell|, on integers.
-        num = sum(abs(counts[b] * n_plain - mass) for b in range(n_plain))
+        num = sum(abs(c * n_plain - mass) for c in row)
         if num != 0:
             all_uniform = False
         if eps > 0 and num / (2 * mass * n_plain) >= root_eps:
             heavy_mass += mass
-    heavy = Fraction(heavy_mass, total)
+    heavy = Fraction(heavy_mass, 2**h.n)
     ok = all_uniform if eps == 0 else float(heavy) <= root_eps + TOL
     return MarkovStepReport(heavy_fraction=float(heavy), ok=ok)
 

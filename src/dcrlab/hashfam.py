@@ -54,7 +54,8 @@ class HashFunction:
         _check_cap(self.n, ENUM_CAP_HARD)
         if len(self.table) != 2**self.n:
             raise ValueError("truth table has wrong length")
-        if any(not 0 <= y < 2**self.m for y in self.table):
+        bound = 2**self.m
+        if not all(0 <= y < bound for y in self.table):  # not min/max: NaN compares False
             raise ValueError("table entry outside output range")
 
     def __call__(self, x: int) -> int:

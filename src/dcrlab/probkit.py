@@ -125,10 +125,6 @@ class Dist:
     def point(cls, x: Outcome) -> "Dist":
         return cls({x: 1}, denominator=1)
 
-    @classmethod
-    def from_counts(cls, counts: Mapping[Outcome, int]) -> "Dist":
-        return cls(counts, denominator=sum(counts.values()))
-
     @property
     def exact(self) -> bool:
         return self._den is not None

@@ -14,7 +14,8 @@ Ingredients (all desk-scale):
   plaintext bit as the top input bit, perfectly binding on NO instances,
   hiding to a measured epsilon on YES instances; its helpers read the
   instance's cached fibers, and its epsilon is the reduction's
-  ``commitments.hiding_distance`` with the n - 1 low bits as coins;
+  ``commitments.hiding_distance`` with the n - 1 low bits as coins, read
+  off the instance's count of each commit value per plaintext bit;
 * an ideal statement-verdict proof for the preamble consistency claim, and
   an ideal ledger for the receiver's coin shares, so the binding hybrids
   bridge their stages with zero slack.

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcrlab.acceptance import criterion_commit_reduction
 from dcrlab.commitments import (
@@ -210,7 +212,7 @@ def _dist_markov_step(scheme, h):
     heavy = Fraction(0)
     all_uniform = True
     for counts in by_msg.values():
-        d = stat_distance(Dist.from_counts(counts),
+        d = stat_distance(Dist(counts, denominator=sum(counts.values())),
                           Dist.uniform(range(n_plain)))
         all_uniform = all_uniform and d == 0
         if eps > 0 and float(d) >= root_eps:
@@ -240,6 +242,50 @@ def test_reduction_reports_match_reference(scheme):
         assert valid
         assert col_equivocation_rate(scheme, h) == expected
         assert markov_step_check(scheme, h) == _dist_markov_step(scheme, h)
+
+
+class TableCommitment(TwoMessageCommitment):
+    """One receiver key whose commit map is a given table over
+    x = (plaintext || coins)."""
+
+    def __init__(self, table: tuple, ell: int, coin_bits: int, message_bits: int):
+        super().__init__(ell, coin_bits, message_bits, (0,))
+        self.name = f"table[k={coin_bits},m={message_bits},ell={ell}]"
+        self._table = table
+
+    def first_message(self, seed):
+        return self._table
+
+    def commit_value(self, first_msg, plaintext, coins):
+        return first_msg[(plaintext << self.coin_bits) | coins]
+
+
+@st.composite
+def tables_and_coin_bits(draw):
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, n + 1))
+    table = tuple(draw(st.lists(st.integers(0, 2**m - 1), min_size=2**n, max_size=2**n)))
+    coin_bits = draw(st.sampled_from(sorted({0, 1, n - 1, n})))
+    return HashFunction(n=n, m=m, table=table, key=0), coin_bits
+
+
+@settings(deadline=None)
+@given(tables_and_coin_bits())
+def test_count_table_reports_match_references_on_random_tables(case):
+    h, coin_bits = case
+    if coin_bits == h.n:  # one plaintext: nothing to tell apart
+        assert hiding_distance(h, coin_bits) == 0
+        return
+    scheme = TableCommitment(h.table, h.n - coin_bits, coin_bits, h.m)
+    assert hiding_distance(h, coin_bits) == _hiding_by_coins(scheme, h.key)
+    expected, valid = _pairwise_equivocation_rate(scheme, h)
+    assert valid
+    if scheme.ell == 1 and expected.rate < expected.lower_bound - TOL:
+        with pytest.raises(AssertionError, match=r"below 1/2 - 2 sqrt\(eps\)"):
+            col_equivocation_rate(scheme, h)
+    else:
+        assert col_equivocation_rate(scheme, h) == expected
+    assert markov_step_check(scheme, h) == _dist_markov_step(scheme, h)
 
 
 def test_equivocation_merged_fiber_fails_to_reopen():

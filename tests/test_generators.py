@@ -194,7 +194,7 @@ def test_block_law_is_derived_once_per_prefix():
             assert gt.block_law(z, list(prefix)) is law
             space = gt.coin_spaces[len(prefix)]
             fresh = Counter(gt.block(z, prefix + (r,)) for r in range(space))
-            assert law == Dist.from_counts(fresh)
+            assert law == Dist(fresh, denominator=space)
 
 
 def test_analytic_block_law_is_derived_once_per_prefix():

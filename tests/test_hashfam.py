@@ -124,6 +124,15 @@ def test_pair_domain_cap_enforced():
         adversary_distribution(FixedPairAdversary((0, 0)), h)
 
 
+@pytest.mark.parametrize("bad", [-1, 4, float("nan")], ids=["negative", "two-to-the-m", "nan"])
+@pytest.mark.parametrize("where", [0, 3, 7])
+def test_table_entry_outside_output_range_raises(bad, where):
+    table = [1] * 8
+    table[where] = bad
+    with pytest.raises(ValueError, match="^table entry outside output range$"):
+        HashFunction(n=3, m=2, table=tuple(table))
+
+
 # ------------------------------------------------------------- col distribution
 
 def test_col_identity_uniform_diagonal():

@@ -23,7 +23,7 @@ from dcrlab.probkit import (
 def test_equal_exact_and_float_laws_hash_equal_after_the_cache():
     # A law's hash is taken once and kept: a second hash, and the hash of
     # an equal law of the other kind, still match the Fraction mapping's.
-    exact = Dist.from_counts({0: 1, 1: 3})
+    exact = Dist({0: 1, 1: 3}, denominator=4)
     floats = Dist({0: 0.25, 1: 0.75})
     first = (hash(exact), hash(floats))
     assert exact == floats

@@ -186,7 +186,8 @@ def _epsilon_by_coins(inst):
     """Reference for an instance's epsilon: the TV between the commitment
     laws of the two bits, from one ``idc_commit`` per coin value."""
     coins = range(2 ** (inst.n - 1))
-    return stat_distance(*(Dist.from_counts(Counter(idc_commit(inst, b, r) for r in coins))
+    return stat_distance(*(Dist(Counter(idc_commit(inst, b, r) for r in coins),
+                                denominator=len(coins))
                            for b in (0, 1)))
 
 
