@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Sequence
+from itertools import chain, repeat
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -246,9 +247,11 @@ class Adversary:
 
     ``tape_space(h)`` is the size of the uniform tape space (it may depend
     on h so strategies like the Col sampler can index fibers exactly), and
-    ``run`` maps (h, tape index) to an output pair.  A strategy that knows
-    its own output law returns it from ``exact_distribution``; the exact
-    game then reads that law instead of counting tapes.
+    ``run`` maps (h, tape index) to an output pair.  ``run_tapes`` runs
+    many tapes at once; a strategy may override it with array arithmetic,
+    as long as it gives ``run``'s pair on every tape.  A strategy that
+    knows its own output law returns it from ``exact_distribution``; the
+    exact game then reads that law instead of counting tapes.
     """
 
     name = "adversary"
@@ -258,6 +261,11 @@ class Adversary:
 
     def run(self, h: HashFunction, tape: int) -> tuple[int, int]:
         raise NotImplementedError
+
+    def run_tapes(self, h: HashFunction, tapes: range | np.ndarray) -> Iterable[tuple[int, int]]:
+        """``run``'s pair on each of ``tapes``, a range or a 1-D int64
+        array, in order: by default one ``run`` call per tape."""
+        return map(self.run, repeat(h), _ints(tapes))
 
     def exact_distribution(self, h: HashFunction) -> JointDist | BlockLaw | None:
         return None
@@ -276,6 +284,22 @@ class ColAdversary(Adversary):
         x1, slot = divmod(tape, h.fiber_lcm)
         fiber = preimage_set(h, h(x1))
         return x1, fiber[slot % len(fiber)]
+
+    def run_tapes(self, h, tapes):
+        """``run`` on an array of tapes: ``h.fibers`` laid end to end, each
+        in sorted order, so slot s of x1's fiber is the input s mod |fiber|
+        places after that fiber's start.  The fibers are read as inputs,
+        never as output values, which need not fit a numpy integer."""
+        fibers = h.fibers.values()
+        order = np.fromiter(chain.from_iterable(fibers), dtype=np.int64, count=2**h.n)
+        size = np.fromiter(map(len, fibers), dtype=np.int64, count=len(fibers))
+        start = np.cumsum(size) - size
+        fiber_of = np.empty_like(order)
+        fiber_of[order] = np.repeat(np.arange(len(size)), size)
+        x1, slot = np.divmod(np.asarray(tapes), h.fiber_lcm)
+        y = fiber_of[x1]
+        x2 = order[start[y] + slot % size[y]]
+        return zip(x1.tolist(), x2.tolist())
 
     def exact_distribution(self, h):
         return col_distribution(h)
@@ -306,6 +330,15 @@ class DiagonalAdversary(Adversary):
     def run(self, h, tape):
         return tape, tape
 
+    def run_tapes(self, h, tapes):
+        tapes = _ints(tapes)
+        return zip(tapes, tapes)
+
+
+def _ints(tapes: range | np.ndarray) -> range | list[int]:
+    """Tape indices as Python ints, as ``run`` takes them."""
+    return tapes.tolist() if isinstance(tapes, np.ndarray) else tapes
+
 
 def adversary_distribution(
     a: Adversary,
@@ -319,15 +352,17 @@ def adversary_distribution(
     Exact mode returns ``a.exact_distribution(h)`` when the adversary
     supplies one, at any tape space: a ``BlockLaw`` for Col and a rewound
     law of disjoint blocks, else a ``JointDist``.  The test suite checks
-    each such law against one ``run`` per tape.  Otherwise it runs every
-    tape once, up to 2^TAPE_CAP_BITS tapes, into a ``JointDist``.
-    Monte-Carlo mode returns the empirical distribution of ``samples`` <=
-    2^TAPE_CAP_BITS tapes.  Tape spaces up to 2^63 draw all tapes in one
-    ``rng.integers`` call and run each distinct tape once, in order of first
-    draw, weighted by its multiplicity; larger spaces draw one at a time.  Either way
-    the tapes, the rng's state afterwards and the law (its pair order
-    included) are those of drawing and running one tape per sample.
-    Counted and sampled output pairs outside ({0,1}^n)^2 raise ``ValueError``.
+    each such law against one ``run`` per tape.  Otherwise it counts the
+    pairs of ``a.run_tapes`` over every tape, up to 2^TAPE_CAP_BITS tapes,
+    into a ``JointDist``.  Monte-Carlo mode returns the empirical
+    distribution of ``samples`` <= 2^TAPE_CAP_BITS tapes.  Tape spaces up
+    to 2^63 draw all tapes in one ``rng.integers`` call and hand the
+    distinct tapes, in order of first draw, to one ``a.run_tapes`` call,
+    each pair weighted by its tape's multiplicity; larger spaces draw one
+    tape at a time and ``run`` it.  Either way the tapes, the rng's state
+    afterwards and the law (its pair order included) are those of drawing
+    and running one tape per sample.  Counted and sampled output pairs
+    outside ({0,1}^n)^2 raise ``ValueError``.
     """
     check_pair_cap(h.n)
     if mode == "exact":
@@ -338,8 +373,7 @@ def adversary_distribution(
         if space > 2**TAPE_CAP_BITS:
             raise EnumerationCap(f"tape space {space} exceeds 2^{TAPE_CAP_BITS} and no analytic law given")
         counts: dict[tuple[int, int], int] = {}
-        for t in range(space):
-            out = a.run(h, t)
+        for out in a.run_tapes(h, range(space)):
             counts[out] = counts.get(out, 0) + 1
         return _check_pair_range(JointDist(counts, denominator=space), h.n)
     if mode == "monte-carlo":
@@ -352,12 +386,11 @@ def adversary_distribution(
             tapes, first, reps = np.unique(rng.integers(space, size=samples),
                                            return_index=True, return_counts=True)
             order = np.argsort(first)
-            drawn = zip(tapes[order].tolist(), reps[order].tolist())
+            drawn = zip(a.run_tapes(h, tapes[order]), reps[order].tolist())
         else:
-            drawn = ((rng_bigint(rng, space), 1) for _ in range(samples))
+            drawn = ((a.run(h, rng_bigint(rng, space)), 1) for _ in range(samples))
         counts = {}
-        for t, c in drawn:
-            out = a.run(h, t)
+        for out, c in drawn:
             counts[out] = counts.get(out, 0) + c
         return _check_pair_range(JointDist({pair: c / samples for pair, c in counts.items()}),
                                  h.n)

@@ -27,9 +27,10 @@ A law over pairs that is a mixture of products law (x) law with pairwise
 disjoint supports, as Col(h) and every stock generator's rewound law are,
 is held as those product blocks (``BlockLaw``): its first marginal, its
 conditionals, its entropy and its distance to another exact law are read
-off the blocks without the pairs, which are built only for a distance to
-a float law.  Blocks may not share an outcome: a rewound law whose blocks
-overlap is a ``JointDist``.  A law hashes once and keeps its hash.
+off the blocks without the pairs.  A distance to a float law reads its
+pair masses off the blocks as floats, one ``s c1 c2 / den`` each, without
+the exact pair law.  Blocks may not share an outcome: a rewound law whose
+blocks overlap is a ``JointDist``.  A law hashes once and keeps its hash.
 
 A law's outcomes are its support: there is no separately declared
 outcome set, so the total variation distance runs over the union of the
@@ -304,10 +305,11 @@ class BlockLaw:
     Rows, masses and pairs keep the order of the materialized law: blocks
     in order, each block's outcomes in its law's order.  So the first
     marginal and the conditionals are, in value and in insertion order,
-    those of ``joint().marginal_and_conditionals()``.
+    those of ``joint().marginal_and_conditionals()``, and its float masses
+    are, item for item, those of ``joint()``.
     """
 
-    __slots__ = ("_blocks", "_den", "_rows", "_marginal", "_joint")
+    __slots__ = ("_blocks", "_den", "_rows", "_marginal")
 
     exact = True
 
@@ -318,7 +320,7 @@ class BlockLaw:
                       for s, law in self._blocks for x1, c in law._mass.items()}
         if len(self._rows) < sum(len(law._mass) for _, law in self._blocks):
             raise ValueError("blocks share an outcome")
-        self._marginal = self._joint = None
+        self._marginal = None
 
     @property
     def denominator(self) -> int:
@@ -338,10 +340,8 @@ class BlockLaw:
         return sum(len(law._mass) for _, law in self._rows.values())
 
     def joint(self) -> JointDist:
-        """The law as one dict of pairs, built once and kept."""
-        if self._joint is None:
-            self._joint = JointDist(_pair_counts(self._blocks), denominator=self._den)
-        return self._joint
+        """The law as one dict of pairs."""
+        return JointDist(_pair_counts(self._blocks), denominator=self._den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, BlockLaw):
@@ -449,9 +449,22 @@ def _block_entropy(p: BlockLaw) -> float:
     return total
 
 
-def _float_masses(d: Dist) -> dict:
+def _float_masses(d: Dist | BlockLaw) -> dict:
     """The law's masses as a dict of floats; ``c / den`` on ints is the
-    correctly rounded float of the Fraction ``c/den``."""
+    correctly rounded float of the Fraction ``c/den``.  A ``BlockLaw``'s
+    pairs are written block by block in ``joint()``'s order: its blocks
+    are disjoint, so ``s c1 c2`` is the pair's whole count, and its float
+    is that of the reduced count over the reduced denominator."""
+    if isinstance(d, BlockLaw):
+        den = d._den
+        mass = {}
+        for s, law in d._blocks:
+            counts = law._mass.items()
+            for x1, c1 in counts:
+                w1 = s * c1
+                for x2, c2 in counts:
+                    mass[x1, x2] = w1 * c2 / den
+        return _checked_floats(mass)
     if d._den is None:
         return d._mass
     den = d._den
@@ -460,14 +473,11 @@ def _float_masses(d: Dist) -> dict:
 
 def stat_distance(p: Dist | BlockLaw, q: Dist | BlockLaw) -> Number:
     """Total variation distance (1/2) * sum_x |p(x) - q(x)| over the union
-    of the two supports.  A ``BlockLaw`` is read by its blocks, against an
-    exact law, and by its pairs against a float one."""
-    if isinstance(p, BlockLaw) or isinstance(q, BlockLaw):
-        if p.exact and q.exact:
-            return _block_distance(p, q)
-        p = p.joint() if isinstance(p, BlockLaw) else p
-        q = q.joint() if isinstance(q, BlockLaw) else q
+    of the two supports.  A ``BlockLaw`` is read by its blocks against an
+    exact law, and by its float pair masses against a float one."""
     if p.exact and q.exact:
+        if isinstance(p, BlockLaw) or isinstance(q, BlockLaw):
+            return _block_distance(p, q)
         # (1/2) sum |a/dp - b/dq| = sum |a*dq - b*dp| / (2*dp*dq); outcomes
         # of q outside supp(p) contribute dp * (dq - mass of q on supp(p)).
         pm, qm, dp, dq = p._mass, q._mass, p._den, q._den
@@ -480,7 +490,9 @@ def stat_distance(p: Dist | BlockLaw, q: Dist | BlockLaw) -> Number:
         return Fraction(l1 + (dq - shared) * dp, 2 * dp * dq)
     pm, qm = _float_masses(p), _float_masses(q)
     total = 0.0
-    for x in set(p.support()) | set(q.support()):
+    # Views, not the dicts: a set built from a dict is presized, which
+    # changes its iteration order and so the float sum's.
+    for x in set(pm.keys()) | set(qm.keys()):
         total += abs(pm.get(x, 0.0) - qm.get(x, 0.0))
     return total / 2
 

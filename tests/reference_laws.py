@@ -4,20 +4,23 @@ Each builder here is the pair-by-pair construction the program used
 before its pair laws were held as product blocks: Col(h) and the rewound
 law as one dict of pairs each, the row pass that splits a joint law into
 its first marginal and conditionals, the joint game route as tagged
-mixtures, and the conditional route of the accessible entropy through one
-(block, context) joint law.  The block laws must equal them, insertion
-order included where a float sum reads it.  Two consistent online
-generators whose rewound laws the stock suite does not reach close the
-file.
+mixtures, the conditional route of the accessible entropy through one
+(block, context) joint law, the float distance over materialized pairs,
+and the Monte-Carlo game with one ``run`` call per distinct tape.  The
+block laws and the tape runners must equal them, insertion order included
+where a float sum reads it.  Two consistent online generators whose
+rewound laws the stock suite does not reach close the file.
 """
 
 import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
+
 from dcrlab.generators import OnlineGenerator
-from dcrlab.hashfam import HashFamily, preimage_set
-from dcrlab.probkit import Dist, JointDist, cond_entropy, mixture, stat_distance
+from dcrlab.hashfam import HashFamily, preimage_set, rng_bigint
+from dcrlab.probkit import BlockLaw, Dist, JointDist, cond_entropy, mixture, stat_distance
 
 
 def ref_col_distribution(h) -> JointDist:
@@ -89,6 +92,44 @@ def ref_accessible_entropy(gt) -> float:
                 for context, law in laws for y, c in law.counts.items()}
         total += cond_entropy(JointDist(mass, denominator=k * len(prefix_list) * lcm))
     return total
+
+
+def ref_float_distance(p, q) -> float:
+    """Total variation with a float law: a ``BlockLaw`` materialized as its
+    ``joint()``, each exact law as ``count / denominator`` floats, and the
+    terms added left to right over ``set(supp p) | set(supp q)``."""
+    masses = []
+    for d in (p, q):
+        d = d.joint() if isinstance(d, BlockLaw) else d
+        if d.exact:
+            masses.append((d.support(), {x: c / d.denominator for x, c in d.counts.items()}))
+        else:
+            masses.append((d.support(), dict(d.items())))
+    (p_support, pm), (q_support, qm) = masses
+    total = 0.0
+    for x in set(p_support) | set(q_support):
+        total += abs(pm.get(x, 0.0) - qm.get(x, 0.0))
+    return total / 2
+
+
+def ref_monte_carlo_distribution(a, h, samples, rng) -> JointDist:
+    """The Monte-Carlo law with one ``a.run`` call per distinct tape: all
+    tapes drawn in one call up to a space of 2^63, each distinct tape run
+    once in order of first draw and weighted by its multiplicity; larger
+    spaces draw and run one tape at a time."""
+    space = a.tape_space(h)
+    if space <= 2**63:
+        tapes, first, reps = np.unique(rng.integers(space, size=samples),
+                                       return_index=True, return_counts=True)
+        order = np.argsort(first)
+        drawn = zip(tapes[order].tolist(), reps[order].tolist())
+    else:
+        drawn = ((rng_bigint(rng, space), 1) for _ in range(samples))
+    counts = {}
+    for t, c in drawn:
+        out = a.run(h, t)
+        counts[out] = counts.get(out, 0) + c
+    return JointDist({pair: c / samples for pair, c in counts.items()})
 
 
 # ------------------------------------------------------------ test generators

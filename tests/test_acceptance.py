@@ -9,6 +9,8 @@ import math
 import subprocess
 import sys
 
+import numpy as np
+
 from dcrlab import acceptance
 from dcrlab import szkcommit as szk
 
@@ -127,6 +129,16 @@ def test_criterion_4_rows_pinned():
     rows = acceptance.criterion_probkit_identities(SEED).rows
     digest = "4f40b372bac4a93fe2b8af9d83b9babeb483aafcc45cfa5b8af8bfd57abcd6d8"
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == digest
+
+
+def test_flat_dirichlet_is_numpy_dirichlet():
+    # Criterion 4 draws its laws without rng.dirichlet; a numpy whose
+    # Dirichlet at alpha = 1 draws differently fails here, not in the pin.
+    for seed in range(20):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for size in itertools.islice(itertools.cycle(range(2, 26)), 2000):
+            assert acceptance._flat_dirichlet(rng, size) == ref.dirichlet(np.ones(size)).tolist()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_criterion_5_commit_reduction():

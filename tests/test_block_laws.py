@@ -9,6 +9,7 @@ pairs, and the same game values by the per-key and the joint route.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from dcrlab import hashfam
@@ -21,12 +22,20 @@ from dcrlab.entropy_gap import (
     mismatched_online,
 )
 from dcrlab.hashfam import builtin_families, col_distribution
-from dcrlab.probkit import BlockLaw, Dist, JointDist, shannon_entropy, stat_distance
+from dcrlab.probkit import (
+    BlockLaw,
+    Dist,
+    JointDist,
+    _float_masses,
+    shannon_entropy,
+    stat_distance,
+)
 
 from reference_laws import (
     lopsided_online,
     overlapping_online,
     ref_col_distribution,
+    ref_float_distance,
     ref_joint_distance,
     ref_rewound_law,
     ref_row_pass,
@@ -140,15 +149,84 @@ def test_block_law_rejects_bad_weights():
 
 def test_float_route_reads_the_pairs_once():
     # A float law against Col(h) runs over the union of the two supports
-    # as plain floats: Col's pairs are built on the first such distance
-    # and kept for the next.  The law is built here, outside the cache.
+    # as plain floats, Col's pair masses read once off its blocks.
     h = builtin_families(4, num_keys=1, seed=2)[3].functions[0]
     col = col_distribution.__wrapped__(h)
     diagonal = JointDist({(x, x): 1 / 16 for x in range(16)})
-    assert col._joint is None
     tv = stat_distance(diagonal, col)
-    pairs = col._joint
-    assert pairs is not None
     assert tv == stat_distance(diagonal, ref_col_distribution(h))
     assert stat_distance(col, diagonal) == tv
-    assert col._joint is pairs
+
+
+def stock_block_laws(n):
+    """Col and every consistent rewound law on the stock families at n."""
+    for fam in builtin_families(n, num_keys=2, seed=n):
+        for h in fam:
+            yield col_distribution(h)
+        for gt in consistent_suite(fam):
+            adv = RewindingAdversary(gt, fam)
+            for h in fam:
+                law = adv.exact_distribution(h)
+                if isinstance(law, BlockLaw):
+                    yield law
+
+
+def random_block_law(rng):
+    """Blocks over disjoint runs of outcomes, with uneven counts and
+    weights, so the pair masses are not dyadic."""
+    blocks, start = [], 0
+    for _ in range(int(rng.integers(1, 5))):
+        size = int(rng.integers(1, 6))
+        counts = rng.integers(1, 10, size=size).tolist()
+        law = Dist(dict(zip(range(start, start + size), counts)), denominator=sum(counts))
+        blocks.append((int(rng.integers(1, 8)), law))
+        start += size
+    return BlockLaw(blocks, denominator=sum(w for w, _ in blocks))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_block_float_masses_are_the_joint_ones(n):
+    rng = np.random.default_rng(n)
+    laws = list(stock_block_laws(n)) + [random_block_law(rng) for _ in range(50)]
+    for law in laws:
+        assert list(_float_masses(law).items()) == list(_float_masses(law.joint()).items())
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_float_distance_to_block_laws_matches_reference(n):
+    # Float laws that share some of a block law's pairs and miss others:
+    # the diagonal, Col's empirical law and a random law over a pair grid.
+    rng = np.random.default_rng(n)
+    side = 2**n
+    grid = [(x1, x2) for x1 in range(min(side, 6)) for x2 in range(side)]
+    floats = [JointDist({(x, x): 1 / side for x in range(side)}),
+              JointDist(dict(zip(grid, rng.dirichlet(np.ones(len(grid))).tolist())))]
+    for law in stock_block_laws(n):
+        for p in floats:
+            assert stat_distance(p, law) == ref_float_distance(p, law)
+            assert stat_distance(law, p) == ref_float_distance(law, p)
+    fam = builtin_families(n, num_keys=1, seed=n)[2]
+    h = fam.functions[0]
+    sampled = hashfam.adversary_distribution(hashfam.ColAdversary(), h, mode="monte-carlo",
+                                             samples=500, rng=rng)
+    assert stat_distance(sampled, col_distribution(h)) == ref_float_distance(
+        sampled, col_distribution(h))
+
+
+def random_float_law(rng, outcomes):
+    return Dist(dict(zip(outcomes, rng.dirichlet(np.ones(len(outcomes))).tolist())))
+
+
+@pytest.mark.parametrize("kind", ["int", "tuple", "str"])
+def test_float_distance_matches_reference(kind):
+    rng = np.random.default_rng(len(kind))
+    make = {"int": int, "tuple": lambda i: (i % 3, i // 3), "str": lambda i: f"o{i}"}[kind]
+    for _ in range(300):
+        size = int(rng.integers(1, 40))
+        universe = [make(int(i)) for i in rng.permutation(3 * size)]
+        p = random_float_law(rng, universe[:size])
+        q = random_float_law(rng, universe[size // 2:size // 2 + int(rng.integers(1, 2 * size))])
+        disjoint = random_float_law(rng, universe[size:2 * size])
+        exact = Dist({x: 1 for x in universe[:size]}, denominator=size)
+        for a, b in [(p, q), (q, p), (p, disjoint), (disjoint, q), (p, exact), (exact, q)]:
+            assert stat_distance(a, b) == ref_float_distance(a, b)

@@ -28,7 +28,7 @@ from dcrlab.hashfam import (
 )
 from dcrlab.probkit import BlockLaw, Dist, JointDist, stat_distance
 
-from reference_laws import ref_joint_distance
+from reference_laws import ref_joint_distance, ref_monte_carlo_distribution
 
 
 class FunctionAdversary(Adversary):
@@ -308,16 +308,57 @@ def test_monte_carlo_matches_per_sample_loop(seed, name):
     assert rng.integers(2**40) == ref_rng.integers(2**40)
 
 
-def test_monte_carlo_runs_each_distinct_tape_once(monkeypatch):
-    # The diagonal finder at n = 3 has 8 tapes; one run per sample made 2,000 calls.
+@pytest.mark.parametrize("n", range(1, 9))
+def test_tape_runners_equal_run_on_every_tape(n):
+    for fam in builtin_families(n, num_keys=2, seed=n):
+        for a in (ColAdversary(), DiagonalAdversary()):
+            for h in fam:
+                space = a.tape_space(h)
+                expected = [a.run(h, t) for t in range(space)]
+                got = list(a.run_tapes(h, np.arange(space)))
+                assert got == expected, (fam.name, a.name)
+                assert {type(x) for pair in got for x in pair} == {int}
+                assert list(a.run_tapes(h, range(space))) == expected
+                tapes = np.random.default_rng(n).integers(space, size=50)
+                assert list(a.run_tapes(h, tapes)) == [a.run(h, t) for t in tapes.tolist()]
+
+
+@pytest.mark.parametrize("m", [63, 64, 70])
+def test_col_tape_runner_on_outputs_beyond_int64(m):
+    # Outputs near 2^(m-1) beside small ones: as one numpy array, m = 64
+    # turns them to float64 and merges fibers that differ in the low bits.
+    table = tuple(2**(m - 1) + x % 3 if x % 5 else x % 2 for x in range(16))
+    h = HashFunction(4, m, table)
+    a = ColAdversary()
+    space = a.tape_space(h)
+    assert list(a.run_tapes(h, np.arange(space))) == [a.run(h, t) for t in range(space)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_monte_carlo_matches_run_per_distinct_tape(n):
+    # Both tape runners, the default one and a tape space above 2^63 (one
+    # ``run`` per drawn tape): the same items, in the same order, and the
+    # same rng state after.
+    for fam in builtin_families(n, num_keys=1, seed=n):
+        h = fam.functions[0]
+        for a in (ColAdversary(), DiagonalAdversary(), FixedPairAdversary((1, 0)),
+                  WideTapeAdversary()):
+            rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+            d = adversary_distribution(a, h, mode="monte-carlo", samples=3000, rng=rng)
+            ref = ref_monte_carlo_distribution(a, h, 3000, ref_rng)
+            assert list(d.items()) == list(ref.items()), (fam.name, a.name)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_monte_carlo_runs_each_distinct_tape_once():
+    # The echo finder at n = 3 has 8 tapes; one run per sample made 2,000
+    # calls.  It has no tape runner of its own, so each tape is one ``run``.
     calls = []
-    run = DiagonalAdversary.run
-    monkeypatch.setattr(DiagonalAdversary, "run",
-                        lambda self, h, tape: calls.append(tape) or run(self, h, tape))
+    a = FunctionAdversary("echo", 3, lambda h, tape: calls.append(tape) or (tape, tape))
     h = identity_family(3).functions[0]
-    adversary_distribution(DiagonalAdversary(), h, mode="monte-carlo", samples=2000,
+    adversary_distribution(a, h, mode="monte-carlo", samples=2000,
                            rng=np.random.default_rng(1))
-    assert len(calls) <= 8
+    assert sorted(calls) == list(range(8))
 
 
 def test_monte_carlo_sample_count_capped_before_drawing():
