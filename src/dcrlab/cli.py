@@ -202,10 +202,15 @@ def main(argv=None) -> int:
         chosen.set_defaults(**{key: value for key, value in config.items() if key in own})
         args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
     except (ValueError, KeyError, EnumerationCap) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # stdout closed early, as by `| head`: end quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

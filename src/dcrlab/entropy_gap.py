@@ -32,7 +32,6 @@ from dcrlab.hashfam import (
     Adversary,
     HashFamily,
     HashFunction,
-    check_pair_cap,
     dcrh_distance,
     preimage_set,
 )
@@ -197,7 +196,6 @@ class RewindingAdversary(Adversary):
         """Group first-block coins by the induced second-block law; the
         output law has one product block law (x) law per group, of weight
         count / v1, or their pairs when two groups' laws share an outcome."""
-        check_pair_cap(h.n)
         v1 = self.gt.coin_spaces[0]
         groups = Counter(self.gt.block_law(h, (r,)) for r in range(v1))
         blocks = [(count, law) for law, count in groups.items()]

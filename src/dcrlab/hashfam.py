@@ -9,8 +9,8 @@ Col(h) samples x1 uniformly, then x2 uniformly from the preimage set
 h^-1(h(x1)) (x1 = x2 is allowed).  Its exact law is held as product
 blocks (``probkit.BlockLaw``): one block per fiber, uniform over the fiber
 and of weight |fiber| / 2^n, so a constant function's law costs 2^n
-outcomes, not its 4^n pairs.  The game value against an adversary A is
-E_h  TV(A(h), Col(h)), computed as an exact average over the family's
+outcomes, not its 4^n pairs, and is not pair-capped.  The game value
+against A is E_h TV(A(h), Col(h)), an exact average over the family's
 enumerated key space.  A(h) is the adversary's own exact law when it
 supplies one, and otherwise the count of its outputs over every tape.
 """
@@ -24,15 +24,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from dcrlab.probkit import BlockLaw, Dist, JointDist, _shared_counts, stat_distance
+from dcrlab.probkit import BlockLaw, Dist, EnumerationCap, JointDist, _shared_counts, stat_distance
 
 ENUM_CAP_DEFAULT = 14   # largest n enumerated without protest
 ENUM_CAP_HARD = 20      # absolute ceiling on 2^n enumeration
 TAPE_CAP_BITS = 24      # largest adversary tape space enumerated exactly
-
-
-class EnumerationCap(RuntimeError):
-    """An exact enumeration was requested beyond the configured cap."""
 
 
 def _check_cap(n: int, cap: int = ENUM_CAP_DEFAULT) -> None:
@@ -202,13 +198,6 @@ def builtin_families(n: int, num_keys: int = 4, seed: int = 0) -> list[HashFamil
 
 # -------------------------------------------------------------- collision finder
 
-def check_pair_cap(n: int) -> None:
-    """Refuse laws over pairs of n-bit inputs, 2^(2n) outcomes, past the cap."""
-    if 2 * n > ENUM_CAP_HARD:
-        raise EnumerationCap(f"pairs of n={n}-bit inputs need 2n={2 * n} bits, "
-                             f"above the cap {ENUM_CAP_HARD}")
-
-
 def _check_pair_range(law: JointDist, n: int) -> JointDist:
     """``law`` itself, once every outcome is checked to be a pair in ({0,1}^n)^2."""
     side = range(2**n)
@@ -227,7 +216,6 @@ def preimage_set(h: HashFunction, y: int) -> tuple[int, ...]:
 def col_distribution(h: HashFunction) -> BlockLaw:
     """Exact law of Col(h): P(x1, x2) = 2^-n / |h^-1(h(x1))| on collisions,
     as one product block per fiber, uniform over it, of weight |fiber|."""
-    check_pair_cap(h.n)
     return BlockLaw([(len(fiber), h.fiber_laws[y]) for y, fiber in h.fibers.items()],
                     denominator=2**h.n)
 
@@ -350,21 +338,20 @@ def adversary_distribution(
     """The adversary's output law on h.
 
     Exact mode returns ``a.exact_distribution(h)`` when the adversary
-    supplies one, at any tape space: a ``BlockLaw`` for Col and a rewound
-    law of disjoint blocks, else a ``JointDist``.  The test suite checks
-    each such law against one ``run`` per tape.  Otherwise it counts the
-    pairs of ``a.run_tapes`` over every tape, up to 2^TAPE_CAP_BITS tapes,
-    into a ``JointDist``.  Monte-Carlo mode returns the empirical
-    distribution of ``samples`` <= 2^TAPE_CAP_BITS tapes.  Tape spaces up
-    to 2^63 draw all tapes in one ``rng.integers`` call and hand the
-    distinct tapes, in order of first draw, to one ``a.run_tapes`` call,
-    each pair weighted by its tape's multiplicity; larger spaces draw one
-    tape at a time and ``run`` it.  Either way the tapes, the rng's state
-    afterwards and the law (its pair order included) are those of drawing
-    and running one tape per sample.  Counted and sampled output pairs
-    outside ({0,1}^n)^2 raise ``ValueError``.
+    supplies one, at any tape space and pair count: a ``BlockLaw`` for Col
+    or a rewound law of disjoint blocks, else a ``JointDist``.  The test
+    suite checks each such law against one ``run`` per tape.  Otherwise it
+    counts the pairs of ``a.run_tapes`` over every tape, up to
+    2^TAPE_CAP_BITS tapes, into a ``JointDist``.  Monte-Carlo mode returns
+    the empirical distribution of ``samples`` <= 2^TAPE_CAP_BITS tapes.
+    Tape spaces up to 2^63 draw all tapes in one ``rng.integers`` call and
+    hand the distinct tapes, in order of first draw, to one ``a.run_tapes``
+    call, each pair weighted by its tape's multiplicity; larger spaces draw
+    one tape at a time and ``run`` it.  Either way the tapes, the rng's
+    state afterwards and the law (its pair order included) are those of
+    drawing and running one tape per sample.  Counted and sampled output
+    pairs outside ({0,1}^n)^2 raise ``ValueError``.
     """
-    check_pair_cap(h.n)
     if mode == "exact":
         law = a.exact_distribution(h)
         if law is not None:

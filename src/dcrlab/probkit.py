@@ -27,10 +27,10 @@ A law over pairs that is a mixture of products law (x) law with pairwise
 disjoint supports, as Col(h) and every stock generator's rewound law are,
 is held as those product blocks (``BlockLaw``): its first marginal, its
 conditionals, its entropy and its distance to another exact law are read
-off the blocks without the pairs.  A distance to a float law reads its
-pair masses off the blocks as floats, one ``s c1 c2 / den`` each, without
-the exact pair law.  Blocks may not share an outcome: a rewound law whose
-blocks overlap is a ``JointDist``.  A law hashes once and keeps its hash.
+off the blocks without the pairs.  Only ``joint()``, a rewound law whose
+blocks overlap (a ``JointDist``) and a distance to a float law (a float
+``s c1 c2 / den`` per pair) write pairs out, and past 2^20 pairs they
+raise ``EnumerationCap`` first.  A law hashes once and keeps its hash.
 
 A law's outcomes are its support: there is no separately declared
 outcome set, so the total variation distance runs over the union of the
@@ -58,6 +58,10 @@ FLOAT_TOL = 1e-9
 
 class SupportError(ValueError):
     """An outcome outside the support was used where mass is required."""
+
+
+class EnumerationCap(RuntimeError):
+    """An exact enumeration was requested beyond the configured cap."""
 
 
 def _log2_reduced(n: int, d: int) -> float:
@@ -365,9 +369,17 @@ def _scaled_blocks(blocks: Iterable[tuple[int, Dist]], denominator: int) -> tupl
     return [(s // g, law) for s, (_, law) in zip(scales, blocks)], denominator * lcm // g
 
 
-def _pair_counts(blocks: Iterable[tuple[int, Dist]]) -> dict:
+def _cap_pairs(blocks: list[tuple[int, Dist]]) -> None:
+    """Refuse blocks that hold more than 2^20 pairs, before one is written."""
+    pairs = sum(len(law._mass) ** 2 for _, law in blocks)
+    if pairs > 2**20:
+        raise EnumerationCap(f"{pairs} pairs exceed 2^20")
+
+
+def _pair_counts(blocks: list[tuple[int, Dist]]) -> dict:
     """{(x1, x2): sum of s c(x1) c(x2)} over scaled blocks (s, law), in
     block order: the one place the pairs of blocks are materialized."""
+    _cap_pairs(blocks)
     mass: dict[tuple, int] = {}
     for s, law in blocks:
         counts = law._mass.items()
@@ -456,6 +468,7 @@ def _float_masses(d: Dist | BlockLaw) -> dict:
     are disjoint, so ``s c1 c2`` is the pair's whole count, and its float
     is that of the reduced count over the reduced denominator."""
     if isinstance(d, BlockLaw):
+        _cap_pairs(d._blocks)
         den = d._den
         mass = {}
         for s, law in d._blocks:

@@ -62,6 +62,14 @@ def test_criterion_2_rows_pinned_at_n10():
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == digest
 
 
+def test_criterion_2_rows_pinned_at_n11():
+    # sha256 of the newline-joined n = 11 rows (seed 7, 4 keys), the first
+    # size past the old 2n <= 20 pair cap; no law here writes its pairs out.
+    rows = acceptance.criterion_gap_sweep(7, ns=range(11, 12)).rows
+    digest = "638af4fcf7d642aa851db7dfe700b4f770f9a078bce816234c030101520aec5b"
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == digest
+
+
 def compensated_sum(iterable, start=0):
     """The builtin ``sum`` of Python 3.12 and later, written out.  Ints
     that fit a C long add exactly.  From the first float on, floats add

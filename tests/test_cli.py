@@ -87,16 +87,13 @@ def test_enumeration_cap_exits_2(tmp_path, capsys):
     assert not (tmp_path / "dcrh_game.csv").exists()
 
 
-@pytest.mark.parametrize("command, csv", [
-    (["dcrh-game", "--mode", "exact"], "dcrh_game.csv"),
-    (["dcrh-game", "--mode", "monte-carlo"], "dcrh_game.csv"),
-    (["gap-sweep"], "gap_sweep.csv"),
-], ids=["exact", "monte-carlo", "gap-sweep"])
-def test_pair_domain_cap_names_input_length(tmp_path, capsys, command, csv):
-    code = main(command + ["--n", "11", "--out", str(tmp_path)])
+def test_pair_cap_names_pair_count(tmp_path, capsys):
+    # The Monte-Carlo game writes Col's pairs out as floats; the constant
+    # family's Col at n = 11 has 4^11 of them, past the 2^20 pair cap.
+    code = main(["dcrh-game", "--mode", "monte-carlo", "--n", "11", "--out", str(tmp_path)])
     assert code == 2
-    assert "error: pairs of n=11-bit inputs need 2n=22 bits" in capsys.readouterr().err
-    assert not (tmp_path / csv).exists()
+    assert capsys.readouterr().err == "error: 4194304 pairs exceed 2^20\n"
+    assert not (tmp_path / "dcrh_game.csv").exists()
 
 
 def test_dcrh_game_exact(tmp_path):
@@ -114,6 +111,15 @@ def test_dcrh_game_exact_rows_pinned(tmp_path):
     assert digest == "81b70afc79715c8218a4d3e62d99e3c9144659f72cdf175f6fc459ee42f3a8c1"
 
 
+def test_dcrh_game_exact_rows_pinned_at_n11(tmp_path):
+    # sha256 of dcrh_game.csv at n = 11, the first size past the old 2n <= 20
+    # pair cap: the exact game reads Col and the rewound laws off their blocks.
+    code = main(["dcrh-game", "--n", "11", "--seed", "7", "--out", str(tmp_path)])
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "dcrh_game.csv").read_bytes()).hexdigest()
+    assert digest == "c5e1d6d4dfbbcc188e1260a97228ecb5096271515371d2f9674d106a95eef1eb"
+
+
 def test_dcrh_game_monte_carlo_rows_pinned(tmp_path):
     # sha256 of dcrh_game.csv as the draw-and-run-per-sample loop wrote it.
     code = main(["dcrh-game", "--mode", "monte-carlo", "--n", "2..4", "--seed", "3",
@@ -127,6 +133,25 @@ def _limit_address_space():
     # Runs in the child between fork and exec: the limit binds it alone.
     limit = 512 * 2**20
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_stdout_ends_quietly(tmp_path, unbuffered):
+    # stdout is a pipe whose reader has already gone, as after `| head -1`.
+    # Unbuffered, the first line fails before any file is written; buffered,
+    # the report is written and the flush at the end fails.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "dcrlab", "gap-sweep", "--n", "2..3", "--out", str(tmp_path)],
+            stdout=write, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONUNBUFFERED=unbuffered))
+    finally:
+        os.close(write)
+    assert result.returncode == 141
+    assert result.stderr == ""
+    assert (tmp_path / "gap_sweep.csv").exists() == (not unbuffered)
 
 
 def test_commit_reduce_cap_checked_before_tables(tmp_path):

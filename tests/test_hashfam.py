@@ -1,5 +1,6 @@
 """Hash families, the ideal collision finder, and the exact game value."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,6 @@ from dcrlab.hashfam import (
     HashFunction,
     adversary_distribution,
     builtin_families,
-    check_pair_cap,
     col_distribution,
     col_sample,
     dcrh_distance,
@@ -26,7 +26,7 @@ from dcrlab.hashfam import (
     rng_bigint,
     uniform_random_family,
 )
-from dcrlab.probkit import BlockLaw, Dist, JointDist, stat_distance
+from dcrlab.probkit import BlockLaw, Dist, JointDist, _cap_pairs, _float_masses, stat_distance
 
 from reference_laws import ref_joint_distance, ref_monte_carlo_distribution
 
@@ -110,18 +110,23 @@ def test_seeded_families_refuse_no_keys(make, num_keys):
 
 
 def test_pair_domain_cap_enforced():
-    # A law over pairs of n-bit inputs has up to 2^(2n) outcomes; 2n is capped
-    # at 20, and the check itself builds no pairs.
-    check_pair_cap(10)
-    cap = r"pairs of n=11-bit inputs need 2n=22 bits, above the cap 20"
-    with pytest.raises(EnumerationCap, match=cap):
-        check_pair_cap(11)
-    # The pair laws refuse before building a pair.
+    # Col and the exact adversary laws are product blocks, so n = 11 is no
+    # longer refused.  Writing the pairs out is capped at 2^20 pairs in
+    # all, counted from the block supports before the first pair is made.
     h = HashFunction(n=11, m=1, table=(0,) * 2**11)
-    with pytest.raises(EnumerationCap, match=cap):
-        col_distribution(h)
-    with pytest.raises(EnumerationCap, match=cap):
-        adversary_distribution(FixedPairAdversary((0, 0)), h)
+    col = col_distribution(h)
+    assert col.support_size() == 4**11
+    assert adversary_distribution(FixedPairAdversary((0, 0)), h) == Dist.point((0, 0))
+    for write in [col.joint, lambda: _float_masses(col)]:
+        tracemalloc.start()
+        with pytest.raises(EnumerationCap, match=r"^4194304 pairs exceed 2\^20$"):
+            write()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2**20  # 4^11 written pairs would take hundreds of MiB
+    _cap_pairs([(1, Dist.uniform(range(1024)))])
+    with pytest.raises(EnumerationCap, match=r"^1049801 pairs exceed 2\^20$"):
+        _cap_pairs([(1, Dist.uniform(range(725))), (1, Dist.uniform(range(725, 1449)))])
 
 
 @pytest.mark.parametrize("bad", [-1, 4, float("nan")], ids=["negative", "two-to-the-m", "nan"])
