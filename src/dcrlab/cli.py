@@ -46,6 +46,16 @@ def parse_range(text: str) -> range:
     return out
 
 
+def parse_seed(text: str) -> int:
+    """'7' -> 7; a non-integer, or a seed below 0 (numpy refuses it), is an error."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r} (a seed is >= 0)")
+
+
 def load_config(path: str) -> dict[str, str]:
     out = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
@@ -130,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary,
                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.set_defaults(handler=handler)
-        p.add_argument("--seed", type=int, default=0, help="master seed")
+        p.add_argument("--seed", type=parse_seed, default=0, help="master seed")
         p.add_argument("--out", type=Path, default=os.environ.get(OUTPUT_ENV_VAR) or "reports",
                        help=f"output directory; ${OUTPUT_ENV_VAR} replaces the default")
         return p
@@ -210,6 +220,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # stdout closed early, as by `| head`: end quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except OSError as exc:  # a report that cannot be written, as under a file
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

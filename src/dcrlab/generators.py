@@ -207,7 +207,7 @@ def accessible_entropy(gt: OnlineGenerator) -> float:
 
     Route one conditions through the joint law of (block, context),
     streamed term by term; route two takes the transcript expectation of
-    the per-block sample entropies, once per distinct block law.
+    the per-block sample entropies, once per distinct law within each key.
     Agreement to 1e-9 is asserted.
     """
     via_cond = 0.0
@@ -217,8 +217,9 @@ def accessible_entropy(gt: OnlineGenerator) -> float:
         laws = [gt.block_law(z, prefix) for z in gt.param_space for prefix in prefix_list]
         via_cond += _context_entropy(laws)
         expect_i = 0.0
-        for law, contexts in Counter(laws).items():
-            expect_i += contexts * shannon_entropy(law)
+        for start in range(0, len(laws), len(prefix_list)):
+            for law, contexts in Counter(laws[start:start + len(prefix_list)]).items():
+                expect_i += contexts * shannon_entropy(law)
         via_expect += expect_i / len(laws)
     if abs(via_cond - via_expect) > ROUTE_TOL:
         raise AssertionError(

@@ -30,7 +30,7 @@ conditionals, its entropy and its distance to another exact law are read
 off the blocks without the pairs.  Only ``joint()``, a rewound law whose
 blocks overlap (a ``JointDist``) and a distance to a float law (a float
 ``s c1 c2 / den`` per pair) write pairs out, and past 2^20 pairs they
-raise ``EnumerationCap`` first.  A law hashes once and keeps its hash.
+raise ``EnumerationCap`` first.  A law hashes its float masses once.
 
 A law's outcomes are its support: there is no separately declared
 outcome set, so the total variation distance runs over the union of the
@@ -42,7 +42,6 @@ contained in ``supp(q)`` are applied throughout.
 """
 
 import math
-import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -170,25 +169,12 @@ class Dist:
         return dict(self.items()) == dict(other.items())
 
     def __hash__(self):
-        """Taken on first use and kept: grouping coins by the law they
-        induce hashes one shared law once, not once per coin."""
+        """The hash of the float masses, taken on first use and kept.  Equal
+        laws have equal floats: an exact law equals a float law only when
+        each mass is exactly that float."""
         if self._hash is None:
-            self._hash = self._mass_hash()
+            self._hash = hash(frozenset(_float_masses(self).items()))
         return self._hash
-
-    def _mass_hash(self) -> int:
-        if self._den is None:
-            return hash(frozenset(self._mass.items()))
-        # Fraction(c, d) hashes to c * d^-1 modulo the numeric-hash prime, so
-        # one inverse of the denominator yields every outcome's Fraction hash:
-        # an exact law hashes as its Fraction-valued mapping (and as an equal
-        # float law) would.
-        modulus = sys.hash_info.modulus
-        try:
-            inverse = pow(self._den, -1, modulus)
-        except ValueError:
-            return hash(frozenset(self.items()))
-        return hash(frozenset((x, c * inverse % modulus) for x, c in self._mass.items()))
 
     def __repr__(self):
         kind = "float" if self._den is None else "exact"

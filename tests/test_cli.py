@@ -154,6 +154,18 @@ def test_closed_stdout_ends_quietly(tmp_path, unbuffered):
     assert (tmp_path / "gap_sweep.csv").exists() == (not unbuffered)
 
 
+def test_unwritable_out_exits_2_without_traceback(tmp_path, capsys):
+    # The output directory would sit under a regular file, so the report
+    # cannot be written: one error line, not an OSError traceback.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["gap-sweep", "--n", "2", "--num-keys", "1", "--out", str(blocker / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_commit_reduce_cap_checked_before_tables(tmp_path):
     # At k = 20 each receiver's table has 2^21 entries, about 16 MiB; the
     # default 100 seeds would need some 1.6 GiB before the cap fired.  The
@@ -362,6 +374,31 @@ def test_bad_config_value_exits_2_with_argparse_message(tmp_path):
                       "--out", str(tmp_path / "out")])
     assert result.returncode == 2
     assert "argument --seed: invalid int value: 'abc'" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["entropy", "dcrh-game", "gap-sweep", "commit-reduce",
+                                     "szk-protocol", "verify-all"])
+def test_negative_seed_exits_2_with_argparse_message(tmp_path, capsys, command):
+    # numpy refuses seeds below 0; argparse refuses them first, whatever
+    # the seed offsets and n of the subcommand's criteria.
+    for seed in ["-1", "-100"]:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", seed, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"argument --seed: invalid int value: '{seed}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert build_parser().parse_args([command, "--seed", "0"]).seed == 0
+
+
+def test_negative_seed_in_config_exits_2_with_argparse_message(tmp_path):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed=-1\n")
+    result = run_cli(["--config", str(cfg), "gap-sweep", "--n", "2..2",
+                      "--out", str(tmp_path / "out")])
+    assert result.returncode == 2
+    assert "argument --seed: invalid int value: '-1'" in result.stderr
     assert "Traceback" not in result.stderr
     assert not (tmp_path / "out").exists()
 

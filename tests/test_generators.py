@@ -118,6 +118,20 @@ def test_accessible_entropy_matches_the_materialized_joint_route():
         assert accessible_entropy(gt) == ref_accessible_entropy(gt), gt.name
 
 
+def test_expectation_route_groups_laws_within_each_key(monkeypatch):
+    # Equal laws of different keys, such as the constant family's, are
+    # never compared: each key's laws are grouped on their own, and within
+    # a key these generators share one law object per distinct law.
+    calls = []
+    eq = Dist.__eq__
+    monkeypatch.setattr(Dist, "__eq__", lambda p, q: calls.append((p, q)) or eq(p, q))
+    for fam in builtin_families(6, num_keys=4, seed=3):
+        honest, ideal, lazy, _ = consistent_suite(fam)
+        for gt in (honest, ideal, lazy):
+            accessible_entropy(gt)
+            assert not calls, (fam.name, gt.name, len(calls))
+
+
 def test_accessible_entropy_routes_disagreeing_raise(monkeypatch):
     # With every per-block sample entropy read as 0 the expectation route
     # is 0, while the conditional route of the coin echo is 3.

@@ -1,6 +1,7 @@
 """Distribution arithmetic: identities, inequalities, metric axioms."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +36,17 @@ def test_equal_exact_and_float_laws_hash_equal_after_the_cache():
     assert hash(third) == hash(third) == hash(Dist({x: Fraction(1, 3) for x in range(3)}))
     pairs = JointDist({(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)})
     assert hash(pairs) == hash(pairs) == hash(JointDist({(0, 0): 0.5, (0, 1): 0.5}))
+
+
+def test_distinct_laws_on_one_support_group_without_comparisons(monkeypatch):
+    # The hash reads the masses, not only the support: 500 distinct laws on
+    # {0, 1} fall in 500 buckets, so grouping them compares no two laws.
+    calls = []
+    eq = Dist.__eq__
+    monkeypatch.setattr(Dist, "__eq__", lambda p, q: calls.append((p, q)) or eq(p, q))
+    groups = Counter(Dist({0: k, 1: 1000 - k}, denominator=1000) for k in range(1, 501))
+    assert len(groups) == 500
+    assert calls == []
 
 
 def random_dist(rng, size):
